@@ -140,6 +140,9 @@ def golden_command(case, orders, precision, verbose) -> None:
     """Compare all presets against the built-in reference tables."""
     digits = precision if precision is not None else default_precision()
     cases = [case] if case else [1, 2, 3]
+    needed = max(max(golden_data.REFERENCE_ORDERS[c]) for c in cases) - 1
+    if orders < needed:
+        raise ConfigError(f"golden needs --orders >= {needed} (tables up to S{needed + 1}); got {orders}")
     all_passed = True
     for case_id in cases:
         problem = case_preset(case_id)

@@ -120,15 +120,8 @@ def parse_number(text: str, line: int = 0) -> QuadraticNumber:
 
 
 def render_number(value: QuadraticNumber) -> str:
-    if value.radical == 0:
-        return str(value.rational)
-    radical = f"sqrt({value.radicand})"
-    b = value.radical
-    term = radical if abs(b) == 1 else f"{abs(b)}*{radical}"
-    sign = "-" if b < 0 else "+"
-    if value.rational == 0:
-        return term if sign == "+" else f"-{term}"
-    return f"{value.rational}{sign}{term}"
+    """Inverse of parse_number; QuadraticNumber prints in the same syntax."""
+    return str(value)
 
 
 @dataclass

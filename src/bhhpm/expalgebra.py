@@ -342,13 +342,7 @@ class ExpRational:
         return self + (-other)
 
     def __neg__(self) -> ExpRational:
-        if self.is_zero:
-            return self
-        result = ExpRational.__new__(ExpRational)
-        object.__setattr__(result, "num", -self.num)
-        object.__setattr__(result, "den", self.den)
-        object.__setattr__(result, "kappa", self.kappa)
-        return result
+        return self.scaled(-1)
 
     def __mul__(self, other: ExpRational | CoefficientLike) -> ExpRational:
         if isinstance(other, (int, Fraction, QuadraticNumber)):
@@ -356,24 +350,13 @@ class ExpRational:
         if not isinstance(other, ExpRational):
             return NotImplemented
         self._check_rate(other)
-        if self.is_zero or other.is_zero:
-            return ExpRational.zero(self.kappa)
-        return ExpRational(
-            self.num * other.num, self.den * other.den, self.kappa
-        )
+        return ExpRational(self.num * other.num, self.den * other.den, self.kappa)
 
     def __rmul__(self, other: CoefficientLike) -> ExpRational:
         return self.scaled(other)
 
     def scaled(self, factor: CoefficientLike) -> ExpRational:
-        q = QuadraticNumber.coerce(factor)
-        if q.is_zero() or self.is_zero:
-            return ExpRational.zero(self.kappa)
-        result = ExpRational.__new__(ExpRational)
-        object.__setattr__(result, "num", self.num.scaled(q))
-        object.__setattr__(result, "den", self.den)
-        object.__setattr__(result, "kappa", self.kappa)
-        return result
+        return ExpRational(self.num.scaled(factor), self.den, self.kappa)
 
     def diff_x(self) -> ExpRational:
         """Exact d/dx via the quotient rule; result is canonical."""

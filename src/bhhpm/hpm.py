@@ -4,14 +4,17 @@ The solution is expanded as v = sum_k p^k v_k in an embedding parameter p.
 The zeroth term is the initial profile (time-independent), and each later
 term solves  dv_k/dt = [p^(k-1) coefficient of N(v)]  with v_k(x, 0) = 0,
 where N(v) = v_xx - alpha*v^n*v_x + beta*((1+gamma)*v^(n+1) - gamma*v -
-v^(2n+1)) is the full spatial operator.  The reaction polynomial is expanded
-generically and p-coefficients are extracted by exact Cauchy-product
-convolution, so no per-case hand-expanded forms enter the engine; the
-published closed forms serve as test oracles instead.
+v^(2n+1)).  With v_0 time-independent this is the time-Taylor series of the
+solution: v_k = c_k(x)*t^k with k*c_k = [t^(k-1)] N(u).
 
-Every v_k is a polynomial in t whose coefficients are ExpRational spatial
-profiles; for the benchmark problems each v_k collapses to a single t^k
-monomial, which the test suite asserts.
+Each c_k is a dense polynomial over Q(sqrt(d)) in the logistic variable
+sigma = E^2/(E^2 + 1), E = exp(kappa*x) (1/(E^2 + 1) on the lower branch),
+so d(sigma)/dx = +/-2*kappa*sigma*(1 - sigma) and derivatives need no
+denominators.  The Taylor coefficients of u^2..u^(2n+1) gain one term per
+order (Griewank & Walther, Evaluating Derivatives, ch. 13) and
+u^n*u_x = d/dx(u^(n+1))/(n+1), so order k costs O(k) polynomial products.
+Each v_k is returned as a TimePolynomial holding the ExpRational closed form
+of c_k; the published closed forms serve as test oracles.
 """
 
 from __future__ import annotations
@@ -23,7 +26,12 @@ from mpmath import mpf
 from .errors import ContractViolation, UnsupportedProblemError
 from .expalgebra import CoefficientLike, ExpRational, LaurentPoly, to_mpf
 from .problem import BHProblem
-from .scalars import DEFAULT_DIGITS, QuadraticNumber, working_dps
+from .scalars import DEFAULT_DIGITS, ZERO, QuadraticNumber, working_dps
+
+#: Dense polynomial in sigma, lowest power first, trailing zeros trimmed.
+Poly = tuple[QuadraticNumber, ...]
+#: Taylor coefficients in t of one function, as sigma-polynomials.
+Series = tuple[Poly, ...]
 
 
 class TimePolynomial:
@@ -47,10 +55,6 @@ class TimePolynomial:
     @classmethod
     def zero(cls, kappa: QuadraticNumber) -> TimePolynomial:
         return cls((), kappa)
-
-    @classmethod
-    def from_spatial(cls, profile: ExpRational) -> TimePolynomial:
-        return cls((profile,), profile.kappa)
 
     @property
     def degree(self) -> int:
@@ -77,32 +81,6 @@ class TimePolynomial:
             merged[j] = merged[j] + c
         return TimePolynomial(merged, self.kappa)
 
-    def __sub__(self, other: TimePolynomial) -> TimePolynomial:
-        return self + (-other)
-
-    def __neg__(self) -> TimePolynomial:
-        return TimePolynomial([-c for c in self.coeffs], self.kappa)
-
-    def __mul__(self, other: TimePolynomial | CoefficientLike) -> TimePolynomial:
-        if isinstance(other, (int, Fraction, QuadraticNumber)):
-            return self.scaled(other)
-        if not isinstance(other, TimePolynomial):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return TimePolynomial.zero(self.kappa)
-        out = [ExpRational.zero(self.kappa) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return TimePolynomial(out, self.kappa)
-
-    def __rmul__(self, other: CoefficientLike) -> TimePolynomial:
-        return self.scaled(other)
-
     def scaled(self, factor: CoefficientLike) -> TimePolynomial:
         return TimePolynomial([c.scaled(factor) for c in self.coeffs], self.kappa)
 
@@ -113,16 +91,6 @@ class TimePolynomial:
 
     def __hash__(self) -> int:
         return hash((self.coeffs, self.kappa))
-
-    def diff_x(self) -> TimePolynomial:
-        return TimePolynomial([c.diff_x() for c in self.coeffs], self.kappa)
-
-    def integrate_t(self) -> TimePolynomial:
-        """Definite integral from 0 to t:  a_j t^j -> a_j t^(j+1)/(j+1)."""
-        out = [ExpRational.zero(self.kappa)]
-        for j, c in enumerate(self.coeffs):
-            out.append(c.scaled(Fraction(1, j + 1)))
-        return TimePolynomial(out, self.kappa)
 
     def eval_at(self, x, t, digits: int = DEFAULT_DIGITS) -> mpf:
         with working_dps(digits):
@@ -154,14 +122,67 @@ class TimePolynomial:
         return f"TimePolynomial({list(self.coeffs)!r})"
 
 
-def initial_guess(problem: BHProblem) -> ExpRational:
-    """Initial profile u(x, 0) as an ExpRational.
+def _trim(p: list[QuadraticNumber]) -> Poly:
+    while p and p[-1].is_zero():
+        p.pop()
+    return tuple(p)
 
-    upper branch: gamma*E/(E + 1/E), lower branch: gamma/E/(E + 1/E), with
-    E = exp(kappa*x).  Only n = 1 keeps the profile inside this
-    representation; nonzero x0 would require the transcendental constant
-    exp(kappa*x0), so both are rejected here.
+
+def _combine(*terms: tuple[CoefficientLike, Poly]) -> Poly:
+    """Linear combination sum(f * P) of sigma-polynomials."""
+    out = [ZERO] * max(len(p) for _, p in terms)
+    for f, p in terms:
+        for i, c in enumerate(p):
+            out[i] = out[i] + c * f
+    return _trim(out)
+
+
+def _dx(p: Poly, rate: QuadraticNumber) -> Poly:
+    """d/dx of P(sigma), where d(sigma)/dx = rate*sigma*(1 - sigma):
+    sigma*(1 - sigma)*P'(sigma) = sum_i (i*p_i - (i-1)*p_(i-1)) sigma^i."""
+    pairs = zip(p + (ZERO,), (ZERO,) + p)
+    return _trim([rate * (i * a - (i - 1) * b) for i, (a, b) in enumerate(pairs)])
+
+
+def _extended(powers: tuple[Series, ...], c: Poly) -> tuple[Series, ...]:
+    """Append c_m to the series of u, then (u^j)_m = sum_i (u^(j-1))_i * c_(m-i)
+    to the series of u^2, u^3, ... in turn."""
+    u = powers[0] + (c,)
+    extended = [u]
+    for power in powers[1:]:
+        out: list[QuadraticNumber] = []
+        for p, q in zip(extended[-1], reversed(u)):
+            out.extend([ZERO] * (len(p) + len(q) - 1 - len(out)))
+            for i, x in enumerate(p):
+                if x:
+                    for j, y in enumerate(q):
+                        out[i + j] = out[i + j] + x * y
+        extended.append(power + (_trim(out),))
+    return tuple(extended)
+
+
+def _term(problem: BHProblem, p: Poly, k: int) -> TimePolynomial:
+    """P(sigma)*t^k, with P(sigma) in closed form N(E^2)/(E^2 + 1)^deg(P).
+
+    Horner's rule on sigma = S/(E^2 + 1), S = E^2 on the upper branch and 1
+    on the lower: c + sigma*N/D = (c*D*(E^2 + 1) + S*N)/(D*(E^2 + 1)).
     """
+    kappa = problem.kappa
+    if not p:
+        return TimePolynomial.zero(kappa)
+    one_plus = LaurentPoly({0: 1, 2: 1})
+    lift = LaurentPoly.monomial(2 if problem.sign > 0 else 0)
+    num, den = LaurentPoly({0: p[-1]}), LaurentPoly.one()
+    for c in reversed(p[:-1]):
+        den = den * one_plus
+        num = den.scaled(c) + lift * num
+    profile = ExpRational(num, den, kappa)
+    return TimePolynomial([ExpRational.zero(kappa)] * k + [profile], kappa)
+
+
+def _front(problem: BHProblem) -> Poly:
+    """The initial front gamma*sigma: n = 1 only (for n >= 2 the front is its
+    n-th root), and x0 = 0 only (x0 enters as the constant exp(kappa*x0))."""
     if problem.n != 1:
         raise UnsupportedProblemError(
             f"symbolic series requires n = 1 (got n = {problem.n}); "
@@ -171,86 +192,78 @@ def initial_guess(problem: BHProblem) -> ExpRational:
         raise UnsupportedProblemError("symbolic series requires x0 = 0")
     if problem.kappa.is_zero():
         raise UnsupportedProblemError("front steepness kappa is zero; no wave profile")
-    num = LaurentPoly.monomial(problem.sign, problem.gamma)
-    den = LaurentPoly({1: 1, -1: 1})
-    return ExpRational(num, den, problem.kappa)
+    return (ZERO, problem.gamma)
 
 
-def _series_mul(
-    a: list[TimePolynomial], b: list[TimePolynomial], upto: int, kappa: QuadraticNumber
-) -> list[TimePolynomial]:
-    """Cauchy product of two truncated p-series, keeping orders 0..upto."""
-    out = [TimePolynomial.zero(kappa) for _ in range(upto + 1)]
-    for i, ai in enumerate(a[: upto + 1]):
-        if ai.is_zero:
-            continue
-        for j in range(min(len(b), upto + 1 - i)):
-            if not b[j].is_zero:
-                out[i + j] = out[i + j] + ai * b[j]
-    return out
+def initial_guess(problem: BHProblem) -> ExpRational:
+    """Initial profile u(x, 0) as an ExpRational.
+
+    upper branch: gamma*E/(E + 1/E), lower branch: gamma/E/(E + 1/E), with
+    E = exp(kappa*x).
+    """
+    return _term(problem, _front(problem), 0).coefficient(0)
 
 
 class HPMExpansion:
-    """Computed series terms v_0..v_K for one problem."""
+    """Computed series terms v_0..v_K for one problem, with ``powers``, the
+    series of u, u^2, .., u^(2n+1) through t^K.  Built from explicit terms
+    (no powers), an expansion evaluates but cannot be advanced."""
 
-    __slots__ = ("problem", "terms")
+    __slots__ = ("problem", "terms", "powers")
 
-    def __init__(self, problem: BHProblem, terms: tuple[TimePolynomial, ...]) -> None:
+    def __init__(self, problem: BHProblem, terms: tuple[TimePolynomial, ...],
+                 powers: tuple[Series, ...] | None = None) -> None:
         if not terms:
             raise ContractViolation("an expansion needs at least the order-0 term")
         object.__setattr__(self, "problem", problem)
         object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "powers", powers)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("HPMExpansion values are immutable")
 
     @classmethod
+    def _seeded(cls, problem: BHProblem, c0: Poly) -> HPMExpansion:
+        powers = _extended(((),) * (2 * problem.n + 1), c0)
+        return cls(problem, (_term(problem, c0, 0),), powers)
+
+    @classmethod
     def start(cls, problem: BHProblem) -> HPMExpansion:
-        return cls(problem, (TimePolynomial.from_spatial(initial_guess(problem)),))
+        return cls._seeded(problem, _front(problem))
 
     @classmethod
     def from_initial(cls, problem: BHProblem, v0: ExpRational) -> HPMExpansion:
-        """Start from an explicit time-independent profile (e.g. a steady state)."""
-        return cls(problem, (TimePolynomial.from_spatial(v0),))
+        """Start from a constant profile, e.g. a steady state."""
+        if not v0.is_constant():
+            raise UnsupportedProblemError("the series starts only from the front or a constant")
+        return cls._seeded(problem, _trim([v0.num.coeff(0)]))
 
     @property
     def order(self) -> int:
         return len(self.terms) - 1
 
-    @property
-    def kappa(self) -> QuadraticNumber:
-        return self.terms[0].kappa
-
-    def _operator_coefficient(self, j: int) -> TimePolynomial:
-        """p^j coefficient of N(v) from the terms computed so far."""
-        problem, kappa = self.problem, self.kappa
-        P = list(self.terms[: j + 1])
-        while len(P) <= j:
-            P.append(TimePolynomial.zero(kappa))
-        n = problem.n
-        # W = P^n truncated at order j
-        W = P
-        for _ in range(n - 1):
-            W = _series_mul(W, P, j, kappa)
-        Px = [tp.diff_x() for tp in P]
-        PW = _series_mul(P, W, j, kappa)        # v^(n+1)
-        PWW = _series_mul(PW, W, j, kappa)      # v^(2n+1)
-        WPx = _series_mul(W, Px, j, kappa)      # v^n * v_x
-
-        diffusion = self.terms[j].diff_x().diff_x() if j < len(self.terms) else TimePolynomial.zero(kappa)
-        convection = WPx[j].scaled(-problem.alpha)
-        gamma = problem.gamma
-        reaction = (
-            PW[j].scaled(gamma + 1) - P[j].scaled(gamma) - PWW[j]
-        ).scaled(problem.beta)
-        return diffusion + convection + reaction
+    def _operator(self, m: int) -> Poly:
+        """t^m coefficient of N(u), from c_0..c_m and the cached powers."""
+        if self.powers is None:
+            raise ContractViolation("an expansion built from explicit terms cannot be advanced")
+        problem, n = self.problem, self.problem.n
+        u, u_n1, u_2n1 = (self.powers[j][m] for j in (0, n, 2 * n))
+        rate, beta = problem.kappa * (2 * problem.sign), problem.beta
+        return _combine(
+            (1, _dx(_dx(u, rate), rate)),
+            (problem.alpha * Fraction(-1, n + 1), _dx(u_n1, rate)),  # -alpha*u^n*u_x
+            (beta * (problem.gamma + 1), u_n1),
+            (-beta * problem.gamma, u),
+            (-beta, u_2n1),
+        )
 
     def rhs_order(self, k: int) -> TimePolynomial:
         """Right-hand side of the order-k equation dv_k/dt = RHS_k.
 
         This is the p^(k-1) coefficient of the spatial operator applied to
-        the series; the time derivative of the order-0 profile, formally
-        subtracted at k = 1, vanishes because v_0 is time-independent.
+        the series, k*c_k*t^(k-1); the time derivative of the order-0
+        profile, formally subtracted at k = 1, vanishes because v_0 is
+        time-independent.
         """
         if k < 1:
             raise ContractViolation("order 0 is the initial profile, not an RHS")
@@ -258,13 +271,14 @@ class HPMExpansion:
             raise ContractViolation(
                 f"rhs_order({k}) needs terms v_0..v_{k - 1}; have {len(self.terms)}"
             )
-        return self._operator_coefficient(k - 1)
+        return _term(self.problem, self._operator(k - 1), k - 1)
 
     def advanced(self) -> HPMExpansion:
-        """Expansion with the next term appended (t-integral of the RHS)."""
+        """Expansion with the next term appended: c_k = N_(k-1)/k."""
         k = len(self.terms)
-        v_k = self.rhs_order(k).integrate_t()
-        return HPMExpansion(self.problem, self.terms + (v_k,))
+        c_k = _combine((Fraction(1, k), self._operator(k - 1)))
+        term = _term(self.problem, c_k, k)
+        return HPMExpansion(self.problem, self.terms + (term,), _extended(self.powers, c_k))
 
     def partial_sum(self, m: int) -> TimePolynomial:
         """Sum of the first m terms as one TimePolynomial."""

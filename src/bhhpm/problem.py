@@ -63,7 +63,10 @@ class BHProblem:
         if disc.rational < 0:
             raise ProblemDomainError("alpha^2 + 4*beta*(n+1) must be nonnegative")
         dfrac = disc.rational
-        _, d = squarefree_decompose(dfrac.numerator * dfrac.denominator)
+        try:
+            _, d = squarefree_decompose(dfrac.numerator * dfrac.denominator)
+        except ValueError as exc:
+            raise ProblemDomainError(f"alpha^2 + 4*beta*(n+1) = {dfrac}: {exc}") from None
         rho = sqrt_rational(dfrac)
 
         for name in ("alpha", "beta", "gamma", "x0"):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 import mpmath
@@ -50,13 +51,15 @@ def fraction_to_mpf(value: RationalLike) -> mpf:
     return mpf(value.numerator) / value.denominator
 
 
+@lru_cache(maxsize=64)
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write ``n = s**2 * d`` with d square-free; return ``(s, d)``.
 
     Trial division up to ``_TRIAL_LIMIT``; a remaining cofactor is accepted
     if it is 1, a perfect square, or small enough that square-freeness is
     forced.  Larger undecidable cofactors raise ValueError rather than
-    silently guessing.
+    silently guessing.  Results are memoised, since every arithmetic result
+    re-checks its radicand; a ValueError is not cached and recurs.
     """
     if n < 0:
         raise ValueError("radicand must be nonnegative")

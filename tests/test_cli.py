@@ -59,6 +59,15 @@ class TestRun:
         assert result.exit_code == 2
         assert "line 1" in result.output
 
+    def test_uncertifiable_radicand_exits_2(self, runner, tmp_path):
+        config = tmp_path / "steep.conf"
+        config.write_text("alpha = 0\nbeta = 1000036000099/8\ngamma = 1\n")
+        result = runner.invoke(main, ["run", "--config", str(config)])
+        assert result.exit_code == 2
+        assert result.output.startswith("configuration error: ")
+        assert "cannot certify square-free part of 1000036000099" in result.output
+        assert result.output.count("\n") == 1
+
     def test_unknown_flag_exits_2(self, runner):
         result = runner.invoke(main, ["run", "--nope"])
         assert result.exit_code == 2
@@ -72,10 +81,11 @@ class TestGolden:
         assert "case 3: FAIL (32/36 cells)" in result.output
         assert "worst cell" in result.output
 
-    def test_insufficient_orders_is_contract_violation(self, runner):
+    def test_insufficient_orders_is_usage_error(self, runner):
         result = runner.invoke(main, ["golden", "--case", "1", "--orders", "2"])
-        assert result.exit_code == 3
-        assert "contract violation" in result.output
+        assert result.exit_code == 2
+        assert result.output.startswith("configuration error: golden needs --orders >= 5")
+        assert result.output.count("\n") == 1
 
 
 class TestTerms:

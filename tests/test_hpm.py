@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -67,19 +68,6 @@ class TestTimePolynomial:
         zero = ExpRational.zero(self.k)
         tp = TimePolynomial([self.u0, zero, zero], self.k)
         assert tp.degree == 0
-
-    def test_integration(self):
-        tp = TimePolynomial([self.u0, self.u0], self.k)
-        integrated = tp.integrate_t()
-        assert integrated.coefficient(0).is_zero
-        assert integrated.coefficient(1) == self.u0
-        assert integrated.coefficient(2) == self.u0.scaled(Fraction(1, 2))
-
-    def test_convolution(self):
-        tp = TimePolynomial([self.u0, self.u0], self.k)
-        sq = tp * tp
-        assert sq.degree == 2
-        assert sq.coefficient(1) == (self.u0 * self.u0).scaled(2)
 
     def test_eval(self):
         tp = TimePolynomial([self.u0, self.u0.scaled(2)], self.k)
@@ -158,6 +146,20 @@ class TestRecursion:
             expansion = expansion.advanced()
         assert all(term.is_zero for term in expansion.terms[1:])
 
+    def test_explicit_terms_cannot_advance(self, expansions):
+        # evaluation only: no series state travels with explicit terms
+        expansion = HPMExpansion(case_preset(1), expansions[1].terms[:3])
+        assert expansion.partial_sum_at(3, 0, 0, 30) == expansions[1].partial_sum_at(3, 0, 0, 30)
+        with pytest.raises(ContractViolation):
+            expansion.advanced()
+        with pytest.raises(ContractViolation):
+            expansion.rhs_order(1)
+
+    def test_non_constant_initial_profile_rejected(self):
+        p = case_preset(2)
+        with pytest.raises(UnsupportedProblemError):
+            HPMExpansion.from_initial(p, initial_guess(p))
+
     def test_run_hpm_validates_order(self):
         with pytest.raises(ContractViolation):
             run_hpm(case_preset(1), 0)
@@ -182,6 +184,25 @@ class TestGoldenTerms:
     def test_terms_vanish_at_time_zero(self, cid, expansions):
         for term in expansions[cid].terms[1:]:
             assert term.coefficient(0).is_zero
+
+
+class TestTermsFixture:
+    # str(v_k), k = 0..10, recorded from the rational-function engine that
+    # extracted p-coefficients by Cauchy products of ExpRational profiles
+    FIXTURE = Path(__file__).parent / "data" / "terms_k10.txt"
+
+    def test_terms_match_recorded_closed_forms(self):
+        lines = []
+        for cid in (1, 2, 3):
+            terms = run_hpm(case_preset(cid), 10).terms
+            for k, term in enumerate(terms):
+                lines.append(f"case {cid} v_{k} = {term}")
+                profile = term.coefficient(k)
+                assert profile.reduced() == profile, f"case {cid}, term {k}"
+        expected = self.FIXTURE.read_text().splitlines()
+        assert len(lines) == len(expected) == 33
+        for got, want in zip(lines, expected):
+            assert got == want
 
 
 class TestPartialSums:

@@ -53,6 +53,17 @@ class TestSquarefree:
         with pytest.raises(ValueError):
             squarefree_decompose(-4)
 
+    @pytest.mark.parametrize("n", [12, 999950891, 1000000007])
+    def test_memoised_matches_uncached(self, n):
+        assert squarefree_decompose(n) == squarefree_decompose.__wrapped__(n)
+        assert squarefree_decompose(n) == squarefree_decompose.__wrapped__(n)
+
+    def test_undecidable_raises_every_time(self):
+        # exceptions are not memoised
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                squarefree_decompose(1000036000099)
+
 
 class TestQuadraticNumber:
     def test_normalization(self):
