@@ -18,11 +18,9 @@ from .errors import (
     ProblemDomainError,
     UnsupportedProblemError,
 )
-from .expalgebra import ExpRational, LaurentPoly
 from .hpm import (
     HPMExpansion,
-    TimePolynomial,
-    initial_guess,
+    SeriesTerm,
     max_taylor_deviation,
     run_hpm,
 )
@@ -61,14 +59,12 @@ __all__ = [
     "DEFAULT_DIGITS",
     "ErrorTable",
     "EvaluationError",
-    "ExpRational",
     "GoldenComparison",
     "HPMExpansion",
-    "LaurentPoly",
     "ProblemDomainError",
     "QuadraticNumber",
     "RunConfig",
-    "TimePolynomial",
+    "SeriesTerm",
     "TravelingWave",
     "UnsupportedProblemError",
     "build_error_table",
@@ -76,7 +72,6 @@ __all__ = [
     "deng_wave",
     "emit_table",
     "golden_compare",
-    "initial_guess",
     "max_taylor_deviation",
     "parse_config",
     "pde_residual",

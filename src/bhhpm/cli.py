@@ -113,6 +113,11 @@ def run_command(config_path, case, orders, precision, fmt, out) -> None:
     expansion = run_hpm(problem, cfg.orders)
     wave = deng_wave(problem)
     table = tables.relative_error_table(expansion, wave, cfg)
+    if all(cell is None for cell in table.cells.values()):
+        raise ConfigError(
+            f"the exact wave is 0 to {cfg.precision} digits at every grid point "
+            f"(front steepness kappa = {problem.kappa}), so no relative error is defined"
+        )
 
     plot_text = tables.render_plot_data(table)
     if cfg.out:

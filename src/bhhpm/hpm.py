@@ -13,113 +13,39 @@ so d(sigma)/dx = +/-2*kappa*sigma*(1 - sigma) and derivatives need no
 denominators.  The Taylor coefficients of u^2..u^(2n+1) gain one term per
 order (Griewank & Walther, Evaluating Derivatives, ch. 13) and
 u^n*u_x = d/dx(u^(n+1))/(n+1), so order k costs O(k) polynomial products.
-Each v_k is returned as a TimePolynomial holding the ExpRational closed form
-of c_k; the published closed forms serve as test oracles.
+
+That polynomial is the only form of a term, from the step to the printout:
+a ``SeriesTerm`` evaluates c_k by Horner's rule, in exact integers, at the
+binary value of sigma(x) = 1/(1 + exp(-/+2*kappa*x)) and prints it as the
+closed form N(E^2)/(E^2 + 1)^deg, which is in lowest terms without any GCD.
+The published closed forms serve as test oracles.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
+import mpmath
 from mpmath import mpf
 
 from .errors import ContractViolation, UnsupportedProblemError
-from .expalgebra import CoefficientLike, ExpRational, LaurentPoly, to_mpf
 from .problem import BHProblem
-from .scalars import DEFAULT_DIGITS, ZERO, QuadraticNumber, working_dps
+from .scalars import (
+    DEFAULT_DIGITS,
+    ZERO,
+    QuadraticNumber,
+    ScalarLike,
+    to_mpf,
+    working_dps,
+)
 
 #: Dense polynomial in sigma, lowest power first, trailing zeros trimmed.
 Poly = tuple[QuadraticNumber, ...]
 #: Taylor coefficients in t of one function, as sigma-polynomials.
 Series = tuple[Poly, ...]
-
-
-class TimePolynomial:
-    """Polynomial in t with ExpRational coefficients, trailing zeros trimmed."""
-
-    __slots__ = ("coeffs", "kappa")
-
-    def __init__(self, coeffs: list[ExpRational] | tuple[ExpRational, ...], kappa: QuadraticNumber) -> None:
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
-        for c in coeffs:
-            if c.kappa != kappa:
-                raise ContractViolation("coefficient rate differs from the polynomial's")
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "kappa", kappa)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TimePolynomial values are immutable")
-
-    @classmethod
-    def zero(cls, kappa: QuadraticNumber) -> TimePolynomial:
-        return cls((), kappa)
-
-    @property
-    def degree(self) -> int:
-        """Degree in t; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, j: int) -> ExpRational:
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
-        return ExpRational.zero(self.kappa)
-
-    def __add__(self, other: TimePolynomial) -> TimePolynomial:
-        if not isinstance(other, TimePolynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for j, c in enumerate(b):
-            merged[j] = merged[j] + c
-        return TimePolynomial(merged, self.kappa)
-
-    def scaled(self, factor: CoefficientLike) -> TimePolynomial:
-        return TimePolynomial([c.scaled(factor) for c in self.coeffs], self.kappa)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TimePolynomial):
-            return self.kappa == other.kappa and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.kappa))
-
-    def eval_at(self, x, t, digits: int = DEFAULT_DIGITS) -> mpf:
-        with working_dps(digits):
-            tv = to_mpf(t)
-            total = mpf(0)
-            power = mpf(1)
-            for c in self.coeffs:
-                if not c.is_zero:
-                    total += c.eval_at(x, digits) * power
-                power *= tv
-            return +total
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            if j == 0:
-                parts.append(str(c))
-            elif j == 1:
-                parts.append(f"{c} * t")
-            else:
-                parts.append(f"{c} * t^{j}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"TimePolynomial({list(self.coeffs)!r})"
 
 
 def _trim(p: list[QuadraticNumber]) -> Poly:
@@ -128,12 +54,24 @@ def _trim(p: list[QuadraticNumber]) -> Poly:
     return tuple(p)
 
 
-def _combine(*terms: tuple[CoefficientLike, Poly]) -> Poly:
+def _combine(*terms: tuple[ScalarLike, Poly]) -> Poly:
     """Linear combination sum(f * P) of sigma-polynomials."""
     out = [ZERO] * max(len(p) for _, p in terms)
     for f, p in terms:
         for i, c in enumerate(p):
             out[i] = out[i] + c * f
+    return _trim(out)
+
+
+def _sum_products(pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
+    """sum(P * Q) over the pairs; a single pair gives the product P * Q."""
+    out: list[QuadraticNumber] = []
+    for p, q in pairs:
+        out.extend([ZERO] * (len(p) + len(q) - 1 - len(out)))
+        for i, x in enumerate(p):
+            if x:
+                for j, y in enumerate(q):
+                    out[i + j] = out[i + j] + x * y
     return _trim(out)
 
 
@@ -150,34 +88,114 @@ def _extended(powers: tuple[Series, ...], c: Poly) -> tuple[Series, ...]:
     u = powers[0] + (c,)
     extended = [u]
     for power in powers[1:]:
-        out: list[QuadraticNumber] = []
-        for p, q in zip(extended[-1], reversed(u)):
-            out.extend([ZERO] * (len(p) + len(q) - 1 - len(out)))
-            for i, x in enumerate(p):
-                if x:
-                    for j, y in enumerate(q):
-                        out[i + j] = out[i + j] + x * y
-        extended.append(power + (_trim(out),))
+        extended.append(power + (_sum_products(zip(extended[-1], reversed(u))),))
     return tuple(extended)
 
 
-def _term(problem: BHProblem, p: Poly, k: int) -> TimePolynomial:
-    """P(sigma)*t^k, with P(sigma) in closed form N(E^2)/(E^2 + 1)^deg(P).
+def _closed_form(p: Poly, sign: int) -> tuple[list[QuadraticNumber], list[int]]:
+    """Coefficients of N and D, in powers of E^2, with P(sigma) = N/D and
+    D = (E^2 + 1)^deg(P), for a nonzero P.
 
     Horner's rule on sigma = S/(E^2 + 1), S = E^2 on the upper branch and 1
-    on the lower: c + sigma*N/D = (c*D*(E^2 + 1) + S*N)/(D*(E^2 + 1)).
+    on the lower: c + sigma*N/D = (c*D*(E^2 + 1) + S*N)/(D*(E^2 + 1)).  At
+    E^2 = -1 only the leading coefficient survives, N(-1) = (-1)^deg*p_deg
+    (upper) or p_deg (lower), so N/D is in lowest terms.
     """
-    kappa = problem.kappa
-    if not p:
-        return TimePolynomial.zero(kappa)
-    one_plus = LaurentPoly({0: 1, 2: 1})
-    lift = LaurentPoly.monomial(2 if problem.sign > 0 else 0)
-    num, den = LaurentPoly({0: p[-1]}), LaurentPoly.one()
+    num, den = [p[-1]], [1]
     for c in reversed(p[:-1]):
-        den = den * one_plus
-        num = den.scaled(c) + lift * num
-    profile = ExpRational(num, den, kappa)
-    return TimePolynomial([ExpRational.zero(kappa)] * k + [profile], kappa)
+        den = [a + b for a, b in zip(den + [0], [0] + den)]
+        lifted = [ZERO] + num if sign > 0 else num + [ZERO]
+        num = [c * d + s for d, s in zip(den, lifted)]
+    return num, den
+
+
+def _e2_str(coeffs: list) -> str:
+    """sum_i coeffs[i]*E^(2i), highest power first, zero terms dropped."""
+    parts = []
+    for i in reversed(range(len(coeffs))):
+        if not coeffs[i]:
+            continue
+        cs = str(coeffs[i])
+        if "+" in cs[1:] or "-" in cs[1:]:
+            cs = f"({cs})"
+        if i == 0:
+            parts.append(cs)
+        elif cs in ("1", "-1"):
+            parts.append(f"{cs[:-1]}E^{2 * i}")
+        else:
+            parts.append(f"{cs}*E^{2 * i}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+@dataclass(frozen=True)
+class SeriesTerm:
+    """The series term v_k = c_k(x)*t^k of order k = ``order``.
+
+    ``coeffs`` are the sigma-coefficients of c_k, lowest power first and
+    trailing zeros trimmed; ``kappa`` and ``sign`` (+1 upper branch, -1
+    lower) fix sigma = 1/(1 + exp(-sign*2*kappa*x)).
+    """
+
+    coeffs: Poly
+    order: int
+    kappa: QuadraticNumber
+    sign: int
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def profile_at(self, x, digits: int = DEFAULT_DIGITS) -> mpf:
+        """c_k(x), exact at a binary value sigma = m/2^s of sigma(x).
+
+        The smaller of sigma and 1 - sigma is rounded, so either tail keeps
+        its digits.  Horner's rule runs in integers, on the rational parts
+        and on the sqrt(d) parts of the coefficients over their common
+        denominators, giving c_k = (U + V*sqrt(d))/W.  Where U and
+        V*sqrt(d) would cancel it takes (U^2 - V^2*d)/(U - V*sqrt(d)), so
+        coefficients far larger than c_k (a slow front's, say) cost no
+        digits.
+        """
+        with working_dps(digits):
+            z = -2 * self.sign * self.kappa.evalf(mpmath.mp.dps) * to_mpf(x)
+            man, exp = (1 / (1 + mpmath.exp(abs(z)))).man_exp
+            m, s = man, -exp
+            if z < 0:
+                m = (1 << s) - m
+            top = len(self.coeffs) - 1
+            sums = []
+            # sum_i p_i*(m/2^s)^i = (sum_i p_i*m^i*2^(s*(top - i)))/2^(s*top)
+            for part in ([c.rational for c in self.coeffs], [c.radical for c in self.coeffs]):
+                den = math.lcm(*[p.denominator for p in part])
+                acc = 0
+                for i in range(top, -1, -1):
+                    acc = acc * m + (part[i].numerator * (den // part[i].denominator) << s * (top - i))
+                sums.append((acc, den))
+            (a, da), (b, db) = sums
+            u, v, d = a * db, b * da, max((c.radicand for c in self.coeffs), default=0)
+            if u * v >= 0:
+                num = mpf(u) + (v * mpmath.sqrt(d) if v else 0)
+            else:
+                num = (u * u - v * v * d) / (u - v * mpmath.sqrt(d))
+            return mpmath.ldexp(num / (da * db), -s * top)
+
+    def eval_at(self, x, t, digits: int = DEFAULT_DIGITS) -> mpf:
+        """v_k(x, t) = c_k(x)*t^k."""
+        with working_dps(digits):
+            return +(self.profile_at(x, digits) * to_mpf(t) ** self.order)
+
+    def __str__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        num, den = _closed_form(self.coeffs, self.sign)
+        profile = f"({_e2_str(num)})"
+        if len(den) > 1:
+            profile += f"/({_e2_str(den)})"
+        if self.order == 0:
+            return profile
+        if self.order == 1:
+            return f"{profile} * t"
+        return f"{profile} * t^{self.order}"
 
 
 def _front(problem: BHProblem) -> Poly:
@@ -195,57 +213,41 @@ def _front(problem: BHProblem) -> Poly:
     return (ZERO, problem.gamma)
 
 
-def initial_guess(problem: BHProblem) -> ExpRational:
-    """Initial profile u(x, 0) as an ExpRational.
-
-    upper branch: gamma*E/(E + 1/E), lower branch: gamma/E/(E + 1/E), with
-    E = exp(kappa*x).
-    """
-    return _term(problem, _front(problem), 0).coefficient(0)
-
-
+@dataclass(frozen=True, eq=False)
 class HPMExpansion:
-    """Computed series terms v_0..v_K for one problem, with ``powers``, the
-    series of u, u^2, .., u^(2n+1) through t^K.  Built from explicit terms
-    (no powers), an expansion evaluates but cannot be advanced."""
+    """The series through order K for one problem, held as ``powers``: the
+    Taylor coefficients in t of u, u^2, .., u^(2n+1) through t^K.  The
+    series of u is (c_0, .., c_K), from which ``terms`` are read."""
 
-    __slots__ = ("problem", "terms", "powers")
-
-    def __init__(self, problem: BHProblem, terms: tuple[TimePolynomial, ...],
-                 powers: tuple[Series, ...] | None = None) -> None:
-        if not terms:
-            raise ContractViolation("an expansion needs at least the order-0 term")
-        object.__setattr__(self, "problem", problem)
-        object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "powers", powers)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("HPMExpansion values are immutable")
+    problem: BHProblem
+    powers: tuple[Series, ...]
 
     @classmethod
     def _seeded(cls, problem: BHProblem, c0: Poly) -> HPMExpansion:
-        powers = _extended(((),) * (2 * problem.n + 1), c0)
-        return cls(problem, (_term(problem, c0, 0),), powers)
+        return cls(problem, _extended(((),) * (2 * problem.n + 1), c0))
 
     @classmethod
     def start(cls, problem: BHProblem) -> HPMExpansion:
+        """Start from the front gamma*sigma, i.e. the exact wave at t = 0."""
         return cls._seeded(problem, _front(problem))
 
     @classmethod
-    def from_initial(cls, problem: BHProblem, v0: ExpRational) -> HPMExpansion:
-        """Start from a constant profile, e.g. a steady state."""
-        if not v0.is_constant():
-            raise UnsupportedProblemError("the series starts only from the front or a constant")
-        return cls._seeded(problem, _trim([v0.num.coeff(0)]))
+    def from_initial(cls, problem: BHProblem, value: ScalarLike) -> HPMExpansion:
+        """Start from a constant profile, e.g. a steady state (any n)."""
+        return cls._seeded(problem, _trim([QuadraticNumber.coerce(value)]))
 
     @property
     def order(self) -> int:
-        return len(self.terms) - 1
+        return len(self.powers[0]) - 1
+
+    @property
+    def terms(self) -> tuple[SeriesTerm, ...]:
+        """v_0..v_K."""
+        kappa, sign = self.problem.kappa, self.problem.sign
+        return tuple(SeriesTerm(c, k, kappa, sign) for k, c in enumerate(self.powers[0]))
 
     def _operator(self, m: int) -> Poly:
         """t^m coefficient of N(u), from c_0..c_m and the cached powers."""
-        if self.powers is None:
-            raise ContractViolation("an expansion built from explicit terms cannot be advanced")
         problem, n = self.problem, self.problem.n
         u, u_n1, u_2n1 = (self.powers[j][m] for j in (0, n, 2 * n))
         rate, beta = problem.kappa * (2 * problem.sign), problem.beta
@@ -257,44 +259,17 @@ class HPMExpansion:
             (-beta, u_2n1),
         )
 
-    def rhs_order(self, k: int) -> TimePolynomial:
-        """Right-hand side of the order-k equation dv_k/dt = RHS_k.
-
-        This is the p^(k-1) coefficient of the spatial operator applied to
-        the series, k*c_k*t^(k-1); the time derivative of the order-0
-        profile, formally subtracted at k = 1, vanishes because v_0 is
-        time-independent.
-        """
-        if k < 1:
-            raise ContractViolation("order 0 is the initial profile, not an RHS")
-        if k > len(self.terms):
-            raise ContractViolation(
-                f"rhs_order({k}) needs terms v_0..v_{k - 1}; have {len(self.terms)}"
-            )
-        return _term(self.problem, self._operator(k - 1), k - 1)
-
     def advanced(self) -> HPMExpansion:
         """Expansion with the next term appended: c_k = N_(k-1)/k."""
-        k = len(self.terms)
+        k = self.order + 1
         c_k = _combine((Fraction(1, k), self._operator(k - 1)))
-        term = _term(self.problem, c_k, k)
-        return HPMExpansion(self.problem, self.terms + (term,), _extended(self.powers, c_k))
-
-    def partial_sum(self, m: int) -> TimePolynomial:
-        """Sum of the first m terms as one TimePolynomial."""
-        if not 1 <= m <= len(self.terms):
-            raise ContractViolation(
-                f"partial sum of {m} terms requested; have {len(self.terms)}"
-            )
-        total = self.terms[0]
-        for term in self.terms[1:m]:
-            total = total + term
-        return total
+        return HPMExpansion(self.problem, _extended(self.powers, c_k))
 
     def partial_sum_at(self, m: int, x, t, digits: int = DEFAULT_DIGITS) -> mpf:
-        if not 1 <= m <= len(self.terms):
+        """S_m(x, t) = v_0 + .. + v_(m-1) at one point."""
+        if not 1 <= m <= self.order + 1:
             raise ContractViolation(
-                f"partial sum of {m} terms requested; have {len(self.terms)}"
+                f"partial sum of {m} terms requested; have {self.order + 1}"
             )
         with working_dps(digits):
             total = mpf(0)
@@ -331,13 +306,14 @@ def max_taylor_deviation(
         raise ContractViolation(
             f"expansion has order {expansion.order}, cannot check {max_order}"
         )
+    terms = expansion.terms
     with working_dps(digits):
         worst = mpf(0)
         for x in xs:
             oracle = wave.time_taylor_coefficients(x, max_order, digits)
             scale = max(abs(c) for c in oracle) or mpf(1)
             for k in range(1, max_order + 1):
-                symbolic = expansion.terms[k].coefficient(k).eval_at(x, digits)
+                symbolic = terms[k].profile_at(x, digits)
                 denom = abs(oracle[k]) if oracle[k] != 0 else scale
                 worst = max(worst, abs(symbolic - oracle[k]) / denom)
         return +worst

@@ -118,8 +118,11 @@ class QuadraticNumber:
         return hash((self.rational, self.radical, self.radicand))
 
     def __post_init__(self) -> None:
-        rational = Fraction(self.rational)
-        radical = Fraction(self.radical)
+        rational, radical = self.rational, self.radical
+        if not isinstance(rational, Fraction):
+            rational = Fraction(rational)
+        if not isinstance(radical, Fraction):
+            radical = Fraction(radical)
         s, d = squarefree_decompose(self.radicand)
         if s != 1:
             radical *= s
@@ -280,6 +283,15 @@ class QuadraticNumber:
 
 ZERO = QuadraticNumber()
 ONE = QuadraticNumber.from_rational(1)
+
+
+def to_mpf(x) -> mpf:
+    """Convert a point coordinate to mpf at the current working precision."""
+    if isinstance(x, Fraction):
+        return fraction_to_mpf(x)
+    if isinstance(x, QuadraticNumber):
+        return x.evalf(mpmath.mp.dps)
+    return mpf(x)
 
 
 def sqrt_rational(value: RationalLike) -> QuadraticNumber:

@@ -19,9 +19,8 @@ import mpmath
 from mpmath import mpf
 
 from .errors import EvaluationError, UnsupportedProblemError
-from .expalgebra import to_mpf
 from .problem import BHProblem
-from .scalars import DEFAULT_DIGITS, GUARD_DIGITS, QuadraticNumber, working_dps
+from .scalars import DEFAULT_DIGITS, GUARD_DIGITS, QuadraticNumber, to_mpf, working_dps
 
 #: Pointwise-evaluable space-time function: f(x, t, digits) -> mpf.
 PointFunction = Callable[[mpf, mpf, int], mpf]

@@ -1,69 +1,89 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 
-from bhhpm import QuadraticNumber, case_preset, run_hpm
-from bhhpm.expalgebra import ExpRational, LaurentPoly
-from bhhpm.hpm import TimePolynomial
-
-
-def lp_pow(poly: LaurentPoly, n: int) -> LaurentPoly:
-    return reduce(lambda a, b: a * b, [poly] * n, LaurentPoly.one())
-
-
-def cosh_kernel() -> LaurentPoly:
-    """E + E^-1, the denominator kernel of every benchmark profile."""
-    return LaurentPoly({1: 1, -1: 1})
+from bhhpm import QuadraticNumber, SeriesTerm, case_preset, run_hpm
+from bhhpm.hpm import Poly, _combine, _sum_products, _trim
 
 
 def quad(a, b=0, d=0) -> QuadraticNumber:
     return QuadraticNumber(Fraction(a), Fraction(b), d)
 
 
-def closed_form_term(
-    factor: QuadraticNumber,
-    numerator: LaurentPoly,
-    den_power: int,
-    t_degree: int,
-    kappa: QuadraticNumber,
-) -> TimePolynomial:
-    """factor * numerator / (E + E^-1)^den_power * t^t_degree."""
-    profile = ExpRational(numerator.scaled(factor), lp_pow(cosh_kernel(), den_power), kappa)
-    coeffs = [ExpRational.zero(kappa)] * t_degree + [profile]
-    return TimePolynomial(coeffs, kappa)
+def random_quad(rng: random.Random, d: int = 2) -> QuadraticNumber:
+    return quad(
+        Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        d,
+    )
 
 
-def reference_terms(case_id: int) -> list[TimePolynomial]:
-    """Published closed forms of v_1..v_3 for the benchmark cases.
+def random_poly(rng: random.Random, degree: int = 3, nonzero: bool = False, d: int = 2) -> Poly:
+    """Random sigma-polynomial of degree at most ``degree``, about half of its
+    coefficients zero; with ``nonzero``, never the zero polynomial."""
+    poly = _trim([random_quad(rng, d) if rng.random() < 0.5 else quad(0)
+                  for _ in range(degree + 1)])
+    if nonzero and not poly:
+        return (quad(0),) * rng.randint(0, degree) + (quad(1, 1, d),)
+    return poly
+
+
+def add(a: Poly, b: Poly) -> Poly:
+    """a + b with the engine's linear combination."""
+    return _combine((1, a), (1, b))
+
+
+def mul(a: Poly, b: Poly) -> Poly:
+    """a * b with the engine's sum of products."""
+    return _sum_products([(a, b)])
+
+
+#: Numerators of the published closed forms, as {exponent of E: coefficient}.
+ONE = {0: 1}
+ODD = {1: 1, -1: -1}            # E - E^-1
+HUMP = {2: 1, 0: -4, -2: 1}     # E^2 - 4 + E^-2
+
+
+def reference_terms(case_id: int) -> list[tuple[QuadraticNumber, dict[int, int], int]]:
+    """Published closed forms of v_1..v_3 for the benchmark cases, each
+    factor*numerator(E)/(E + E^-1)^power * t^k as (factor, numerator, power).
 
     The case-3 t^3 factor uses 388 (the printed 389 fails both the Taylor
     oracle and the source's own convergence table; see tests below).
     """
-    problem = case_preset(case_id)
-    k = problem.kappa
-    one = LaurentPoly.one()
-    odd = LaurentPoly({1: 1, -1: -1})           # E - E^-1
-    hump = LaurentPoly({2: 1, 0: -4, -2: 1})    # E^2 - 4 + E^-2
     if case_id == 1:
-        return [
-            closed_form_term(quad(Fraction(-1, 2)), one, 2, 1, k),
-            closed_form_term(quad(Fraction(-1, 8)), odd, 3, 2, k),
-            closed_form_term(quad(Fraction(-1, 48)), hump, 4, 3, k),
-        ]
+        return [(quad(Fraction(-1, 2)), ONE, 2), (quad(Fraction(-1, 8)), ODD, 3),
+                (quad(Fraction(-1, 48)), HUMP, 4)]
     if case_id == 2:
-        return [
-            closed_form_term(quad(Fraction(-3, 4)), one, 2, 1, k),
-            closed_form_term(quad(Fraction(9, 32)), odd, 3, 2, k),
-            closed_form_term(quad(Fraction(-9, 128)), hump, 4, 3, k),
-        ]
-    return [
-        closed_form_term(Fraction(-9, 2) * quad(-4, 3, 3), one, 2, 1, k),
-        closed_form_term(Fraction(27, 8) * quad(43, -24, 3), odd, 3, 2, k),
-        closed_form_term(Fraction(27, 16) * quad(388, -225, 3), hump, 4, 3, k),
-    ]
+        return [(quad(Fraction(-3, 4)), ONE, 2), (quad(Fraction(9, 32)), ODD, 3),
+                (quad(Fraction(-9, 128)), HUMP, 4)]
+    return [(Fraction(-9, 2) * quad(-4, 3, 3), ONE, 2),
+            (Fraction(27, 8) * quad(43, -24, 3), ODD, 3),
+            (Fraction(27, 16) * quad(388, -225, 3), HUMP, 4)]
+
+
+def matches_reference(term: SeriesTerm, form: tuple[QuadraticNumber, dict[int, int], int]) -> bool:
+    """Exact identity of c_k with the published closed form, in Q(sqrt(d)).
+
+    At E = s, sigma = s^2/(s^2 + 1) (1/(s^2 + 1) on the lower branch).
+    Times s^2*(s^2 + 1)^M, M = max(deg c_k, power), both sides are
+    polynomials in s of degree at most 2*M + 4, so agreeing at more points
+    s than that proves the identity.
+    """
+    factor, numerator, power = form
+    points = 2 * max(len(term.coeffs) - 1, power) + 5
+    for s in (Fraction(j) for j in range(1, points + 1)):
+        sigma = s * s / (s * s + 1) if term.sign > 0 else 1 / (s * s + 1)
+        computed = quad(0)
+        for c in reversed(term.coeffs):
+            computed = computed * sigma + c
+        published = factor * sum(c * s**e for e, c in numerator.items()) / (s + 1 / s) ** power
+        if computed != published:
+            return False
+    return True
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,14 @@
+from fractions import Fraction
+
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhhpm.cli import main
+
+#: A steep, fast front: 1 + tanh underflows to 0 on every default grid point.
+STEEP_BETA = Fraction(1000000007, 8)
 
 
 @pytest.fixture()
@@ -68,6 +75,16 @@ class TestRun:
         assert "cannot certify square-free part of 1000036000099" in result.output
         assert result.output.count("\n") == 1
 
+    def test_steep_front_without_defined_cells_exits_2(self, runner, tmp_path):
+        config = tmp_path / "steep.conf"
+        config.write_text(f"alpha = 0\nbeta = {STEEP_BETA}\ngamma = 1\n")
+        result = runner.invoke(main, ["run", "--config", str(config)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.startswith("configuration error: the exact wave is 0")
+        assert result.stderr.count("\n") == 1
+
     def test_unknown_flag_exits_2(self, runner):
         result = runner.invoke(main, ["run", "--nope"])
         assert result.exit_code == 2
@@ -120,3 +137,39 @@ class TestPrecisionEnv:
         result = runner.invoke(main, ["run", "--case", "1"])
         assert result.exit_code == 2
         assert "HPM_PRECISION" in result.output
+
+
+def _rationals(low, high, denominator=4):
+    return st.fractions(min_value=low, max_value=high, max_denominator=denominator)
+
+
+@st.composite
+def run_configs(draw) -> str:
+    """Small random explicit configs, including the steep front's beta."""
+    values = {
+        "alpha": draw(_rationals(-3, 3)),
+        "beta": draw(st.one_of(_rationals(0, 3), st.just(STEEP_BETA))),
+        "gamma": draw(_rationals(-2, 3)),
+        "n": draw(st.sampled_from([1, 2])),
+        "branch": draw(st.sampled_from(["upper", "lower"])),
+        "orders": draw(st.integers(1, 3)),
+        "grid_x": ", ".join(str(x) for x in draw(
+            st.lists(_rationals(-3, 3), min_size=1, max_size=3, unique=True))),
+        "grid_t": str(draw(_rationals(0, Fraction(2, 5), 10))),
+    }
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+class TestExitCodes:
+    @settings(max_examples=30, deadline=None)
+    @given(text=run_configs())
+    def test_any_config_exits_0_1_or_2_with_one_line(self, text):
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            with open("run.conf", "w", encoding="utf-8") as handle:
+                handle.write(text)
+            result = runner.invoke(main, ["run", "--config", "run.conf"])
+        assert result.exception is None or isinstance(result.exception, SystemExit), text
+        assert result.exit_code in (0, 1, 2), text
+        assert result.stderr.count("\n") <= 1, text
+        assert "Traceback" not in result.output, text

@@ -1,191 +1,131 @@
+"""The profile algebra of the series engine: polynomials over Q(sqrt(d)) in
+the logistic variable sigma of E = exp(kappa*x), as ``bhhpm.hpm`` adds,
+scales, multiplies, differentiates, evaluates and prints them."""
+
 import random
 from fractions import Fraction
 
 import mpmath
-import pytest
 from mpmath import mpf
 
-from bhhpm import QuadraticNumber, working_dps
-from bhhpm.errors import AlgebraDomainError, EvaluationError
-from bhhpm.expalgebra import ExpRational, LaurentPoly, _poly_divmod, _poly_gcd
+from bhhpm import SeriesTerm, case_preset, run_hpm, working_dps
+from bhhpm.hpm import _closed_form, _combine, _dx, _trim
 
-from conftest import cosh_kernel, lp_pow, quad
+from conftest import add, mul, quad, random_poly
 
 KAPPA = quad(0, Fraction(1, 4), 2)  # sqrt(2)/4, the steepest benchmark rate
-D = 2
+FRONT = (quad(0), quad(1))          # sigma: E^2/(E^2 + 1), or 1/(E^2 + 1)
+ONE_MINUS = (quad(1), quad(-1))     # 1 - sigma
 
 
-def logistic_front(sign: int = 1) -> ExpRational:
-    """gamma=1 front profile E^sign/(E + E^-1)."""
-    return ExpRational(LaurentPoly.monomial(sign), cosh_kernel(), KAPPA)
+def rate(sign: int):
+    return KAPPA * (2 * sign)
 
 
-def random_quad(rng: random.Random) -> QuadraticNumber:
-    return quad(
-        Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-        Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-        D,
-    )
+def value(p, x, sign: int = 1, digits: int = 30):
+    return SeriesTerm(p, 0, KAPPA, sign).profile_at(x, digits)
 
 
-def random_poly(rng: random.Random, max_abs_exp: int = 3, nonzero: bool = False) -> LaurentPoly:
-    coeffs = {
-        e: random_quad(rng)
-        for e in range(-max_abs_exp, max_abs_exp + 1)
-        if rng.random() < 0.5
-    }
-    poly = LaurentPoly(coeffs)
-    if nonzero and poly.is_zero:
-        return LaurentPoly.monomial(rng.randint(-2, 2), quad(1, 1, D))
-    return poly
-
-
-def random_positive_poly(rng: random.Random) -> LaurentPoly:
-    """Strictly positive coefficients: no real zeros, safe to evaluate."""
-    return LaurentPoly({
-        e: quad(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
-        for e in range(-2, rng.randint(0, 3))
-    } or {0: 1})
-
-
-def random_er(rng: random.Random, evaluable: bool = False, size: int = 3) -> ExpRational:
-    num = random_poly(rng, size)
-    den = random_positive_poly(rng) if evaluable else random_poly(rng, size, nonzero=True)
-    return ExpRational(num, den, KAPPA)
-
-
-class TestLaurentPoly:
+class TestSigmaPoly:
     def test_zero_coefficients_dropped(self):
-        p = LaurentPoly({2: 0, 1: 3, 0: quad(0)})
-        assert len(p) == 1 and p.coeff(1) == quad(3)
+        assert _trim([quad(3), quad(0), quad(0)]) == (quad(3),)
+        assert _combine((1, FRONT), (-1, FRONT)) == ()
 
     def test_arithmetic(self):
-        p = LaurentPoly({1: 1, -1: 1})
-        q = LaurentPoly({1: 1, -1: -1})
-        assert p + q == LaurentPoly({1: 2})
-        assert p - p == LaurentPoly.zero()
-        assert p * q == LaurentPoly({2: 1, -2: -1})
+        assert add(FRONT, ONE_MINUS) == (quad(1),)
+        assert mul(FRONT, ONE_MINUS) == (quad(0), quad(1), quad(-1))
+        assert mul(FRONT, ()) == ()
 
-    def test_shift_and_diff(self):
-        p = LaurentPoly({1: 1, -1: 1})
-        assert p.shifted(1) == LaurentPoly({2: 1, 0: 1})
-        d = p.diff(KAPPA)
-        assert d == LaurentPoly({1: KAPPA, -1: -KAPPA})
-
-    def test_division(self):
-        # (E^2 - 1) / (E + 1) = E - 1
-        num = LaurentPoly({2: 1, 0: -1})
-        den = LaurentPoly({1: 1, 0: 1})
-        q, r = _poly_divmod(num, den)
-        assert r.is_zero
-        assert q == LaurentPoly({1: 1, 0: -1})
-
-    def test_gcd_monic(self):
-        a = LaurentPoly({2: 2, 1: 2})       # 2E(E+1)
-        b = LaurentPoly({2: 3, 0: -3})      # 3(E-1)(E+1)
-        g = _poly_gcd(a, b)
-        assert g == LaurentPoly({1: 1, 0: 1})
+    def test_diff(self):
+        # d/dx sigma^2 = 2*sigma*rate*sigma*(1 - sigma)
+        r = rate(1)
+        assert _dx(mul(FRONT, FRONT), r) == (quad(0), quad(0), r * 2, r * -2)
 
 
 class TestCanonicalForm:
     def test_denominator_starts_at_zero_and_monic(self):
-        er = logistic_front()
-        assert er.den.min_exp == 0
-        assert er.den.coeff(er.den.max_exp) == quad(1)
-        assert er.num == LaurentPoly({2: 1})
-        assert er.den == LaurentPoly({2: 1, 0: 1})
+        assert str(SeriesTerm(FRONT, 0, KAPPA, 1)) == "(E^2)/(E^2 + 1)"
+        assert str(SeriesTerm(FRONT, 0, KAPPA, -1)) == "(1)/(E^2 + 1)"
+        rng = random.Random(3)
+        for _ in range(20):
+            p = random_poly(rng, nonzero=True)
+            _, den = _closed_form(p, rng.choice((1, -1)))
+            assert len(den) == len(p) and den[0] == den[-1] == 1
 
     def test_zero_is_zero_over_one(self):
-        z = ExpRational.zero(KAPPA)
-        assert z.num == LaurentPoly.zero()
-        assert z.den == LaurentPoly.one()
+        zero = SeriesTerm((), 2, KAPPA, 1)
+        assert zero.is_zero and str(zero) == "0"
+        assert value((), 1) == 0
 
     def test_monic_normalization(self):
-        er = ExpRational(LaurentPoly({0: 3}), LaurentPoly({1: 2, 0: 2}), KAPPA)
-        assert er.den.coeff(1) == quad(1)
-        assert er.num == LaurentPoly({0: Fraction(3, 2)})
+        term = SeriesTerm((quad(0), quad(Fraction(3, 2))), 0, KAPPA, 1)
+        assert str(term) == "(3/2*E^2)/(E^2 + 1)"
 
-    def test_power_cancellation(self):
-        # (E+E^-1)^2 / (E+E^-1)^3 -> 1/(E+E^-1)
-        er = ExpRational(lp_pow(cosh_kernel(), 2), lp_pow(cosh_kernel(), 3), KAPPA)
-        expected = ExpRational(LaurentPoly.one(), cosh_kernel(), KAPPA)
-        assert er == expected
-
-    def test_difference_of_squares(self):
-        er = ExpRational(LaurentPoly({2: 1, 0: -1}), LaurentPoly({1: 1, 0: 1}), KAPPA)
-        assert er == ExpRational(LaurentPoly({1: 1, 0: -1}), LaurentPoly.one(), KAPPA)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            ExpRational(LaurentPoly.one(), LaurentPoly.zero(), KAPPA)
+    def test_lowest_terms(self):
+        # N(E^2)/(E^2 + 1)^m has no common factor: N(-1) = +/-p_m != 0
+        rng = random.Random(7)
+        for _ in range(40):
+            p = random_poly(rng, nonzero=True)
+            sign = rng.choice((1, -1))
+            num, _ = _closed_form(p, sign)
+            at_minus_one = sum((c * (-1) ** i for i, c in enumerate(num)), quad(0))
+            top = len(p) - 1
+            assert at_minus_one == (p[-1] * (-1) ** top if sign > 0 else p[-1])
+            assert at_minus_one != 0
 
 
 class TestArithmetic:
     def test_additive_identity(self):
         rng = random.Random(5)
         for _ in range(20):
-            a = random_er(rng)
-            assert a + ExpRational.zero(KAPPA) == a
+            a = random_poly(rng)
+            assert add(a, ()) == a
 
     def test_square_of_front(self):
-        u0 = logistic_front()
-        expected = ExpRational(
-            LaurentPoly.monomial(2), lp_pow(cosh_kernel(), 2), KAPPA
-        )
-        assert u0 * u0 == expected
+        square = mul(FRONT, FRONT)
+        assert square == (quad(0), quad(0), quad(1))
+        assert str(SeriesTerm(square, 0, KAPPA, 1)) == "(E^4)/(E^4 + 2*E^2 + 1)"
 
     def test_triple_product_pointwise(self):
         # (1 - u0)(u0 - 1) u0 evaluated against the pointwise product
         rng = random.Random(17)
-        u0 = logistic_front()
-        one = ExpRational.constant(1, KAPPA)
-        combo = (one - u0) * (u0 - one) * u0
+        combo = mul(mul(ONE_MINUS, _combine((-1, ONE_MINUS))), FRONT)
         with working_dps(30):
             for _ in range(10):
                 x = Fraction(rng.randint(-280, 280), 100)
-                lhs = combo.eval_at(x, 30)
-                u = u0.eval_at(x, 30)
+                lhs = value(combo, x)
+                u = value(FRONT, x)
                 rhs = (1 - u) * (u - 1) * u
                 assert mpmath.almosteq(lhs, rhs, rel_eps=mpf("1e-25"), abs_eps=mpf("1e-25"))
-
-    def test_mixed_rates_rejected(self):
-        other = ExpRational(LaurentPoly.one(), cosh_kernel(), quad(Fraction(1, 4)))
-        with pytest.raises(AlgebraDomainError):
-            logistic_front() + other
 
     def test_ring_axioms_random(self):
         rng = random.Random(29)
         for _ in range(15):
-            a, b, c = (random_er(rng, size=2) for _ in range(3))
-            assert a + b == b + a
-            assert a * b == b * a
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
+            a, b, c = (random_poly(rng, 2) for _ in range(3))
+            assert add(a, b) == add(b, a)
+            assert mul(a, b) == mul(b, a)
+            assert add(add(a, b), c) == add(a, add(b, c))
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
 
 class TestDifferentiation:
     def test_constant_derivative_is_zero(self):
-        half = ExpRational.constant(Fraction(1, 2), KAPPA)
-        assert half.diff_x().is_zero
+        assert _dx((quad(Fraction(1, 2)),), rate(1)) == ()
 
     def test_logistic_identity_exact(self):
-        # u0' = 2*kappa*s*u0*(1 - u0) for u0 = E^s/(E+E^-1), s = +1 or -1
-        one = ExpRational.constant(1, KAPPA)
+        # u0' = 2*kappa*s*u0*(1 - u0) for u0 = sigma on branch s = +1 or -1
         for s in (1, -1):
-            u0 = logistic_front(s)
-            expected = (u0 * (one - u0)).scaled(KAPPA * 2 * s)
-            assert u0.diff_x() == expected
+            assert _dx(FRONT, rate(s)) == _combine((rate(s), mul(FRONT, ONE_MINUS)))
 
     def test_second_derivative_against_finite_difference(self):
-        u0 = logistic_front()
-        u2 = u0.diff_x().diff_x()
+        u2 = _dx(_dx(FRONT, rate(1)), rate(1))
         with working_dps(40):
             h = mpf("1e-6")
             x = mpf(1)
-            f = lambda z: u0.eval_at(z, 40)
+            f = lambda z: value(FRONT, z, digits=40)
             fd = (-f(x + 2*h) + 16*f(x + h) - 30*f(x) + 16*f(x - h) - f(x - 2*h)) / (12 * h * h)
-            exact = u2.eval_at(x, 40)
+            exact = value(u2, x, digits=40)
             assert abs(fd - exact) / abs(exact) < mpf("1e-8")
 
     def test_derivative_vs_finite_difference_random(self):
@@ -193,74 +133,54 @@ class TestDifferentiation:
         rng = random.Random(101)
         with working_dps(40):
             h = mpf("1e-6")
-            for _ in range(50):
-                er = random_er(rng, evaluable=True)
-                d = er.diff_x()
+            for i in range(50):
+                sign = 1 if i % 2 else -1
+                p = random_poly(rng)
+                d = _dx(p, rate(sign))
+                f = lambda z: value(p, z, sign, 40)
                 for _ in range(10):
                     x = mpf(rng.randint(-300, 300)) / 100
-                    f = lambda z: er.eval_at(z, 40)
                     fd = (-f(x + 2*h) + 8*f(x + h) - 8*f(x - h) + f(x - 2*h)) / (12 * h)
-                    exact = d.eval_at(x, 40)
+                    exact = value(d, x, sign, 40)
                     scale = max(mpf(1), abs(f(x)), abs(exact))
                     assert abs(fd - exact) <= mpf("1e-8") * scale
 
     def test_derivative_keeps_denominator_compact(self):
-        u0 = logistic_front()
-        der = u0
+        der = FRONT
         for _ in range(4):
-            der = der.diff_x()
-        # repeated quotient rule squares the denominator each time without
-        # reduction; canonical form must stay near (E+E^-1)^(k+1)
-        assert der.den.max_exp <= 10
-
-
-class TestGcdReduction:
-    def test_random_product_reduction(self):
-        rng = random.Random(47)
-        for _ in range(50):
-            p = random_poly(rng, nonzero=True)
-            q = random_poly(rng, nonzero=True)
-            er = ExpRational(p * q, q, KAPPA)
-            assert er == ExpRational(p, LaurentPoly.one(), KAPPA)
-
-    def test_idempotent_and_value_preserving(self):
-        rng = random.Random(53)
-        with working_dps(30):
-            for _ in range(20):
-                er = random_er(rng, evaluable=True)
-                again = er.reduced()
-                assert again == er
-                for _ in range(10):
-                    x = Fraction(rng.randint(-300, 300), 100)
-                    a = er.eval_at(x, 30)
-                    b = again.eval_at(x, 30)
-                    assert mpmath.almosteq(a, b, rel_eps=mpf("1e-25"), abs_eps=mpf("1e-25"))
+            der = _dx(der, rate(1))
+        # each derivative raises the sigma-degree, hence the power of
+        # (E^2 + 1) in the closed form, by exactly one
+        _, den = _closed_form(der, 1)
+        assert 2 * (len(den) - 1) <= 10
 
 
 class TestEvaluation:
     def test_front_at_zero(self):
-        assert logistic_front().eval_at(0, 30) == mpf("0.5")
+        assert value(FRONT, 0) == mpf("0.5")
 
     def test_front_at_one_tanh_oracle(self):
         # e^a/(e^a + e^-a) = (1 + tanh a)/2 with a = kappa*x
         with working_dps(30):
-            value = logistic_front().eval_at(1, 30)
             a = mpmath.sqrt(2) / 4
             oracle = (1 + mpmath.tanh(a)) / 2
-            assert mpmath.almosteq(value, oracle, rel_eps=mpf("1e-26"))
+            assert mpmath.almosteq(value(FRONT, 1), oracle, rel_eps=mpf("1e-26"))
+            assert mpmath.almosteq(value(FRONT, 1, -1), 1 - oracle, rel_eps=mpf("1e-26"))
 
     def test_first_term_coefficient_at_zero(self):
-        # -(1/2)/(E+E^-1)^2 at x=0 gives -1/8
-        er = ExpRational(
-            LaurentPoly({0: Fraction(-1, 2)}), lp_pow(cosh_kernel(), 2), KAPPA
-        )
-        assert er.eval_at(0, 30) == mpf("-0.125")
+        # -(1/2)/(E+E^-1)^2 = -(1/2)*sigma*(1 - sigma); at x=0 gives -1/8
+        c1 = _combine((Fraction(-1, 2), mul(FRONT, ONE_MINUS)))
+        assert value(c1, 0) == mpf("-0.125")
 
-    def test_denominator_zero_reported(self):
-        er = ExpRational(LaurentPoly.one(), LaurentPoly({1: 1, 0: -1}), KAPPA)
-        with pytest.raises(EvaluationError):
-            er.eval_at(0, 30)
+    def test_both_tails_keep_their_digits(self):
+        # sigma tends to 0 on one side of each front and to 1 on the other
+        for cid in (1, 3):
+            for term in run_hpm(case_preset(cid), 4).terms:
+                for x in (-200, -60, 60, 200):
+                    a, b = term.profile_at(x, 30), term.profile_at(x, 80)
+                    with working_dps(30):
+                        assert abs(a - b) <= mpf("1e-35") * abs(b)
 
     def test_rendering_mentions_structure(self):
-        text = str(logistic_front())
+        text = str(SeriesTerm(FRONT, 0, KAPPA, 1))
         assert "E^2" in text and "/" in text

@@ -72,6 +72,14 @@ class TestQuadraticNumber:
         assert quad(0, Fraction(1, 2), 8) == quad(0, 1, 2)  # sqrt(8)/2 = sqrt(2)
         assert quad(1, 1, 2).radicand == 2
 
+    def test_parts_are_fractions(self):
+        # ints and floats are converted; Fractions are kept as given
+        half = Fraction(1, 2)
+        for q in (QuadraticNumber(1, 2, 3), QuadraticNumber(0.5, 0.25, 3)):
+            assert type(q.rational) is Fraction and type(q.radical) is Fraction
+        assert QuadraticNumber(0.5, 0.25, 3) == quad(half, Fraction(1, 4), 3)
+        assert QuadraticNumber(half, half, 3).rational is half
+
     def test_sqrt3_squared(self):
         root3 = quad(0, 1, 3)
         assert root3 * root3 == quad(3)

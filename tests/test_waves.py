@@ -5,7 +5,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from bhhpm import BHProblem, case_preset, deng_wave, initial_guess, pde_residual, working_dps
+from bhhpm import BHProblem, HPMExpansion, case_preset, deng_wave, pde_residual, working_dps
 from bhhpm.errors import EvaluationError, UnsupportedProblemError
 from conftest import quad
 
@@ -71,11 +71,11 @@ class TestEvaluation:
             for cid in (1, 2, 3):
                 p = case_preset(cid)
                 w = deng_wave(p)
-                u0 = initial_guess(p)
+                u0 = HPMExpansion.start(p).terms[0]
                 for i in range(10):
                     x = Fraction(i * 3 - 14, 5)
                     assert mpmath.almosteq(
-                        w.eval_at(x, 0, 30), u0.eval_at(x, 30), rel_eps=mpf("1e-25")
+                        w.eval_at(x, 0, 30), u0.profile_at(x, 30), rel_eps=mpf("1e-25")
                     )
 
     def test_shift_moves_the_front(self):
