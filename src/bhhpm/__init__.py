@@ -27,7 +27,6 @@ from .hpm import (
 from .problem import BHProblem, case_preset
 from .scalars import (
     DEFAULT_DIGITS,
-    BigRational,
     QuadraticNumber,
     sqrt_rational,
     squarefree_decompose,
@@ -50,7 +49,6 @@ __all__ = [
     "AlgebraDomainError",
     "BHError",
     "BHProblem",
-    "BigRational",
     "ConfigConflictError",
     "ConfigError",
     "ConfigNumberError",

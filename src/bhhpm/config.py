@@ -119,11 +119,6 @@ def parse_number(text: str, line: int = 0) -> QuadraticNumber:
         raise ConfigNumberError(f"invalid number literal {text!r}: {exc}", line)
 
 
-def render_number(value: QuadraticNumber) -> str:
-    """Inverse of parse_number; QuadraticNumber prints in the same syntax."""
-    return str(value)
-
-
 @dataclass
 class RunConfig:
     """Fully resolved run description."""
@@ -299,12 +294,12 @@ def render_config(cfg: RunConfig) -> str:
     if cfg.case is not None:
         lines.append(f"case = case{cfg.case}")
     else:
-        lines.append(f"alpha = {render_number(cfg.alpha)}")
-        lines.append(f"beta = {render_number(cfg.beta)}")
-        lines.append(f"gamma = {render_number(cfg.gamma)}")
+        lines.append(f"alpha = {cfg.alpha}")
+        lines.append(f"beta = {cfg.beta}")
+        lines.append(f"gamma = {cfg.gamma}")
         lines.append(f"n = {cfg.n}")
         lines.append(f"branch = {cfg.branch}")
-        lines.append(f"x0 = {render_number(cfg.x0)}")
+        lines.append(f"x0 = {cfg.x0}")
     lines.append(f"orders = {cfg.orders}")
     lines.append("report_orders = " + ", ".join(str(m) for m in cfg.report_orders))
     lines.append("grid_x = " + ", ".join(str(x) for x in cfg.grid_x))

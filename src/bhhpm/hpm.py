@@ -38,6 +38,7 @@ from .scalars import (
     ZERO,
     QuadraticNumber,
     ScalarLike,
+    surd_to_mpf,
     to_mpf,
     working_dps,
 )
@@ -151,13 +152,13 @@ class SeriesTerm:
         The smaller of sigma and 1 - sigma is rounded, so either tail keeps
         its digits.  Horner's rule runs in integers, on the rational parts
         and on the sqrt(d) parts of the coefficients over their common
-        denominators, giving c_k = (U + V*sqrt(d))/W.  Where U and
-        V*sqrt(d) would cancel it takes (U^2 - V^2*d)/(U - V*sqrt(d)), so
+        denominators, giving c_k = (U + V*sqrt(d))/W.  ``surd_to_mpf`` takes
+        U + V*sqrt(d) through the conjugate where the parts would cancel, so
         coefficients far larger than c_k (a slow front's, say) cost no
         digits.
         """
         with working_dps(digits):
-            z = -2 * self.sign * self.kappa.evalf(mpmath.mp.dps) * to_mpf(x)
+            z = -2 * self.sign * to_mpf(self.kappa) * to_mpf(x)
             man, exp = (1 / (1 + mpmath.exp(abs(z)))).man_exp
             m, s = man, -exp
             if z < 0:
@@ -172,12 +173,8 @@ class SeriesTerm:
                     acc = acc * m + (part[i].numerator * (den // part[i].denominator) << s * (top - i))
                 sums.append((acc, den))
             (a, da), (b, db) = sums
-            u, v, d = a * db, b * da, max((c.radicand for c in self.coeffs), default=0)
-            if u * v >= 0:
-                num = mpf(u) + (v * mpmath.sqrt(d) if v else 0)
-            else:
-                num = (u * u - v * v * d) / (u - v * mpmath.sqrt(d))
-            return mpmath.ldexp(num / (da * db), -s * top)
+            d = max((c.radicand for c in self.coeffs), default=0)
+            return mpmath.ldexp(surd_to_mpf(a * db, b * da, d) / (da * db), -s * top)
 
     def eval_at(self, x, t, digits: int = DEFAULT_DIGITS) -> mpf:
         """v_k(x, t) = c_k(x)*t^k."""

@@ -1,12 +1,12 @@
-"""Exact scalars: big rationals, the quadratic field Q(sqrt(d)), and
-extended-precision rendering.
+"""Exact scalars: the quadratic field Q(sqrt(d)) over ``fractions.Fraction``,
+and the one route from an exact value to an mpf.
 
-``BigRational`` is the stdlib ``fractions.Fraction`` (arbitrary-precision,
-always normalized with positive denominator).  ``QuadraticNumber`` represents
-``a + b*sqrt(d)`` with rational a, b and a fixed square-free radicand d;
-values with b == 0 are normalized to radicand 0 so that rationals from
-different contexts compare equal.  Extended-precision evaluation goes through
-mpmath with a guard-digit margin on top of the requested precision.
+``QuadraticNumber`` represents ``a + b*sqrt(d)`` with rational a, b and a
+fixed square-free radicand d; values with b == 0 are normalized to radicand 0
+so that rationals from different contexts compare equal.  ``to_mpf`` turns an
+int, Fraction or QuadraticNumber into an mpf at the current working precision
+(``working_dps`` adds guard digits on top of the requested precision); where
+a and b*sqrt(d) cancel it goes through the conjugate, so no digits are lost.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import mpmath
 from mpmath import mpf
 
 from .errors import AlgebraDomainError
-
-BigRational = Fraction
 
 #: Default number of significant decimal digits for numeric rendering.
 DEFAULT_DIGITS = 30
@@ -42,13 +40,6 @@ ScalarLike = Union[int, Fraction, "QuadraticNumber"]
 def working_dps(digits: int):
     """mpmath context manager running at ``digits`` plus guard digits."""
     return mpmath.workdps(digits + GUARD_DIGITS)
-
-
-def fraction_to_mpf(value: RationalLike) -> mpf:
-    """Convert an int or Fraction to mpf at the current working precision."""
-    if isinstance(value, int):
-        return mpf(value)
-    return mpf(value.numerator) / value.denominator
 
 
 @lru_cache(maxsize=64)
@@ -210,24 +201,6 @@ class QuadraticNumber:
     def __rtruediv__(self, other: ScalarLike) -> QuadraticNumber:
         return QuadraticNumber.coerce(other) * self.inverse()
 
-    def __pow__(self, exponent: int) -> QuadraticNumber:
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = QuadraticNumber.from_rational(1)
-        base = self
-        n = exponent
-        while n > 0:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def conjugate(self) -> QuadraticNumber:
-        return QuadraticNumber(self.rational, -self.radical, self.radicand)
-
     def inverse(self) -> QuadraticNumber:
         # 1/(a+b*sqrt(d)) = (a-b*sqrt(d))/(a^2 - b^2 d); the norm vanishes
         # only at zero because d is square-free.
@@ -256,16 +229,6 @@ class QuadraticNumber:
             return 0
         return lead if diff > 0 else -lead
 
-    def evalf(self, digits: int = DEFAULT_DIGITS) -> mpf:
-        """Value as an mpf with relative error below ``10**(-digits + 2)``."""
-        if digits < DEFAULT_DIGITS:
-            raise ValueError(f"precision must be at least {DEFAULT_DIGITS} digits")
-        with working_dps(digits):
-            value = fraction_to_mpf(self.rational)
-            if self.radical:
-                value += fraction_to_mpf(self.radical) * mpmath.sqrt(self.radicand)
-            return +value
-
     def __str__(self) -> str:
         if self.radical == 0:
             return str(self.rational)
@@ -282,16 +245,35 @@ class QuadraticNumber:
 
 
 ZERO = QuadraticNumber()
-ONE = QuadraticNumber.from_rational(1)
 
 
-def to_mpf(x) -> mpf:
-    """Convert a point coordinate to mpf at the current working precision."""
-    if isinstance(x, Fraction):
-        return fraction_to_mpf(x)
-    if isinstance(x, QuadraticNumber):
-        return x.evalf(mpmath.mp.dps)
-    return mpf(x)
+def surd_to_mpf(u: int, v: int, d: int) -> mpf:
+    """u + v*sqrt(d) for integers u, v, d, at the current working precision.
+
+    Where the parts have opposite signs it takes (u^2 - v^2*d)/(u - v*sqrt(d)):
+    the numerator is exact and the denominator cannot cancel, so the relative
+    error stays at a few units of the last digit however close u is to
+    -v*sqrt(d).
+    """
+    if not v:
+        return mpf(u)
+    root = v * mpmath.sqrt(d)
+    if u * v >= 0:
+        return u + root
+    return (u * u - v * v * d) / (u - root)
+
+
+def to_mpf(value) -> mpf:
+    """An int, Fraction, QuadraticNumber or mpf as an mpf at the current
+    working precision; a + b*sqrt(d) goes over one denominator first."""
+    if isinstance(value, QuadraticNumber):
+        a, b = value.rational, value.radical
+        w = math.lcm(a.denominator, b.denominator)
+        u, v = a.numerator * (w // a.denominator), b.numerator * (w // b.denominator)
+        return surd_to_mpf(u, v, value.radicand) / w
+    if isinstance(value, Fraction):
+        return mpf(value.numerator) / value.denominator
+    return mpf(value)
 
 
 def sqrt_rational(value: RationalLike) -> QuadraticNumber:

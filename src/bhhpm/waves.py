@@ -1,10 +1,11 @@
 """Exact traveling-wave solutions (Deng's two-branch family), a time-Taylor
 oracle, and a finite-difference PDE residual checker.
 
-The wave is  u(x,t) = [A + s*A*tanh(a*(x - c*t + x0))]^(1/n)  with amplitude
-A = gamma/2, branch sign s, steepness a and speed c taken exactly from the
-problem.  The Taylor oracle expands u(x, .) about t = 0 by power-series
-recursion on tanh's ODE (w' = -a*c*(1 - w^2)) instead of repeated numeric
+The wave of a problem is  u(x,t) = [A + s*A*tanh(kappa*(x - c*t + x0))]^(1/n)
+with amplitude A = gamma/2, branch sign s, steepness kappa and speed c, all
+exact values of the problem that ``to_mpf`` evaluates at the working
+precision.  The Taylor oracle expands u(x, .) about t = 0 by power-series
+recursion on tanh's ODE (w' = -kappa*c*(1 - w^2)) instead of repeated numeric
 differentiation, which would lose digits past order 3.  It is fully
 independent of the symbolic engine and anchors its correctness tests.
 """
@@ -20,7 +21,7 @@ from mpmath import mpf
 
 from .errors import EvaluationError, UnsupportedProblemError
 from .problem import BHProblem
-from .scalars import DEFAULT_DIGITS, GUARD_DIGITS, QuadraticNumber, to_mpf, working_dps
+from .scalars import DEFAULT_DIGITS, GUARD_DIGITS, to_mpf, working_dps
 
 #: Pointwise-evaluable space-time function: f(x, t, digits) -> mpf.
 PointFunction = Callable[[mpf, mpf, int], mpf]
@@ -28,78 +29,49 @@ PointFunction = Callable[[mpf, mpf, int], mpf]
 
 @dataclass(frozen=True)
 class TravelingWave:
-    """Exact front parameters; all scalars live in one Q(sqrt(d))."""
+    """The exact front of ``problem``; a bound ``eval_at`` is a PointFunction."""
 
-    amplitude: QuadraticNumber
-    sign: int
-    wavenumber: QuadraticNumber
-    speed: QuadraticNumber
-    shift: QuadraticNumber
-    root_index: int = 1
-
-    @classmethod
-    def from_problem(cls, problem: BHProblem) -> TravelingWave:
-        return cls(
-            amplitude=problem.amplitude,
-            sign=problem.sign,
-            wavenumber=problem.kappa,
-            speed=problem.speed,
-            shift=problem.x0,
-            root_index=problem.n,
-        )
-
-    def phase(self, x, t, digits: int = DEFAULT_DIGITS) -> mpf:
-        """Argument of tanh: a*(x - c*t + x0)."""
-        with working_dps(digits):
-            a = self.wavenumber.evalf(mpmath.mp.dps)
-            c = self.speed.evalf(mpmath.mp.dps)
-            s = self.shift.evalf(mpmath.mp.dps)
-            return +(a * (to_mpf(x) - c * to_mpf(t) + s))
+    problem: BHProblem
 
     def eval_at(self, x, t, digits: int = DEFAULT_DIGITS) -> mpf:
         """Wave value, relative error below ``10**(-digits + 4)``."""
+        p = self.problem
         with working_dps(digits):
-            amp = self.amplitude.evalf(mpmath.mp.dps)
-            bracket = amp * (1 + self.sign * mpmath.tanh(self.phase(x, t, digits)))
-            if self.root_index == 1:
+            phase = to_mpf(p.kappa) * (to_mpf(x) - to_mpf(p.speed) * to_mpf(t) + to_mpf(p.x0))
+            bracket = to_mpf(p.amplitude) * (1 + p.sign * mpmath.tanh(phase))
+            if p.n == 1:
                 return +bracket
             if bracket < 0:
-                raise EvaluationError(
-                    f"negative base {bracket} under 1/{self.root_index} root"
-                )
-            return +mpmath.root(bracket, self.root_index)
+                raise EvaluationError(f"negative base {bracket} under 1/{p.n} root")
+            return +mpmath.root(bracket, p.n)
 
     def time_taylor_coefficients(
         self, x, order: int, digits: int = DEFAULT_DIGITS
     ) -> Sequence[mpf]:
         """Coefficients of t^0..t^order of u(x, .) about t = 0 (n = 1 only)."""
-        if self.root_index != 1:
+        p = self.problem
+        if p.n != 1:
             raise UnsupportedProblemError("Taylor oracle requires n = 1")
         if order < 0:
             raise ValueError("order must be nonnegative")
         with working_dps(digits):
-            a = self.wavenumber.evalf(mpmath.mp.dps)
-            c = self.speed.evalf(mpmath.mp.dps)
-            s = self.shift.evalf(mpmath.mp.dps)
-            b = -a * c  # d(phase)/dt
-            w = [mpmath.tanh(a * (to_mpf(x) + s))] + [mpf(0)] * order
+            kappa = to_mpf(p.kappa)
+            b = -kappa * to_mpf(p.speed)  # d(phase)/dt
+            w = [mpmath.tanh(kappa * (to_mpf(x) + to_mpf(p.x0)))] + [mpf(0)] * order
             for j in range(order):
                 # w' = b*(1 - w^2), advanced by Cauchy products
                 conv = sum(w[i] * w[j - i] for i in range(j + 1))
                 w[j + 1] = b * ((1 if j == 0 else 0) - conv) / (j + 1)
-            amp = self.amplitude.evalf(mpmath.mp.dps)
+            amp = to_mpf(p.amplitude)
             return [
-                +(amp * ((1 if j == 0 else 0) + self.sign * w[j]))
+                +(amp * ((1 if j == 0 else 0) + p.sign * w[j]))
                 for j in range(order + 1)
             ]
 
-    def as_point_function(self) -> PointFunction:
-        return lambda x, t, digits: self.eval_at(x, t, digits)
-
 
 def deng_wave(problem: BHProblem) -> TravelingWave:
-    """Exact wave for the problem's branch; parameters are exact field values."""
-    return TravelingWave.from_problem(problem)
+    """Exact wave for the problem's branch."""
+    return TravelingWave(problem)
 
 
 def pde_residual(
@@ -140,9 +112,9 @@ def pde_residual(
         ux = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * h)
         uxx = (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * h * h)
 
-        alpha = problem.alpha.evalf(mpmath.mp.dps)
-        beta = problem.beta.evalf(mpmath.mp.dps)
-        gamma = problem.gamma.evalf(mpmath.mp.dps)
+        alpha = to_mpf(problem.alpha)
+        beta = to_mpf(problem.beta)
+        gamma = to_mpf(problem.gamma)
         un = f0**problem.n
         residual = ut - uxx + alpha * un * ux - beta * f0 * (1 - un) * (un - gamma)
         return +abs(residual)

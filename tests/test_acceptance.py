@@ -49,6 +49,7 @@ from bhhpm import (
 from bhhpm.cli import main as cli_main
 from bhhpm.config import default_report_orders
 from bhhpm.hpm import _combine, _dx
+from bhhpm.scalars import to_mpf
 from bhhpm.tables import CellCheck
 from bhhpm.golden import (
     DISPLAY_ORDERS,
@@ -132,7 +133,7 @@ def floor_verdict(comparison: GoldenComparison) -> tuple[list[CellCheck], list[s
     wave = deng_wave(case_preset(comparison.case_id))
     floor, rejected = [], []
     with working_dps(ORACLE_DIGITS):
-        bound = wave.amplitude.evalf(ORACLE_DIGITS) * REFERENCE_U_ERROR
+        bound = to_mpf(wave.problem.amplitude) * REFERENCE_U_ERROR
         for check in comparison.failures():
             u = wave.eval_at(check.x, check.t, ORACLE_DIGITS)
             gap = abs(check.computed - check.reference) * abs(u)
@@ -268,16 +269,16 @@ class TestCriterion6:
         }
         params_ok = True
         worst_residual = mpf(0)
-        for cid, (sign, amplitude, wavenumber, speed) in expected.items():
+        for cid, (sign, amplitude, kappa, speed) in expected.items():
             problem = case_preset(cid)
             wave = deng_wave(problem)
             params_ok = params_ok and (
-                wave.sign == sign
-                and wave.amplitude == QuadraticNumber.coerce(amplitude)
-                and wave.wavenumber == wavenumber
-                and wave.speed == speed
+                wave.problem.sign == sign
+                and wave.problem.amplitude == QuadraticNumber.coerce(amplitude)
+                and wave.problem.kappa == kappa
+                and wave.problem.speed == speed
             )
-            func = wave.as_point_function()
+            func = wave.eval_at
             for x in GRID_X:
                 for t in GRID_T:
                     worst_residual = max(

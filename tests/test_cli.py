@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -9,6 +10,8 @@ from bhhpm.cli import main
 
 #: A steep, fast front: 1 + tanh underflows to 0 on every default grid point.
 STEEP_BETA = Fraction(1000000007, 8)
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture()
@@ -126,6 +129,24 @@ class TestTaylorCheck:
         assert "case 1" in result.output and "PASS" in result.output
 
 
+class TestOutputFixtures:
+    """Stdout and exit code of whole commands, pinned line for line."""
+
+    @pytest.mark.parametrize(
+        "args,fixture,exit_code",
+        [(["golden"], "golden.txt", 1)]
+        + [(["run", "--case", str(c), "--format", "csv"], f"run_case{c}.csv", 0)
+           for c in (1, 2, 3)],
+        ids=["golden", "run-case1", "run-case2", "run-case3"],
+    )
+    def test_stdout_matches_fixture(self, runner, monkeypatch, args, fixture, exit_code):
+        monkeypatch.delenv("HPM_PRECISION", raising=False)
+        result = runner.invoke(main, args)
+        assert result.exit_code == exit_code
+        expected = (DATA / fixture).read_text(encoding="utf-8").splitlines()
+        assert result.stdout.splitlines() == expected
+
+
 class TestPrecisionEnv:
     def test_env_override_accepted(self, runner, monkeypatch):
         monkeypatch.setenv("HPM_PRECISION", "35")
@@ -157,19 +178,33 @@ def run_configs(draw) -> str:
             st.lists(_rationals(-3, 3), min_size=1, max_size=3, unique=True))),
         "grid_t": str(draw(_rationals(0, Fraction(2, 5), 10))),
     }
+    if draw(st.booleans()):
+        values["report_orders"] = ", ".join(str(m) for m in draw(
+            st.lists(st.integers(1, values["orders"] + 1), min_size=1, max_size=3, unique=True)))
     return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+@st.composite
+def overrides(draw) -> list[str]:
+    """Optional --orders and --precision options next to a config."""
+    args = []
+    if draw(st.booleans()):
+        args += ["--orders", str(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        args += ["--precision", str(draw(st.integers(30, 40)))]
+    return args
 
 
 class TestExitCodes:
     @settings(max_examples=30, deadline=None)
-    @given(text=run_configs())
-    def test_any_config_exits_0_1_or_2_with_one_line(self, text):
+    @given(text=run_configs(), args=overrides())
+    def test_any_config_exits_0_1_or_2_with_one_line(self, text, args):
         runner = CliRunner()
         with runner.isolated_filesystem():
             with open("run.conf", "w", encoding="utf-8") as handle:
                 handle.write(text)
-            result = runner.invoke(main, ["run", "--config", "run.conf"])
-        assert result.exception is None or isinstance(result.exception, SystemExit), text
-        assert result.exit_code in (0, 1, 2), text
-        assert result.stderr.count("\n") <= 1, text
-        assert "Traceback" not in result.output, text
+            result = runner.invoke(main, ["run", "--config", "run.conf", *args])
+        assert result.exception is None or isinstance(result.exception, SystemExit), (text, args)
+        assert result.exit_code in (0, 1, 2), (text, args)
+        assert result.stderr.count("\n") <= 1, (text, args)
+        assert "Traceback" not in result.output, (text, args)

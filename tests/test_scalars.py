@@ -5,9 +5,9 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from bhhpm import QuadraticNumber, sqrt_rational, squarefree_decompose, working_dps
+from bhhpm import BHProblem, QuadraticNumber, sqrt_rational, squarefree_decompose, working_dps
 from bhhpm.errors import AlgebraDomainError
-from bhhpm.scalars import fraction_to_mpf
+from bhhpm.scalars import to_mpf
 
 
 def quad(a, b=0, d=0):
@@ -110,12 +110,6 @@ class TestQuadraticNumber:
         assert quad(2) * quad(0, 1, 3) == quad(0, 2, 3)
         assert quad(1, 1, 2) + quad(3) == quad(4, 1, 2)
 
-    def test_pow(self):
-        x = quad(1, 1, 2)
-        assert x**0 == quad(1)
-        assert x**3 == x * x * x
-        assert x**-2 == (x * x).inverse()
-
     def test_sign(self):
         assert quad(0).sign() == 0
         assert quad(-3).sign() == -1
@@ -124,12 +118,13 @@ class TestQuadraticNumber:
         assert quad(-6, 3, 3).sign() == -1     # 3*sqrt(3) < 6
         assert quad(4, -2, 3).sign() == 1      # 4 > 2*sqrt(3) = 3.46...
         rng = random.Random(3)
-        for _ in range(100):
-            q = quad(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                     Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 5)
-            numeric = q.evalf(30)
-            expected = 0 if numeric == 0 else (1 if numeric > 0 else -1)
-            assert q.sign() == expected
+        with working_dps(30):
+            for _ in range(100):
+                q = quad(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                         Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 5)
+                numeric = to_mpf(q)
+                expected = 0 if numeric == 0 else (1 if numeric > 0 else -1)
+                assert q.sign() == expected
 
 
 class TestFieldAxioms:
@@ -159,29 +154,28 @@ class TestFieldAxioms:
 
 
 class TestEvalf:
+    """``to_mpf`` of exact values under ``working_dps``."""
+
     def test_sqrt2_30_digits(self):
-        value = quad(0, 1, 2).evalf(30)
         with working_dps(30):
+            value = to_mpf(quad(0, 1, 2))
             assert mpmath.almosteq(value, mpmath.sqrt(2), rel_eps=mpf("1e-29"))
         assert mpmath.nstr(value, 30) == "1.41421356237309504880168872421"
 
     def test_case3_cubic_factor(self):
         # oracle: high-precision sqrt(3)
-        value = quad(389, -225, 3).evalf(30)
         with working_dps(30):
+            value = to_mpf(quad(389, -225, 3))
             oracle = 389 - 225 * mpmath.sqrt(3)
             assert mpmath.almosteq(value, oracle, rel_eps=mpf("1e-28"))
             assert mpmath.nstr(oracle, 12) == "-0.711431702997"
 
     def test_exact_half(self):
-        assert quad(Fraction(1, 2)).evalf(30) == mpf("0.5")
-
-    def test_precision_floor_enforced(self):
-        with pytest.raises(ValueError):
-            quad(1).evalf(10)
+        with working_dps(30):
+            assert to_mpf(quad(Fraction(1, 2))) == mpf("0.5")
 
     def test_product_consistency(self):
-        # evalf(a*b) matches evalf(a)*evalf(b) to 1e-28 relative
+        # to_mpf(a*b) matches to_mpf(a)*to_mpf(b) to 1e-28 relative
         rng = random.Random(23)
         with working_dps(30):
             for _ in range(100):
@@ -189,12 +183,27 @@ class TestEvalf:
                          Fraction(rng.randint(-99, 99), rng.randint(1, 99)), 2)
                 b = quad(Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
                          Fraction(rng.randint(-99, 99), rng.randint(1, 99)), 2)
-                exact = (a * b).evalf(30)
-                split = a.evalf(30) * b.evalf(30)
+                exact = to_mpf(a * b)
+                split = to_mpf(a) * to_mpf(b)
                 if exact == 0:
                     assert abs(split) < mpf("1e-28")
                 else:
                     assert abs(exact - split) / abs(exact) < mpf("1e-28")
+
+    @pytest.mark.parametrize("alpha", [10**8, 31622])
+    def test_slow_front_kappa_keeps_its_digits(self, alpha):
+        # kappa = (sqrt(alpha^2 + 7) - alpha)/8: a + b*sqrt(d) cancels to ~1/alpha;
+        # summing the parts directly lost 5.5e-27 (alpha = 1e8) and 2.9e-34
+        kappa = BHProblem(alpha=alpha, beta=Fraction(7, 8), gamma=1).kappa
+        assert kappa.rational != 0 and kappa.radical != 0
+        a, b = kappa.rational, kappa.radical
+        with mpmath.workdps(200):
+            reference = (mpf(a.numerator) / a.denominator
+                         + mpf(b.numerator) / b.denominator * mpmath.sqrt(kappa.radicand))
+        with working_dps(30):
+            value = to_mpf(kappa)
+        with mpmath.workdps(200):
+            assert abs(value - reference) / reference < mpf("1e-38")
 
 
 class TestSqrtRational:
@@ -215,4 +224,4 @@ class TestSqrtRational:
 
     def test_fraction_to_mpf_exact(self):
         with working_dps(30):
-            assert fraction_to_mpf(Fraction(1, 4)) == mpf("0.25")
+            assert to_mpf(Fraction(1, 4)) == mpf("0.25")

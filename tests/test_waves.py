@@ -13,27 +13,36 @@ GRID = [(Fraction(x), Fraction(t, 10)) for x in (1, 2, 3) for t in (1, 3, 4)]
 
 
 class TestWaveParameters:
+    # the wave reads its constants from its problem: wavenumber is kappa,
+    # shift is x0, root index is n
     def test_case1_closed_form(self):
-        w = deng_wave(case_preset(1))
-        assert w.sign == 1
-        assert w.amplitude == Fraction(1, 2)
-        assert w.wavenumber == quad(0, Fraction(1, 4), 2)   # 1/(2*sqrt(2))
-        assert w.speed == quad(0, Fraction(1, 2), 2)        # 1/sqrt(2)
-        assert w.shift == 0 and w.root_index == 1
+        p = deng_wave(case_preset(1)).problem
+        assert p.sign == 1
+        assert p.amplitude == Fraction(1, 2)
+        assert p.kappa == quad(0, Fraction(1, 4), 2)   # 1/(2*sqrt(2))
+        assert p.speed == quad(0, Fraction(1, 2), 2)   # 1/sqrt(2)
+        assert p.x0 == 0 and p.n == 1
 
     def test_case2_closed_form(self):
-        w = deng_wave(case_preset(2))
-        assert w.sign == -1
-        assert w.amplitude == Fraction(1, 2)
-        assert w.wavenumber == Fraction(1, 4)
-        assert w.speed == Fraction(-3, 2)
+        p = deng_wave(case_preset(2)).problem
+        assert p.sign == -1
+        assert p.amplitude == Fraction(1, 2)
+        assert p.kappa == Fraction(1, 4)
+        assert p.speed == Fraction(-3, 2)
 
     def test_case3_closed_form(self):
-        w = deng_wave(case_preset(3))
-        assert w.sign == -1
-        assert w.amplitude == Fraction(3, 2)
-        assert w.wavenumber == quad(Fraction(-3, 4), Fraction(3, 4), 3)
-        assert w.speed == quad(Fraction(-5, 2), Fraction(1, 2), 3)
+        p = deng_wave(case_preset(3)).problem
+        assert p.sign == -1
+        assert p.amplitude == Fraction(3, 2)
+        assert p.kappa == quad(Fraction(-3, 4), Fraction(3, 4), 3)
+        assert p.speed == quad(Fraction(-5, 2), Fraction(1, 2), 3)
+
+    def test_wave_holds_its_problem(self):
+        # the wave's constants are the problem's (pinned in test_problem.py)
+        problems = [case_preset(cid) for cid in (1, 2, 3)]
+        problems.append(BHProblem(alpha=1, beta=1, gamma=Fraction(1, 2), n=2, x0=quad(2)))
+        for p in problems:
+            assert deng_wave(p).problem == p
 
 
 class TestEvaluation:
@@ -141,19 +150,19 @@ class TestResidual:
 
     def test_exact_wave_case1(self):
         w = deng_wave(case_preset(1))
-        r = pde_residual(w.as_point_function(), case_preset(1), 1, Fraction(3, 10))
+        r = pde_residual(w.eval_at, case_preset(1), 1, Fraction(3, 10))
         assert r < mpf("1e-15")
 
     def test_exact_wave_case3(self):
         w = deng_wave(case_preset(3))
-        r = pde_residual(w.as_point_function(), case_preset(3), 2, Fraction(2, 5))
+        r = pde_residual(w.eval_at, case_preset(3), 2, Fraction(2, 5))
         assert r < mpf("1e-15")
 
     @pytest.mark.parametrize("cid", [1, 2, 3])
     def test_exact_wave_full_grid(self, cid):
         p = case_preset(cid)
         w = deng_wave(p)
-        func = w.as_point_function()
+        func = w.eval_at
         for x, t in GRID:
             assert pde_residual(func, p, x, t) < mpf("1e-15")
 
@@ -162,10 +171,10 @@ class TestResidual:
         for branch in ("upper", "lower"):
             p = BHProblem(alpha=1, beta=1, gamma=Fraction(1, 2), n=2, branch=branch)
             w = deng_wave(p)
-            r = pde_residual(w.as_point_function(), p, Fraction(1, 2), Fraction(1, 10))
+            r = pde_residual(w.eval_at, p, Fraction(1, 2), Fraction(1, 10))
             assert r < mpf("1e-15")
 
     def test_bad_step_rejected(self):
         w = deng_wave(case_preset(1))
         with pytest.raises(ValueError):
-            pde_residual(w.as_point_function(), case_preset(1), 1, 0, step=Fraction(0))
+            pde_residual(w.eval_at, case_preset(1), 1, 0, step=Fraction(0))
