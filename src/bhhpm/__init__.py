@@ -38,8 +38,6 @@ from .tables import (
     build_error_table,
     emit_table,
     golden_compare,
-    read_table_csv,
-    relative_error_table,
 )
 from .waves import TravelingWave, deng_wave, pde_residual
 
@@ -73,8 +71,6 @@ __all__ = [
     "max_taylor_deviation",
     "parse_config",
     "pde_residual",
-    "read_table_csv",
-    "relative_error_table",
     "render_config",
     "run_hpm",
     "sqrt_rational",

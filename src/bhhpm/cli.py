@@ -109,7 +109,8 @@ def run_command(config_path, case, orders, precision, fmt, out) -> None:
     problem = cfg.problem()
     expansion = run_hpm(problem, cfg.orders)
     wave = deng_wave(problem)
-    table = tables.relative_error_table(expansion, wave, cfg)
+    table = build_error_table(expansion, wave, cfg.report_orders, cfg.grid_t, cfg.grid_x,
+                              digits=cfg.precision, case_id=cfg.case)
     if all(cell is None for cell in table.cells.values()):
         raise ConfigError(
             f"the exact wave is 0 to {cfg.precision} digits at every grid point "

@@ -14,10 +14,12 @@ denominators.  The Taylor coefficients of u^2..u^(2n+1) gain one term per
 order (Griewank & Walther, Evaluating Derivatives, ch. 13) and
 u^n*u_x = d/dx(u^(n+1))/(n+1), so order k costs O(k) polynomial products.
 
-That polynomial is the only form of a term, from the step to the printout:
-a ``SeriesTerm`` evaluates c_k by Horner's rule, in exact integers, at the
-binary value of sigma(x) = 1/(1 + exp(-/+2*kappa*x)) and prints it as the
-closed form N(E^2)/(E^2 + 1)^deg, which is in lowest terms without any GCD.
+That polynomial is the only form of a term, from the step to the printout.
+A ``SeriesTerm`` is its exact closed form N(E^2)/(E^2 + 1)^deg, in lowest
+terms without any GCD.  Numbers come from ``HPMExpansion.profiles_at``
+alone: it rounds sigma(x) = 1/(1 + exp(-/+2*kappa*x)) once per point to a
+binary value and evaluates every c_k there by Horner's rule in exact
+integers, so a partial sum at (x, t) is a running sum of c_k(x)*t^k.
 The published closed forms serve as test oracles.
 """
 
@@ -128,58 +130,46 @@ def _e2_str(coeffs: list) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
+def _value_at(p: Poly, m: int, s: int) -> mpf:
+    """P(m/2^s) at the working precision, exact up to its final rounding.
+
+    Horner's rule runs in integers, on the rational parts and on the sqrt(d)
+    parts of the coefficients over their common denominators, giving
+    P = (U + V*sqrt(d))/W.  ``surd_to_mpf`` takes U + V*sqrt(d) through the
+    conjugate where the parts would cancel, so coefficients far larger than
+    the value (a slow front's, say) cost no digits.
+    """
+    top = len(p) - 1
+    sums = []
+    # sum_i p_i*(m/2^s)^i = (sum_i p_i*m^i*2^(s*(top - i)))/2^(s*top)
+    for part in ([c.rational for c in p], [c.radical for c in p]):
+        den = math.lcm(*[q.denominator for q in part])
+        acc = 0
+        for i in range(top, -1, -1):
+            acc = acc * m + (part[i].numerator * (den // part[i].denominator) << s * (top - i))
+        sums.append((acc, den))
+    (a, da), (b, db) = sums
+    d = max((c.radicand for c in p), default=0)
+    return mpmath.ldexp(surd_to_mpf(a * db, b * da, d) / (da * db), -s * top)
+
+
 @dataclass(frozen=True)
 class SeriesTerm:
-    """The series term v_k = c_k(x)*t^k of order k = ``order``.
+    """The series term v_k = c_k(x)*t^k of order k = ``order``, in closed form.
 
     ``coeffs`` are the sigma-coefficients of c_k, lowest power first and
-    trailing zeros trimmed; ``kappa`` and ``sign`` (+1 upper branch, -1
-    lower) fix sigma = 1/(1 + exp(-sign*2*kappa*x)).
+    trailing zeros trimmed; ``sign`` (+1 upper branch, -1 lower) fixes
+    sigma = E^2/(E^2 + 1) or 1/(E^2 + 1).  Its values come from
+    ``HPMExpansion.profiles_at``.
     """
 
     coeffs: Poly
     order: int
-    kappa: QuadraticNumber
     sign: int
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def profile_at(self, x, digits: int = DEFAULT_DIGITS) -> mpf:
-        """c_k(x), exact at a binary value sigma = m/2^s of sigma(x).
-
-        The smaller of sigma and 1 - sigma is rounded, so either tail keeps
-        its digits.  Horner's rule runs in integers, on the rational parts
-        and on the sqrt(d) parts of the coefficients over their common
-        denominators, giving c_k = (U + V*sqrt(d))/W.  ``surd_to_mpf`` takes
-        U + V*sqrt(d) through the conjugate where the parts would cancel, so
-        coefficients far larger than c_k (a slow front's, say) cost no
-        digits.
-        """
-        with working_dps(digits):
-            z = -2 * self.sign * to_mpf(self.kappa) * to_mpf(x)
-            man, exp = (1 / (1 + mpmath.exp(abs(z)))).man_exp
-            m, s = man, -exp
-            if z < 0:
-                m = (1 << s) - m
-            top = len(self.coeffs) - 1
-            sums = []
-            # sum_i p_i*(m/2^s)^i = (sum_i p_i*m^i*2^(s*(top - i)))/2^(s*top)
-            for part in ([c.rational for c in self.coeffs], [c.radical for c in self.coeffs]):
-                den = math.lcm(*[p.denominator for p in part])
-                acc = 0
-                for i in range(top, -1, -1):
-                    acc = acc * m + (part[i].numerator * (den // part[i].denominator) << s * (top - i))
-                sums.append((acc, den))
-            (a, da), (b, db) = sums
-            d = max((c.radicand for c in self.coeffs), default=0)
-            return mpmath.ldexp(surd_to_mpf(a * db, b * da, d) / (da * db), -s * top)
-
-    def eval_at(self, x, t, digits: int = DEFAULT_DIGITS) -> mpf:
-        """v_k(x, t) = c_k(x)*t^k."""
-        with working_dps(digits):
-            return +(self.profile_at(x, digits) * to_mpf(t) ** self.order)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -214,7 +204,8 @@ def _front(problem: BHProblem) -> Poly:
 class HPMExpansion:
     """The series through order K for one problem, held as ``powers``: the
     Taylor coefficients in t of u, u^2, .., u^(2n+1) through t^K.  The
-    series of u is (c_0, .., c_K), from which ``terms`` are read."""
+    series of u is (c_0, .., c_K), from which ``terms`` are read and which
+    ``profiles_at`` evaluates."""
 
     problem: BHProblem
     powers: tuple[Series, ...]
@@ -240,8 +231,8 @@ class HPMExpansion:
     @property
     def terms(self) -> tuple[SeriesTerm, ...]:
         """v_0..v_K."""
-        kappa, sign = self.problem.kappa, self.problem.sign
-        return tuple(SeriesTerm(c, k, kappa, sign) for k, c in enumerate(self.powers[0]))
+        sign = self.problem.sign
+        return tuple(SeriesTerm(c, k, sign) for k, c in enumerate(self.powers[0]))
 
     def _operator(self, m: int) -> Poly:
         """t^m coefficient of N(u), from c_0..c_m and the cached powers."""
@@ -262,16 +253,32 @@ class HPMExpansion:
         c_k = _combine((Fraction(1, k), self._operator(k - 1)))
         return HPMExpansion(self.problem, _extended(self.powers, c_k))
 
+    def profiles_at(self, x, digits: int = DEFAULT_DIGITS) -> list[mpf]:
+        """c_0(x)..c_K(x), each exact at one binary value sigma = m/2^s of
+        sigma(x) = 1/(1 + exp(-/+2*kappa*x)), computed once for all of them.
+
+        The smaller of sigma and 1 - sigma is rounded, so either tail keeps
+        its digits.
+        """
+        problem = self.problem
+        with working_dps(digits):
+            z = -2 * problem.sign * to_mpf(problem.kappa) * to_mpf(x)
+            man, exp = (1 / (1 + mpmath.exp(abs(z)))).man_exp
+            m, s = man, -exp
+            if z < 0:
+                m = (1 << s) - m
+            return [_value_at(c, m, s) for c in self.powers[0]]
+
     def partial_sum_at(self, m: int, x, t, digits: int = DEFAULT_DIGITS) -> mpf:
-        """S_m(x, t) = v_0 + .. + v_(m-1) at one point."""
+        """S_m(x, t) = c_0(x) + c_1(x)*t + .. + c_(m-1)(x)*t^(m-1)."""
         if not 1 <= m <= self.order + 1:
             raise ContractViolation(
                 f"partial sum of {m} terms requested; have {self.order + 1}"
             )
         with working_dps(digits):
-            total = mpf(0)
-            for term in self.terms[:m]:
-                total += term.eval_at(x, t, digits)
+            time, total = to_mpf(t), mpf(0)
+            for k, c in enumerate(self.profiles_at(x, digits)[:m]):
+                total += c * time**k
             return +total
 
 
@@ -303,14 +310,13 @@ def max_taylor_deviation(
         raise ContractViolation(
             f"expansion has order {expansion.order}, cannot check {max_order}"
         )
-    terms = expansion.terms
     with working_dps(digits):
         worst = mpf(0)
         for x in xs:
             oracle = wave.time_taylor_coefficients(x, max_order, digits)
+            symbolic = expansion.profiles_at(x, digits)
             scale = max(abs(c) for c in oracle) or mpf(1)
             for k in range(1, max_order + 1):
-                symbolic = terms[k].profile_at(x, digits)
                 denom = abs(oracle[k]) if oracle[k] != 0 else scale
-                worst = max(worst, abs(symbolic - oracle[k]) / denom)
+                worst = max(worst, abs(symbolic[k] - oracle[k]) / denom)
         return +worst

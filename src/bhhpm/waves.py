@@ -1,10 +1,12 @@
 """Exact traveling-wave solutions (Deng's two-branch family), a time-Taylor
 oracle, and a finite-difference PDE residual checker.
 
-The wave of a problem is  u(x,t) = [A + s*A*tanh(kappa*(x - c*t + x0))]^(1/n)
-with amplitude A = gamma/2, branch sign s, steepness kappa and speed c, all
-exact values of the problem that ``to_mpf`` evaluates at the working
-precision.  The Taylor oracle expands u(x, .) about t = 0 by power-series
+The wave of a problem is  u(x,t) = [A + s*A*tanh(kappa*phi)]^(1/n),
+phi = x - c*t + x0, with amplitude A = gamma/2, branch sign s, steepness
+kappa and speed c, all exact values of the problem that ``to_mpf`` evaluates
+at the working precision.  It is evaluated in the equal logistic form
+[gamma/(1 + exp(-2*s*kappa*phi))]^(1/n), which keeps its digits in the far
+tail where 1 + s*tanh cancels to 0.  The Taylor oracle expands u(x, .) about t = 0 by power-series
 recursion on tanh's ODE (w' = -kappa*c*(1 - w^2)) instead of repeated numeric
 differentiation, which would lose digits past order 3.  It is fully
 independent of the symbolic engine and anchors its correctness tests.
@@ -38,12 +40,12 @@ class TravelingWave:
         p = self.problem
         with working_dps(digits):
             phase = to_mpf(p.kappa) * (to_mpf(x) - to_mpf(p.speed) * to_mpf(t) + to_mpf(p.x0))
-            bracket = to_mpf(p.amplitude) * (1 + p.sign * mpmath.tanh(phase))
+            base = to_mpf(p.gamma) / (1 + mpmath.exp(-2 * p.sign * phase))
             if p.n == 1:
-                return +bracket
-            if bracket < 0:
-                raise EvaluationError(f"negative base {bracket} under 1/{p.n} root")
-            return +mpmath.root(bracket, p.n)
+                return +base
+            if base < 0:
+                raise EvaluationError(f"negative base {base} under 1/{p.n} root")
+            return +mpmath.root(base, p.n)
 
     def time_taylor_coefficients(
         self, x, order: int, digits: int = DEFAULT_DIGITS

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import mpf
 
-from bhhpm import QuadraticNumber, SeriesTerm, case_preset, run_hpm
+from bhhpm import BHProblem, HPMExpansion, QuadraticNumber, SeriesTerm, case_preset, run_hpm
 from bhhpm.hpm import Poly, _combine, _sum_products, _trim
 
 
@@ -39,6 +40,12 @@ def add(a: Poly, b: Poly) -> Poly:
 def mul(a: Poly, b: Poly) -> Poly:
     """a * b with the engine's sum of products."""
     return _sum_products([(a, b)])
+
+
+def sigma_value(p: Poly, problem: BHProblem, x, digits: int = 30) -> mpf:
+    """P(sigma(x)) on the front of ``problem``, through the engine's one
+    evaluation route, ``HPMExpansion.profiles_at``."""
+    return HPMExpansion(problem, ((p,),)).profiles_at(x, digits)[0]
 
 
 #: Numerators of the published closed forms, as {exponent of E: coefficient}.

@@ -26,6 +26,7 @@ from click.testing import CliRunner
 from mpmath import mpf
 
 from bhhpm import (
+    BHProblem,
     ConfigConflictError,
     ConfigError,
     ConfigNumberError,
@@ -34,7 +35,6 @@ from bhhpm import (
     HPMExpansion,
     QuadraticNumber,
     RunConfig,
-    SeriesTerm,
     build_error_table,
     case_preset,
     deng_wave,
@@ -59,7 +59,9 @@ from bhhpm.golden import (
     REFERENCE_ORDERS,
 )
 
-from conftest import add, matches_reference, mul, quad, random_poly, random_quad, reference_terms
+from conftest import (
+    add, matches_reference, mul, quad, random_poly, random_quad, reference_terms, sigma_value,
+)
 from test_config import random_config
 
 PRECISION = 30
@@ -101,23 +103,11 @@ def reference_run(case_id: int, expansion: HPMExpansion | None = None) -> Golden
     return golden_compare(table, case_id)
 
 
-class ScaledLastTerm:
-    """Partial sums of an expansion with its last term v_K scaled by
-    ``factor``: S_(K+1) - S_K is v_K, so S_(K+1) becomes S_K + factor*v_K."""
-
-    def __init__(self, expansion: HPMExpansion, factor: Fraction = Fraction(101, 100)) -> None:
-        self.expansion = expansion
-        self.order = expansion.order
-        self.factor = factor
-
-    def partial_sum_at(self, m: int, x, t, digits: int) -> mpf:
-        value = self.expansion.partial_sum_at(m, x, t, digits)
-        if m <= self.order:
-            return value
-        with working_dps(digits):
-            before = self.expansion.partial_sum_at(m - 1, x, t, digits)
-            factor = mpf(self.factor.numerator) / self.factor.denominator
-            return +(before + factor * (value - before))
+def scaled_last_term(expansion: HPMExpansion, factor: Fraction = Fraction(101, 100)) -> HPMExpansion:
+    """The expansion with its last coefficient c_K scaled by ``factor``
+    exactly, so that of its partial sums only S_(K+1) = S_K + factor*v_K moves."""
+    u = expansion.powers[0]
+    return HPMExpansion(expansion.problem, (u[:-1] + (_combine((factor, u[-1])),),))
 
 
 def floor_verdict(comparison: GoldenComparison) -> tuple[list[CellCheck], list[str]]:
@@ -193,7 +183,7 @@ class TestCriterion2:
     @pytest.mark.parametrize("cid", [1, 2, 3])
     def test_floor_verdict_rejects_a_wrong_v5(self, expansions, cid):
         # v_5 scaled by 1.01 moves only S6; the floor must not absorb it
-        _, rejected = floor_verdict(reference_run(cid, ScaledLastTerm(expansions[cid])))
+        _, rejected = floor_verdict(reference_run(cid, scaled_last_term(expansions[cid])))
         assert any("exceeds the reference floor" in line for line in rejected)
         assert all(" S6 " in line for line in rejected)
 
@@ -349,18 +339,20 @@ class TestCriterion8:
                 assert qa * qa.inverse() == one
             checks += 4
 
-        # the value of a product is the product of the values: 100 pairs x 3
+        # the value of a product is the product of the values: 100 pairs x 3,
+        # on both branches of fronts with case 3's kappa
         kappa = quad(Fraction(-3, 4), Fraction(3, 4), 3)
+        fronts = {-1: case_preset(3), 1: BHProblem(alpha=2, beta=1, gamma=3, branch="upper")}
+        assert all(front.kappa == kappa for front in fronts.values())
         with working_dps(PRECISION):
             for i in range(100):
-                sign = 1 if i % 2 else -1
+                front = fronts[1 if i % 2 else -1]
                 a, b = (random_poly(rng, 3, d=3) for _ in range(2))
                 product = mul(a, b)
                 for _ in range(3):
                     x = Fraction(rng.randint(-300, 300), 100)
-                    lhs = SeriesTerm(product, 0, kappa, sign).profile_at(x, PRECISION)
-                    rhs = (SeriesTerm(a, 0, kappa, sign).profile_at(x, PRECISION)
-                           * SeriesTerm(b, 0, kappa, sign).profile_at(x, PRECISION))
+                    lhs = sigma_value(product, front, x, PRECISION)
+                    rhs = sigma_value(a, front, x, PRECISION) * sigma_value(b, front, x, PRECISION)
                     assert mpmath.almosteq(lhs, rhs, rel_eps=mpf("1e-25"), abs_eps=mpf("1e-25"))
                     checks += 1
 
@@ -370,13 +362,16 @@ class TestCriterion8:
             for i in range(60):
                 sign = 1 if i % 2 else -1
                 p = random_poly(rng, 3, d=3)
-                der = SeriesTerm(_dx(p, kappa * (2 * sign)), 0, kappa, sign)
-                f = SeriesTerm(p, 0, kappa, sign).profile_at
+                der = _dx(p, kappa * (2 * sign))
+
+                def f(x, digits):
+                    return sigma_value(p, fronts[sign], x, digits)
+
                 for _ in range(5):
                     x = mpf(rng.randint(-300, 300)) / 100
                     fd = (-f(x + 2 * h, 40) + 8 * f(x + h, 40)
                           - 8 * f(x - h, 40) + f(x - 2 * h, 40)) / (12 * h)
-                    exact = der.profile_at(x, 40)
+                    exact = sigma_value(der, fronts[sign], x, 40)
                     scale = max(mpf(1), abs(f(x, 40)), abs(exact))
                     assert abs(fd - exact) <= mpf("1e-8") * scale
                     checks += 1

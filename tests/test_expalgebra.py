@@ -8,12 +8,14 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf
 
-from bhhpm import SeriesTerm, case_preset, run_hpm, working_dps
+from bhhpm import BHProblem, SeriesTerm, case_preset, run_hpm, working_dps
 from bhhpm.hpm import _closed_form, _combine, _dx, _trim
 
-from conftest import add, mul, quad, random_poly
+from conftest import add, mul, quad, random_poly, sigma_value
 
 KAPPA = quad(0, Fraction(1, 4), 2)  # sqrt(2)/4, the steepest benchmark rate
+#: Both branches of the alpha = 0, beta = gamma = 1 front, each with kappa = KAPPA.
+FRONTS = {1: case_preset(1), -1: BHProblem(alpha=0, beta=1, gamma=1, branch="lower")}
 FRONT = (quad(0), quad(1))          # sigma: E^2/(E^2 + 1), or 1/(E^2 + 1)
 ONE_MINUS = (quad(1), quad(-1))     # 1 - sigma
 
@@ -23,7 +25,7 @@ def rate(sign: int):
 
 
 def value(p, x, sign: int = 1, digits: int = 30):
-    return SeriesTerm(p, 0, KAPPA, sign).profile_at(x, digits)
+    return sigma_value(p, FRONTS[sign], x, digits)
 
 
 class TestSigmaPoly:
@@ -44,8 +46,8 @@ class TestSigmaPoly:
 
 class TestCanonicalForm:
     def test_denominator_starts_at_zero_and_monic(self):
-        assert str(SeriesTerm(FRONT, 0, KAPPA, 1)) == "(E^2)/(E^2 + 1)"
-        assert str(SeriesTerm(FRONT, 0, KAPPA, -1)) == "(1)/(E^2 + 1)"
+        assert str(SeriesTerm(FRONT, 0, 1)) == "(E^2)/(E^2 + 1)"
+        assert str(SeriesTerm(FRONT, 0, -1)) == "(1)/(E^2 + 1)"
         rng = random.Random(3)
         for _ in range(20):
             p = random_poly(rng, nonzero=True)
@@ -53,12 +55,12 @@ class TestCanonicalForm:
             assert len(den) == len(p) and den[0] == den[-1] == 1
 
     def test_zero_is_zero_over_one(self):
-        zero = SeriesTerm((), 2, KAPPA, 1)
+        zero = SeriesTerm((), 2, 1)
         assert zero.is_zero and str(zero) == "0"
         assert value((), 1) == 0
 
     def test_monic_normalization(self):
-        term = SeriesTerm((quad(0), quad(Fraction(3, 2))), 0, KAPPA, 1)
+        term = SeriesTerm((quad(0), quad(Fraction(3, 2))), 0, 1)
         assert str(term) == "(3/2*E^2)/(E^2 + 1)"
 
     def test_lowest_terms(self):
@@ -84,7 +86,7 @@ class TestArithmetic:
     def test_square_of_front(self):
         square = mul(FRONT, FRONT)
         assert square == (quad(0), quad(0), quad(1))
-        assert str(SeriesTerm(square, 0, KAPPA, 1)) == "(E^4)/(E^4 + 2*E^2 + 1)"
+        assert str(SeriesTerm(square, 0, 1)) == "(E^4)/(E^4 + 2*E^2 + 1)"
 
     def test_triple_product_pointwise(self):
         # (1 - u0)(u0 - 1) u0 evaluated against the pointwise product
@@ -175,12 +177,13 @@ class TestEvaluation:
     def test_both_tails_keep_their_digits(self):
         # sigma tends to 0 on one side of each front and to 1 on the other
         for cid in (1, 3):
-            for term in run_hpm(case_preset(cid), 4).terms:
-                for x in (-200, -60, 60, 200):
-                    a, b = term.profile_at(x, 30), term.profile_at(x, 80)
-                    with working_dps(30):
+            expansion = run_hpm(case_preset(cid), 4)
+            for x in (-200, -60, 60, 200):
+                low, high = expansion.profiles_at(x, 30), expansion.profiles_at(x, 80)
+                with working_dps(30):
+                    for a, b in zip(low, high):
                         assert abs(a - b) <= mpf("1e-35") * abs(b)
 
     def test_rendering_mentions_structure(self):
-        text = str(SeriesTerm(FRONT, 0, KAPPA, 1))
+        text = str(SeriesTerm(FRONT, 0, 1))
         assert "E^2" in text and "/" in text

@@ -1,12 +1,15 @@
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from bhhpm import BHProblem, case_preset, deng_wave, max_taylor_deviation, run_hpm, working_dps
-from bhhpm.errors import ContractViolation, UnsupportedProblemError
+from bhhpm.errors import ContractViolation, ProblemDomainError, UnsupportedProblemError
 from bhhpm.hpm import HPMExpansion, SeriesTerm, _closed_form
 
 from conftest import matches_reference, quad, reference_terms
@@ -20,21 +23,21 @@ class TestInitialGuess:
     def test_case1_front(self):
         p = case_preset(1)
         u0 = initial_term(p)
-        assert u0 == SeriesTerm((quad(0), quad(1)), 0, p.kappa, 1)
+        assert u0 == SeriesTerm((quad(0), quad(1)), 0, 1)
         assert str(u0) == "(E^2)/(E^2 + 1)"
         assert p.kappa == quad(0, Fraction(1, 4), 2)
 
     def test_case2_front(self):
         p = case_preset(2)
         u0 = initial_term(p)
-        assert u0 == SeriesTerm((quad(0), quad(1)), 0, p.kappa, -1)
+        assert u0 == SeriesTerm((quad(0), quad(1)), 0, -1)
         assert str(u0) == "(1)/(E^2 + 1)"
         assert p.kappa == Fraction(1, 4)
 
     def test_case3_front(self):
         p = case_preset(3)
         u0 = initial_term(p)
-        assert u0 == SeriesTerm((quad(0), quad(3)), 0, p.kappa, -1)
+        assert u0 == SeriesTerm((quad(0), quad(3)), 0, -1)
         assert str(u0) == "(3)/(E^2 + 1)"
         assert p.kappa == quad(Fraction(-3, 4), Fraction(3, 4), 3)
         assert p.radicand == 3
@@ -43,10 +46,10 @@ class TestInitialGuess:
         with working_dps(30):
             for cid in (1, 2, 3):
                 p = case_preset(cid)
-                u0 = initial_term(p)
+                expansion = HPMExpansion.start(p)
                 wave = deng_wave(p)
                 for x in (-2, Fraction(-1, 2), 0, 1, Fraction(5, 2)):
-                    a = u0.eval_at(x, 0, 30)
+                    a = expansion.partial_sum_at(1, x, 0, 30)
                     b = wave.eval_at(x, 0, 30)
                     assert mpmath.almosteq(a, b, rel_eps=mpf("1e-25"))
 
@@ -63,11 +66,12 @@ class TestInitialGuess:
 
 class TestSeriesTerm:
     def test_eval(self):
-        # v_k(x, t) = c_k(x)*t^k
-        term = run_hpm(case_preset(1), 2).terms[2]
+        # v_k(x, t) = c_k(x)*t^k, the step from S_k to S_(k+1)
+        expansion = run_hpm(case_preset(1), 2)
         with working_dps(30):
-            c = term.profile_at(1, 30)
-            value = term.eval_at(1, Fraction(1, 2), 30)
+            c = expansion.profiles_at(1, 30)[2]
+            value = (expansion.partial_sum_at(3, 1, Fraction(1, 2), 30)
+                     - expansion.partial_sum_at(2, 1, Fraction(1, 2), 30))
             assert mpmath.almosteq(value, c / 4, rel_eps=mpf("1e-26"))
 
 
@@ -114,7 +118,7 @@ class TestGoldenTerms:
         expected = reference_terms(cid)
         for k in (1, 2, 3):
             term = expansion.terms[k]
-            assert term.order == k and term.kappa == case_preset(cid).kappa
+            assert term.order == k and term.sign == case_preset(cid).sign
             assert matches_reference(term, expected[k - 1]), f"case {cid}, term {k}"
 
     @pytest.mark.parametrize("cid", [1, 2, 3])
@@ -124,10 +128,11 @@ class TestGoldenTerms:
 
     @pytest.mark.parametrize("cid", [1, 2, 3])
     def test_terms_vanish_at_time_zero(self, cid, expansions):
-        with working_dps(30):
-            for term in expansions[cid].terms[1:]:
-                for x in (-1, 0, 2):
-                    assert term.eval_at(x, 0, 30) == 0
+        # v_1..v_K add exactly 0 to S_1 at t = 0
+        expansion = expansions[cid]
+        for m in range(2, expansion.order + 2):
+            for x in (-1, 0, 2):
+                assert expansion.partial_sum_at(m, x, 0, 30) == expansion.partial_sum_at(1, x, 0, 30)
 
 
 class TestTermsFixture:
@@ -149,17 +154,74 @@ class TestTermsFixture:
             assert got == want
 
 
+def stirling_coefficients(problem: BHProblem, order: int) -> list[list]:
+    """c_0..c_order of the front u = gamma*sigma(x - c*t) as sigma-coefficient
+    lists, lowest power first, in exact arithmetic and without the engine.
+
+    With d(sigma)/dx = r*sigma*(1 - sigma), r = 2*sign*kappa, the t-Taylor
+    coefficients are c_k = gamma*(-c*r)^k/k! * sigma^(k), and the logistic's
+    derivatives are sigma^(k) = sum_(j=1..k+1) (-1)^(j-1)*(j-1)!*S(k+1, j)*sigma^j
+    with S the Stirling numbers of the second kind (Minai & Williams, Neural
+    Networks 6:845, 1993).
+    """
+    stirling = [[1]]  # S(i, j) = j*S(i-1, j) + S(i-1, j-1)
+    for i in range(1, order + 2):
+        last = stirling[-1] + [0]
+        stirling.append([0] + [j * last[j] + last[j - 1] for j in range(1, i + 1)])
+    step = -problem.speed * problem.kappa * (2 * problem.sign)
+    scale, series = problem.gamma, []
+    for k in range(order + 1):
+        if k:
+            scale = scale * step * Fraction(1, k)
+        coeffs = [quad(0)] + [scale * ((-1) ** (j - 1) * factorial(j - 1) * stirling[k + 1][j])
+                              for j in range(1, k + 2)]
+        while coeffs and coeffs[-1].is_zero():
+            coeffs.pop()
+        series.append(coeffs)
+    return series
+
+
+def assert_stirling_form(problem: BHProblem, order: int) -> None:
+    computed = run_hpm(problem, order).powers[0]
+    expected = stirling_coefficients(problem, order)
+    for k, (got, want) in enumerate(zip(computed, expected)):
+        assert list(got) == want, f"c_{k} of {problem}"
+    assert len(computed) == len(expected) == order + 1
+
+
+class TestStirlingClosedForm:
+    """Every c_k exactly, coefficient by coefficient in Q(sqrt(d))."""
+
+    @pytest.mark.parametrize("cid", [1, 2, 3])
+    def test_presets_through_order_20(self, cid):
+        assert_stirling_form(case_preset(cid), 20)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        alpha=st.fractions(-3, 3, max_denominator=4),
+        beta=st.fractions(0, 3, max_denominator=4),
+        gamma=st.fractions(-2, 3, max_denominator=4).filter(bool),
+        branch=st.sampled_from(["upper", "lower"]),
+    )
+    def test_random_fronts_through_order_8(self, alpha, beta, gamma, branch):
+        try:
+            problem = BHProblem(alpha=alpha, beta=beta, gamma=gamma, branch=branch)
+            run_hpm(problem, 1)
+        except (ProblemDomainError, UnsupportedProblemError):
+            reject()
+        assert_stirling_form(problem, 8)
+
+
 class TestPartialSums:
     def test_initial_value_preserved(self, expansions):
         # S_m(x, 0) = u(x, 0) for every m
         with working_dps(30):
             for cid in (1, 2, 3):
                 expansion = expansions[cid]
-                u0 = expansion.terms[0]
                 for m in (1, 3, 6):
                     for x in (-1, 0, 2):
                         a = expansion.partial_sum_at(m, x, 0, 30)
-                        b = u0.profile_at(x, 30)
+                        b = expansion.profiles_at(x, 30)[0]
                         assert mpmath.almosteq(a, b, rel_eps=mpf("1e-27"))
 
     def test_case1_two_terms_at_origin(self, expansions):
@@ -184,8 +246,9 @@ class TestTaylorMatching:
         with working_dps(30):
             for x in (-1, Fraction(1, 2), 2):
                 oracle = wave.time_taylor_coefficients(x, 4, 30)
+                profiles = expansion.profiles_at(x, 30)
                 for k in range(1, 5):
-                    sym = expansion.terms[k].profile_at(x, 30)
+                    sym = profiles[k]
                     if oracle[k] == 0:
                         assert sym == 0
                     else:

@@ -14,7 +14,6 @@ from bhhpm.tables import (
     emit_table,
     fraction_str,
     golden_compare,
-    read_table_csv,
     render_csv,
     render_markdown,
     render_plot_data,
@@ -171,14 +170,6 @@ class TestEmission:
         lines = text.splitlines()
         assert lines[0] == "t,m,x,percent_relative_error"
         assert any(line.startswith("0.1,1,1,1.693168743e-2") for line in lines)
-
-    def test_csv_round_trip_to_all_digits(self, tables):
-        for cid in (1, 2, 3):
-            text = render_csv(tables[cid])
-            again = read_table_csv(text)
-            assert render_csv(again) == text
-            assert again.orders == tables[cid].orders
-            assert again.ts == tables[cid].ts and again.xs == tables[cid].xs
 
     def test_markdown_row_count(self, expansions):
         # one data row per (t, reported order): 3 * 4 = 12

@@ -7,6 +7,7 @@ from mpmath import mpf
 
 from bhhpm import BHProblem, HPMExpansion, case_preset, deng_wave, pde_residual, working_dps
 from bhhpm.errors import EvaluationError, UnsupportedProblemError
+from bhhpm.scalars import to_mpf
 from conftest import quad
 
 GRID = [(Fraction(x), Fraction(t, 10)) for x in (1, 2, 3) for t in (1, 3, 4)]
@@ -80,11 +81,11 @@ class TestEvaluation:
             for cid in (1, 2, 3):
                 p = case_preset(cid)
                 w = deng_wave(p)
-                u0 = HPMExpansion.start(p).terms[0]
+                expansion = HPMExpansion.start(p)
                 for i in range(10):
                     x = Fraction(i * 3 - 14, 5)
                     assert mpmath.almosteq(
-                        w.eval_at(x, 0, 30), u0.profile_at(x, 30), rel_eps=mpf("1e-25")
+                        w.eval_at(x, 0, 30), expansion.profiles_at(x, 30)[0], rel_eps=mpf("1e-25")
                     )
 
     def test_shift_moves_the_front(self):
@@ -108,6 +109,20 @@ class TestEvaluation:
         w = deng_wave(p)
         with pytest.raises(EvaluationError):
             w.eval_at(0, 0, 30)
+
+
+    @pytest.mark.parametrize("cid,x", [(1, -100), (1, -200), (1, -400), (2, 100), (2, 300),
+                                       (3, 30), (3, 100)])
+    def test_far_tail_keeps_its_digits(self, cid, x):
+        # 1 + s*tanh cancels here (to 0 at case 1, x = -200, at 30 digits);
+        # the reference takes the tanh form at 1200 digits
+        p = case_preset(cid)
+        for t in (0, Fraction(1, 10)):
+            value = deng_wave(p).eval_at(x, t, 30)
+            with working_dps(1200):
+                phase = to_mpf(p.kappa) * (x - to_mpf(p.speed) * to_mpf(t))
+                exact = to_mpf(p.amplitude) * (1 + p.sign * mpmath.tanh(phase))
+                assert abs(value - exact) <= mpf("1e-35") * exact
 
 
 class TestTaylorOracle:
