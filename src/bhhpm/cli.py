@@ -30,7 +30,7 @@ from .config import (
 from .errors import ContractViolation, ProblemDomainError, UnsupportedProblemError
 from .hpm import max_taylor_deviation, run_hpm
 from .problem import case_preset
-from .scalars import DEFAULT_DIGITS, working_dps
+from .scalars import DEFAULT_DIGITS, to_mpf, working_dps
 from .tables import build_error_table, golden_compare, sci10
 from .waves import deng_wave
 
@@ -131,6 +131,11 @@ def run_command(config_path, case, orders, precision, fmt, out) -> None:
     with working_dps(cfg.precision):
         worst = table.max_cell()
         click.echo(f"max relative error over grid: {sci10(worst)} ({sci10(100 * worst)} %)")
+        ratio, x, t = max((abs(to_mpf(t)) / wave.t_radius(x, cfg.precision), x, t)
+                          for x in cfg.grid_x for t in cfg.grid_t)
+        if ratio >= 1:
+            click.echo(f"warning: t = {t} is {mpmath.nstr(ratio, 3)} times the t-radius of "
+                       f"convergence R(x) at x = {x}; the partial sums diverge there", err=True)
 
 
 @main.command("golden")

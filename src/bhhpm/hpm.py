@@ -14,13 +14,15 @@ denominators.  The Taylor coefficients of u^2..u^(2n+1) gain one term per
 order (Griewank & Walther, Evaluating Derivatives, ch. 13) and
 u^n*u_x = d/dx(u^(n+1))/(n+1), so order k costs O(k) polynomial products.
 
-That polynomial is the only form of a term, from the step to the printout.
-A ``SeriesTerm`` is its exact closed form N(E^2)/(E^2 + 1)^deg, in lowest
-terms without any GCD.  Numbers come from ``HPMExpansion.profiles_at``
-alone: it rounds sigma(x) = 1/(1 + exp(-/+2*kappa*x)) once per point to a
-binary value and evaluates every c_k there by Horner's rule in exact
-integers, so a partial sum at (x, t) is a running sum of c_k(x)*t^k.
-The published closed forms serve as test oracles.
+Such a polynomial is held as an integer triple (A, B, D), coefficient i
+being (A[i] + B[i]*sqrt(d))/D for the problem's radicand d, so the step runs
+on Python ints and reduces each result by one gcd.  ``QuadraticNumber``
+stays at the boundaries: the problem's constants go in (``_lattice``) and a
+``SeriesTerm``'s coefficients come out (``_coeffs``) to print as the closed
+form N(E^2)/(E^2 + 1)^deg.  Numbers come from ``profiles_at`` alone: it
+rounds sigma(x) = 1/(1 + exp(-/+2*kappa*x)) once per point to a binary
+value and runs Horner's rule on A and B there.  The published closed forms
+serve as test oracles.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 import mpmath
 from mpmath import mpf
 
-from .errors import ContractViolation, UnsupportedProblemError
+from .errors import AlgebraDomainError, ContractViolation, UnsupportedProblemError
 from .problem import BHProblem
 from .scalars import (
     DEFAULT_DIGITS,
@@ -45,57 +48,86 @@ from .scalars import (
     working_dps,
 )
 
-#: Dense polynomial in sigma, lowest power first, trailing zeros trimmed.
-Poly = tuple[QuadraticNumber, ...]
+#: A sigma-polynomial (A, B, D), coefficient i = (A[i] + B[i]*sqrt(d))/D,
+#: lowest power first; canonical (trailing zeros trimmed, D >= 1,
+#: gcd(D, *A, *B) = 1), so equal polynomials are equal tuples.
+Poly = tuple[tuple[int, ...], tuple[int, ...], int]
 #: Taylor coefficients in t of one function, as sigma-polynomials.
 Series = tuple[Poly, ...]
 
-
-def _trim(p: list[QuadraticNumber]) -> Poly:
-    while p and p[-1].is_zero():
-        p.pop()
-    return tuple(p)
+ZERO_POLY: Poly = ((), (), 1)
 
 
-def _combine(*terms: tuple[ScalarLike, Poly]) -> Poly:
-    """Linear combination sum(f * P) of sigma-polynomials."""
-    out = [ZERO] * max(len(p) for _, p in terms)
-    for f, p in terms:
-        for i, c in enumerate(p):
-            out[i] = out[i] + c * f
-    return _trim(out)
+def _reduced(a: list[int], b: list[int], den: int) -> Poly:
+    """The canonical form of sum_i (a[i] + b[i]*sqrt(d))/den * sigma^i."""
+    while a and not (a[-1] or b[-1]):
+        a.pop()
+        b.pop()
+    if not a:
+        return ZERO_POLY
+    g = math.gcd(den, *a, *b)
+    return tuple(x // g for x in a), tuple(y // g for y in b), den // g
 
 
-def _sum_products(pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
-    """sum(P * Q) over the pairs; a single pair gives the product P * Q."""
-    out: list[QuadraticNumber] = []
-    for p, q in pairs:
-        out.extend([ZERO] * (len(p) + len(q) - 1 - len(out)))
-        for i, x in enumerate(p):
-            if x:
-                for j, y in enumerate(q):
-                    out[i + j] = out[i + j] + x * y
-    return _trim(out)
+def _lattice(coeffs: Iterable[ScalarLike], d: int) -> Poly:
+    """The sigma-polynomial with these exact coefficients, lowest power first."""
+    qs = [QuadraticNumber.coerce(c) for c in coeffs]
+    if any(q.radicand not in (0, d) for q in qs):
+        raise AlgebraDomainError(f"a coefficient is not in Q(sqrt({d})): {qs}")
+    den = math.lcm(*(f.denominator for q in qs for f in (q.rational, q.radical)))
+    return _reduced([int(q.rational * den) for q in qs], [int(q.radical * den) for q in qs], den)
 
 
-def _dx(p: Poly, rate: QuadraticNumber) -> Poly:
+def _coeffs(p: Poly, d: int) -> tuple[QuadraticNumber, ...]:
+    """The exact coefficients of P, lowest power first."""
+    a, b, den = p
+    return tuple(QuadraticNumber(Fraction(x, den), Fraction(y, den), d) for x, y in zip(a, b))
+
+
+def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
+    """sum(P * Q) over the pairs (one pair: the product) on their common
+    denominator, with (x + y*sqrt(d))(u + v*sqrt(d)) = xu + yv*d + (xv + yu)*sqrt(d)."""
+    pairs = [(p, q) for p, q in pairs if p[0] and q[0]]
+    den = math.lcm(*(p[2] * q[2] for p, q in pairs))
+    size = max((len(p[0]) + len(q[0]) - 1 for p, q in pairs), default=0)
+    a, b = [0] * size, [0] * size
+    for (pa, pb, pd), (qa, qb, qd) in pairs:
+        s = den // (pd * qd)
+        for i, (x, y) in enumerate(zip(pa, pb)):
+            if x or y:
+                x, y, yd = x * s, y * s, y * s * d
+                for j, (u, v) in enumerate(zip(qa, qb), i):
+                    a[j] += x * u + yd * v
+                    b[j] += x * v + y * u
+    return _reduced(a, b, den)
+
+
+def _combine(d: int, *terms: tuple[Poly, Poly]) -> Poly:
+    """Linear combination sum(f * P), each factor f of degree 0."""
+    return _sum_products(d, terms)
+
+
+def _dx(d: int, p: Poly, rate: Poly) -> Poly:
     """d/dx of P(sigma), where d(sigma)/dx = rate*sigma*(1 - sigma):
     sigma*(1 - sigma)*P'(sigma) = sum_i (i*p_i - (i-1)*p_(i-1)) sigma^i."""
-    pairs = zip(p + (ZERO,), (ZERO,) + p)
-    return _trim([rate * (i * a - (i - 1) * b) for i, (a, b) in enumerate(pairs)])
+    a, b, den = p
+    da, db = ([i * x - (i - 1) * y for i, (x, y) in enumerate(zip(c + (0,), (0,) + c))]
+              for c in (a, b))
+    return _sum_products(d, [(rate, (da, db, den))])
 
 
-def _extended(powers: tuple[Series, ...], c: Poly) -> tuple[Series, ...]:
+def _extended(powers: tuple[Series, ...], c: Poly, d: int) -> tuple[Series, ...]:
     """Append c_m to the series of u, then (u^j)_m = sum_i (u^(j-1))_i * c_(m-i)
     to the series of u^2, u^3, ... in turn."""
     u = powers[0] + (c,)
     extended = [u]
     for power in powers[1:]:
-        extended.append(power + (_sum_products(zip(extended[-1], reversed(u))),))
+        extended.append(power + (_sum_products(d, zip(extended[-1], reversed(u))),))
     return tuple(extended)
 
 
-def _closed_form(p: Poly, sign: int) -> tuple[list[QuadraticNumber], list[int]]:
+def _closed_form(p: tuple[QuadraticNumber, ...],
+                 sign: int) -> tuple[list[QuadraticNumber], list[int]]:
     """Coefficients of N and D, in powers of E^2, with P(sigma) = N/D and
     D = (E^2 + 1)^deg(P), for a nonzero P.
 
@@ -130,27 +162,22 @@ def _e2_str(coeffs: list) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-def _value_at(p: Poly, m: int, s: int) -> mpf:
+def _value_at(p: Poly, m: int, s: int, d: int) -> mpf:
     """P(m/2^s) at the working precision, exact up to its final rounding.
 
-    Horner's rule runs in integers, on the rational parts and on the sqrt(d)
-    parts of the coefficients over their common denominators, giving
-    P = (U + V*sqrt(d))/W.  ``surd_to_mpf`` takes U + V*sqrt(d) through the
-    conjugate where the parts would cancel, so coefficients far larger than
-    the value (a slow front's, say) cost no digits.
+    Horner's rule runs in integers on A and on B, giving
+    P = (U + V*sqrt(d))/(D*2^(s*deg)).  ``surd_to_mpf`` takes U + V*sqrt(d)
+    through the conjugate where the parts would cancel, so coefficients far
+    larger than the value (a slow front's, say) cost no digits.
     """
-    top = len(p) - 1
-    sums = []
-    # sum_i p_i*(m/2^s)^i = (sum_i p_i*m^i*2^(s*(top - i)))/2^(s*top)
-    for part in ([c.rational for c in p], [c.radical for c in p]):
-        den = math.lcm(*[q.denominator for q in part])
-        acc = 0
-        for i in range(top, -1, -1):
-            acc = acc * m + (part[i].numerator * (den // part[i].denominator) << s * (top - i))
-        sums.append((acc, den))
-    (a, da), (b, db) = sums
-    d = max((c.radicand for c in p), default=0)
-    return mpmath.ldexp(surd_to_mpf(a * db, b * da, d) / (da * db), -s * top)
+    a, b, den = p
+    top = len(a) - 1
+    u = v = 0
+    # sum_i c_i*(m/2^s)^i = (sum_i c_i*m^i*2^(s*(top - i)))/2^(s*top)
+    for i in range(top, -1, -1):
+        u = u * m + (a[i] << s * (top - i))
+        v = v * m + (b[i] << s * (top - i))
+    return mpmath.ldexp(surd_to_mpf(u, v, d) / den, -s * top)
 
 
 @dataclass(frozen=True)
@@ -163,7 +190,7 @@ class SeriesTerm:
     ``HPMExpansion.profiles_at``.
     """
 
-    coeffs: Poly
+    coeffs: tuple[QuadraticNumber, ...]
     order: int
     sign: int
 
@@ -185,6 +212,16 @@ class SeriesTerm:
         return f"{profile} * t^{self.order}"
 
 
+@lru_cache(maxsize=16)
+def _operator_factors(problem: BHProblem) -> tuple[Poly, ...]:
+    """1, the rate 2*sign*kappa of sigma and the coefficients -alpha/(n+1),
+    beta*(1 + gamma), -beta*gamma and -beta of N, once per problem."""
+    beta, gamma = problem.beta, problem.gamma
+    return tuple(_lattice([f], problem.radicand) for f in (
+        1, problem.kappa * (2 * problem.sign), problem.alpha * Fraction(-1, problem.n + 1),
+        beta * (gamma + 1), -beta * gamma, -beta))
+
+
 def _front(problem: BHProblem) -> Poly:
     """The initial front gamma*sigma: n = 1 only (for n >= 2 the front is its
     n-th root), and x0 = 0 only (x0 enters as the constant exp(kappa*x0))."""
@@ -197,7 +234,7 @@ def _front(problem: BHProblem) -> Poly:
         raise UnsupportedProblemError("symbolic series requires x0 = 0")
     if problem.kappa.is_zero():
         raise UnsupportedProblemError("front steepness kappa is zero; no wave profile")
-    return (ZERO, problem.gamma)
+    return _lattice([ZERO, problem.gamma], problem.radicand)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +249,7 @@ class HPMExpansion:
 
     @classmethod
     def _seeded(cls, problem: BHProblem, c0: Poly) -> HPMExpansion:
-        return cls(problem, _extended(((),) * (2 * problem.n + 1), c0))
+        return cls(problem, _extended(((),) * (2 * problem.n + 1), c0, problem.radicand))
 
     @classmethod
     def start(cls, problem: BHProblem) -> HPMExpansion:
@@ -222,7 +259,7 @@ class HPMExpansion:
     @classmethod
     def from_initial(cls, problem: BHProblem, value: ScalarLike) -> HPMExpansion:
         """Start from a constant profile, e.g. a steady state (any n)."""
-        return cls._seeded(problem, _trim([QuadraticNumber.coerce(value)]))
+        return cls._seeded(problem, _lattice([value], problem.radicand))
 
     @property
     def order(self) -> int:
@@ -231,27 +268,29 @@ class HPMExpansion:
     @property
     def terms(self) -> tuple[SeriesTerm, ...]:
         """v_0..v_K."""
-        sign = self.problem.sign
-        return tuple(SeriesTerm(c, k, sign) for k, c in enumerate(self.powers[0]))
+        sign, d = self.problem.sign, self.problem.radicand
+        return tuple(SeriesTerm(_coeffs(c, d), k, sign) for k, c in enumerate(self.powers[0]))
 
     def _operator(self, m: int) -> Poly:
         """t^m coefficient of N(u), from c_0..c_m and the cached powers."""
-        problem, n = self.problem, self.problem.n
+        n, d = self.problem.n, self.problem.radicand
         u, u_n1, u_2n1 = (self.powers[j][m] for j in (0, n, 2 * n))
-        rate, beta = problem.kappa * (2 * problem.sign), problem.beta
+        one, rate, alpha_n, beta_1, beta_g, beta_0 = _operator_factors(self.problem)
         return _combine(
-            (1, _dx(_dx(u, rate), rate)),
-            (problem.alpha * Fraction(-1, n + 1), _dx(u_n1, rate)),  # -alpha*u^n*u_x
-            (beta * (problem.gamma + 1), u_n1),
-            (-beta * problem.gamma, u),
-            (-beta, u_2n1),
+            d,
+            (one, _dx(d, _dx(d, u, rate), rate)),
+            (alpha_n, _dx(d, u_n1, rate)),  # -alpha*u^n*u_x
+            (beta_1, u_n1),
+            (beta_g, u),
+            (beta_0, u_2n1),
         )
 
     def advanced(self) -> HPMExpansion:
         """Expansion with the next term appended: c_k = N_(k-1)/k."""
         k = self.order + 1
-        c_k = _combine((Fraction(1, k), self._operator(k - 1)))
-        return HPMExpansion(self.problem, _extended(self.powers, c_k))
+        d = self.problem.radicand
+        c_k = _combine(d, (((1,), (0,), k), self._operator(k - 1)))  # N_(k-1)/k
+        return HPMExpansion(self.problem, _extended(self.powers, c_k, d))
 
     def profiles_at(self, x, digits: int = DEFAULT_DIGITS) -> list[mpf]:
         """c_0(x)..c_K(x), each exact at one binary value sigma = m/2^s of
@@ -267,7 +306,7 @@ class HPMExpansion:
             m, s = man, -exp
             if z < 0:
                 m = (1 << s) - m
-            return [_value_at(c, m, s) for c in self.powers[0]]
+            return [_value_at(c, m, s, problem.radicand) for c in self.powers[0]]
 
     def partial_sum_at(self, m: int, x, t, digits: int = DEFAULT_DIGITS) -> mpf:
         """S_m(x, t) = c_0(x) + c_1(x)*t + .. + c_(m-1)(x)*t^(m-1)."""

@@ -70,6 +70,17 @@ class TravelingWave:
                 for j in range(order + 1)
             ]
 
+    def t_radius(self, x, digits: int = DEFAULT_DIGITS) -> mpf:
+        """R(x) = |x + x0 - i*pi/(2*kappa)|/|c|, the radius of convergence of
+        the Taylor series of u(x, .) about t = 0: the distance to the nearest
+        pole of tanh(kappa*phi).  Infinite where u does not move (c = 0)."""
+        p = self.problem
+        if p.speed.is_zero() or p.kappa.is_zero():
+            return mpmath.inf
+        with working_dps(digits):
+            pole = mpmath.pi / (2 * to_mpf(p.kappa))
+            return +(mpmath.hypot(to_mpf(x) + to_mpf(p.x0), pole) / abs(to_mpf(p.speed)))
+
 
 def deng_wave(problem: BHProblem) -> TravelingWave:
     """Exact wave for the problem's branch."""

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mpf
 
 from bhhpm import BHProblem, HPMExpansion, QuadraticNumber, SeriesTerm, case_preset, run_hpm
-from bhhpm.hpm import Poly, _combine, _sum_products, _trim
+from bhhpm.hpm import Poly, _combine, _lattice, _sum_products
 
 
 def quad(a, b=0, d=0) -> QuadraticNumber:
@@ -22,29 +22,39 @@ def random_quad(rng: random.Random, d: int = 2) -> QuadraticNumber:
     )
 
 
-def random_poly(rng: random.Random, degree: int = 3, nonzero: bool = False, d: int = 2) -> Poly:
-    """Random sigma-polynomial of degree at most ``degree``, about half of its
-    coefficients zero; with ``nonzero``, never the zero polynomial."""
-    poly = _trim([random_quad(rng, d) if rng.random() < 0.5 else quad(0)
-                  for _ in range(degree + 1)])
-    if nonzero and not poly:
+def random_coeffs(rng: random.Random, degree: int = 3, nonzero: bool = False,
+                  d: int = 2) -> tuple[QuadraticNumber, ...]:
+    """Coefficients of a random sigma-polynomial of degree at most ``degree``,
+    about half of them zero, trailing zeros trimmed; with ``nonzero``, never
+    the zero polynomial."""
+    coeffs = [random_quad(rng, d) if rng.random() < 0.5 else quad(0)
+              for _ in range(degree + 1)]
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    if nonzero and not coeffs:
         return (quad(0),) * rng.randint(0, degree) + (quad(1, 1, d),)
-    return poly
+    return tuple(coeffs)
 
 
-def add(a: Poly, b: Poly) -> Poly:
+def random_poly(rng: random.Random, degree: int = 3, nonzero: bool = False, d: int = 2) -> Poly:
+    """``random_coeffs`` as the engine's integer triple over radicand d."""
+    return _lattice(random_coeffs(rng, degree, nonzero, d), d)
+
+
+def add(a: Poly, b: Poly, d: int) -> Poly:
     """a + b with the engine's linear combination."""
-    return _combine((1, a), (1, b))
+    one = _lattice([1], d)
+    return _combine(d, (one, a), (one, b))
 
 
-def mul(a: Poly, b: Poly) -> Poly:
+def mul(a: Poly, b: Poly, d: int) -> Poly:
     """a * b with the engine's sum of products."""
-    return _sum_products([(a, b)])
+    return _sum_products(d, [(a, b)])
 
 
 def sigma_value(p: Poly, problem: BHProblem, x, digits: int = 30) -> mpf:
-    """P(sigma(x)) on the front of ``problem``, through the engine's one
-    evaluation route, ``HPMExpansion.profiles_at``."""
+    """P(sigma(x)) on the front of ``problem`` (P over its radicand), through
+    the engine's one evaluation route, ``HPMExpansion.profiles_at``."""
     return HPMExpansion(problem, ((p,),)).profiles_at(x, digits)[0]
 
 

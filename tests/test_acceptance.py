@@ -48,7 +48,7 @@ from bhhpm import (
 )
 from bhhpm.cli import main as cli_main
 from bhhpm.config import default_report_orders
-from bhhpm.hpm import _combine, _dx
+from bhhpm.hpm import _combine, _dx, _lattice
 from bhhpm.scalars import to_mpf
 from bhhpm.tables import CellCheck
 from bhhpm.golden import (
@@ -106,8 +106,8 @@ def reference_run(case_id: int, expansion: HPMExpansion | None = None) -> Golden
 def scaled_last_term(expansion: HPMExpansion, factor: Fraction = Fraction(101, 100)) -> HPMExpansion:
     """The expansion with its last coefficient c_K scaled by ``factor``
     exactly, so that of its partial sums only S_(K+1) = S_K + factor*v_K moves."""
-    u = expansion.powers[0]
-    return HPMExpansion(expansion.problem, (u[:-1] + (_combine((factor, u[-1])),),))
+    u, d = expansion.powers[0], expansion.problem.radicand
+    return HPMExpansion(expansion.problem, (u[:-1] + (_combine(d, (_lattice([factor], d), u[-1])),),))
 
 
 def floor_verdict(comparison: GoldenComparison) -> tuple[list[CellCheck], list[str]]:
@@ -320,12 +320,13 @@ class TestCriterion8:
         # series engine: 60 triples x 5
         for _ in range(60):
             a, b, c = (random_poly(rng, 2, d=3) for _ in range(3))
-            f = random_quad(rng, 3)
-            assert add(a, b) == add(b, a)
-            assert mul(a, b) == mul(b, a)
-            assert add(add(a, b), c) == add(a, add(b, c))
-            assert mul(mul(a, b), c) == mul(a, mul(b, c))
-            assert mul(_combine((f, a)), add(b, c)) == _combine((f, mul(a, b)), (f, mul(a, c)))
+            f = _lattice([random_quad(rng, 3)], 3)
+            assert add(a, b, 3) == add(b, a, 3)
+            assert mul(a, b, 3) == mul(b, a, 3)
+            assert add(add(a, b, 3), c, 3) == add(a, add(b, c, 3), 3)
+            assert mul(mul(a, b, 3), c, 3) == mul(a, mul(b, c, 3), 3)
+            assert (mul(_combine(3, (f, a)), add(b, c, 3), 3)
+                    == _combine(3, (f, mul(a, b, 3)), (f, mul(a, c, 3))))
             checks += 5
 
         # field axioms on scalar coefficients: 50 triples x 4
@@ -348,7 +349,7 @@ class TestCriterion8:
             for i in range(100):
                 front = fronts[1 if i % 2 else -1]
                 a, b = (random_poly(rng, 3, d=3) for _ in range(2))
-                product = mul(a, b)
+                product = mul(a, b, 3)
                 for _ in range(3):
                     x = Fraction(rng.randint(-300, 300), 100)
                     lhs = sigma_value(product, front, x, PRECISION)
@@ -362,7 +363,7 @@ class TestCriterion8:
             for i in range(60):
                 sign = 1 if i % 2 else -1
                 p = random_poly(rng, 3, d=3)
-                der = _dx(p, kappa * (2 * sign))
+                der = _dx(3, p, _lattice([kappa * (2 * sign)], 3))
 
                 def f(x, digits):
                     return sigma_value(p, fronts[sign], x, digits)

@@ -84,9 +84,18 @@ class TestRun:
         config.write_text(f"alpha = 0\nbeta = {STEEP_BETA}\ngamma = 1\n")
         result = runner.invoke(main, ["run", "--config", str(config)])
         assert result.exit_code == 0
-        assert result.stderr == ""
+        # t = 2/5 lies far past the t-radius of convergence at x = 1
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith("warning: t = 2/5 is 3.16e+3 times the t-radius")
         assert "undefined" not in result.stdout
         assert "max relative error over grid" in result.stdout
+
+    @pytest.mark.parametrize("cid", [1, 2, 3])
+    def test_paper_grid_inside_radius_of_convergence(self, runner, cid):
+        # the paper's t <= 0.4 stays inside R(x): R(3) = 2.54 for case 3
+        result = runner.invoke(main, ["run", "--case", str(cid)])
+        assert result.exit_code == 0
+        assert result.stderr == ""
 
     def test_unknown_flag_exits_2(self, runner):
         result = runner.invoke(main, ["run", "--nope"])

@@ -1,27 +1,39 @@
 """The profile algebra of the series engine: polynomials over Q(sqrt(d)) in
 the logistic variable sigma of E = exp(kappa*x), as ``bhhpm.hpm`` adds,
-scales, multiplies, differentiates, evaluates and prints them."""
+scales, multiplies, differentiates, evaluates and prints them.  The engine
+holds each one as an integer triple (A, B, D); ``_lattice`` and ``_coeffs``
+convert from and to exact coefficients."""
 
+import math
 import random
 from fractions import Fraction
 
 import mpmath
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from bhhpm import BHProblem, SeriesTerm, case_preset, run_hpm, working_dps
-from bhhpm.hpm import _closed_form, _combine, _dx, _trim
+from bhhpm.hpm import (
+    ZERO_POLY, _closed_form, _coeffs, _combine, _dx, _lattice, _reduced, _sum_products,
+)
 
-from conftest import add, mul, quad, random_poly, sigma_value
+from conftest import add, mul, quad, random_coeffs, random_poly, sigma_value
 
-KAPPA = quad(0, Fraction(1, 4), 2)  # sqrt(2)/4, the steepest benchmark rate
+D = 2                               # the radicand of both fronts below
+KAPPA = quad(0, Fraction(1, 4), D)  # sqrt(2)/4, the steepest benchmark rate
 #: Both branches of the alpha = 0, beta = gamma = 1 front, each with kappa = KAPPA.
 FRONTS = {1: case_preset(1), -1: BHProblem(alpha=0, beta=1, gamma=1, branch="lower")}
-FRONT = (quad(0), quad(1))          # sigma: E^2/(E^2 + 1), or 1/(E^2 + 1)
-ONE_MINUS = (quad(1), quad(-1))     # 1 - sigma
+FRONT = _lattice([0, 1], D)         # sigma: E^2/(E^2 + 1), or 1/(E^2 + 1)
+ONE_MINUS = _lattice([1, -1], D)    # 1 - sigma
 
 
 def rate(sign: int):
-    return KAPPA * (2 * sign)
+    return _lattice([KAPPA * (2 * sign)], D)
+
+
+def const(value):
+    return _lattice([value], D)
 
 
 def value(p, x, sign: int = 1, digits: int = 30):
@@ -30,34 +42,72 @@ def value(p, x, sign: int = 1, digits: int = 30):
 
 class TestSigmaPoly:
     def test_zero_coefficients_dropped(self):
-        assert _trim([quad(3), quad(0), quad(0)]) == (quad(3),)
-        assert _combine((1, FRONT), (-1, FRONT)) == ()
+        assert _reduced([3, 0, 0], [0, 0, 0], 1) == ((3,), (0,), 1)
+        assert _lattice([quad(3), quad(0), quad(0)], D) == _lattice([quad(3)], D)
+        assert _combine(D, (const(1), FRONT), (const(-1), FRONT)) == ZERO_POLY
 
     def test_arithmetic(self):
-        assert add(FRONT, ONE_MINUS) == (quad(1),)
-        assert mul(FRONT, ONE_MINUS) == (quad(0), quad(1), quad(-1))
-        assert mul(FRONT, ()) == ()
+        assert add(FRONT, ONE_MINUS, D) == _lattice([1], D)
+        assert mul(FRONT, ONE_MINUS, D) == _lattice([0, 1, -1], D)
+        assert mul(FRONT, ZERO_POLY, D) == ZERO_POLY
 
     def test_diff(self):
         # d/dx sigma^2 = 2*sigma*rate*sigma*(1 - sigma)
-        r = rate(1)
-        assert _dx(mul(FRONT, FRONT), r) == (quad(0), quad(0), r * 2, r * -2)
+        r = KAPPA * 2
+        assert _dx(D, mul(FRONT, FRONT, D), rate(1)) == _lattice([0, 0, r * 2, r * -2], D)
+
+    def test_coefficients_round_trip(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            coeffs = random_coeffs(rng, d=3)
+            assert _coeffs(_lattice(coeffs, 3), 3) == coeffs
+
+
+def canonical(p) -> bool:
+    """D >= 1, gcd(D, *A, *B) = 1, last coefficient nonzero, |A| = |B|."""
+    a, b, den = p
+    return (den >= 1 and math.gcd(den, *a, *b) == 1 and len(a) == len(b)
+            and (not a or a[-1] != 0 or b[-1] != 0))
+
+
+def scalars(d: int):
+    """Small values in Q(sqrt(d)); d = 0 gives rationals only."""
+    part = st.fractions(-9, 9, max_denominator=12)
+    return st.tuples(part, part if d else st.just(0)).map(lambda ab: quad(*ab, d))
+
+
+class TestLatticeInvariant:
+    """Every result of the add/scale, product and derivative helpers is in
+    the canonical form, so equal polynomials are equal tuples."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.sampled_from([0, 2, 3]))
+    def test_results_are_canonical(self, data, d):
+        polys = st.lists(scalars(d), max_size=5).map(lambda cs: _lattice(cs, d))
+        p, q, r = (data.draw(polys) for _ in range(3))
+        f, g = (_lattice([data.draw(scalars(d))], d) for _ in range(2))
+        assert all(canonical(x) for x in (p, q, r))
+        assert canonical(_combine(d, (f, p), (g, q), (f, r)))
+        assert canonical(_combine(d, (_lattice([1], d), p), (_lattice([-1], d), p)))
+        assert canonical(_sum_products(d, [(p, q), (q, r), (r, p)]))
+        assert canonical(_dx(d, p, f))
 
 
 class TestCanonicalForm:
     def test_denominator_starts_at_zero_and_monic(self):
-        assert str(SeriesTerm(FRONT, 0, 1)) == "(E^2)/(E^2 + 1)"
-        assert str(SeriesTerm(FRONT, 0, -1)) == "(1)/(E^2 + 1)"
+        front = _coeffs(FRONT, D)
+        assert str(SeriesTerm(front, 0, 1)) == "(E^2)/(E^2 + 1)"
+        assert str(SeriesTerm(front, 0, -1)) == "(1)/(E^2 + 1)"
         rng = random.Random(3)
         for _ in range(20):
-            p = random_poly(rng, nonzero=True)
+            p = random_coeffs(rng, nonzero=True)
             _, den = _closed_form(p, rng.choice((1, -1)))
             assert len(den) == len(p) and den[0] == den[-1] == 1
 
     def test_zero_is_zero_over_one(self):
         zero = SeriesTerm((), 2, 1)
         assert zero.is_zero and str(zero) == "0"
-        assert value((), 1) == 0
+        assert value(ZERO_POLY, 1) == 0
 
     def test_monic_normalization(self):
         term = SeriesTerm((quad(0), quad(Fraction(3, 2))), 0, 1)
@@ -67,7 +117,7 @@ class TestCanonicalForm:
         # N(E^2)/(E^2 + 1)^m has no common factor: N(-1) = +/-p_m != 0
         rng = random.Random(7)
         for _ in range(40):
-            p = random_poly(rng, nonzero=True)
+            p = random_coeffs(rng, nonzero=True)
             sign = rng.choice((1, -1))
             num, _ = _closed_form(p, sign)
             at_minus_one = sum((c * (-1) ** i for i, c in enumerate(num)), quad(0))
@@ -81,17 +131,17 @@ class TestArithmetic:
         rng = random.Random(5)
         for _ in range(20):
             a = random_poly(rng)
-            assert add(a, ()) == a
+            assert add(a, ZERO_POLY, D) == a
 
     def test_square_of_front(self):
-        square = mul(FRONT, FRONT)
-        assert square == (quad(0), quad(0), quad(1))
-        assert str(SeriesTerm(square, 0, 1)) == "(E^4)/(E^4 + 2*E^2 + 1)"
+        square = mul(FRONT, FRONT, D)
+        assert square == _lattice([0, 0, 1], D)
+        assert str(SeriesTerm(_coeffs(square, D), 0, 1)) == "(E^4)/(E^4 + 2*E^2 + 1)"
 
     def test_triple_product_pointwise(self):
         # (1 - u0)(u0 - 1) u0 evaluated against the pointwise product
         rng = random.Random(17)
-        combo = mul(mul(ONE_MINUS, _combine((-1, ONE_MINUS))), FRONT)
+        combo = mul(mul(ONE_MINUS, _combine(D, (const(-1), ONE_MINUS)), D), FRONT, D)
         with working_dps(30):
             for _ in range(10):
                 x = Fraction(rng.randint(-280, 280), 100)
@@ -104,24 +154,24 @@ class TestArithmetic:
         rng = random.Random(29)
         for _ in range(15):
             a, b, c = (random_poly(rng, 2) for _ in range(3))
-            assert add(a, b) == add(b, a)
-            assert mul(a, b) == mul(b, a)
-            assert add(add(a, b), c) == add(a, add(b, c))
-            assert mul(mul(a, b), c) == mul(a, mul(b, c))
-            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+            assert add(a, b, D) == add(b, a, D)
+            assert mul(a, b, D) == mul(b, a, D)
+            assert add(add(a, b, D), c, D) == add(a, add(b, c, D), D)
+            assert mul(mul(a, b, D), c, D) == mul(a, mul(b, c, D), D)
+            assert mul(a, add(b, c, D), D) == add(mul(a, b, D), mul(a, c, D), D)
 
 
 class TestDifferentiation:
     def test_constant_derivative_is_zero(self):
-        assert _dx((quad(Fraction(1, 2)),), rate(1)) == ()
+        assert _dx(D, _lattice([Fraction(1, 2)], D), rate(1)) == ZERO_POLY
 
     def test_logistic_identity_exact(self):
         # u0' = 2*kappa*s*u0*(1 - u0) for u0 = sigma on branch s = +1 or -1
         for s in (1, -1):
-            assert _dx(FRONT, rate(s)) == _combine((rate(s), mul(FRONT, ONE_MINUS)))
+            assert _dx(D, FRONT, rate(s)) == _combine(D, (rate(s), mul(FRONT, ONE_MINUS, D)))
 
     def test_second_derivative_against_finite_difference(self):
-        u2 = _dx(_dx(FRONT, rate(1)), rate(1))
+        u2 = _dx(D, _dx(D, FRONT, rate(1)), rate(1))
         with working_dps(40):
             h = mpf("1e-6")
             x = mpf(1)
@@ -138,7 +188,7 @@ class TestDifferentiation:
             for i in range(50):
                 sign = 1 if i % 2 else -1
                 p = random_poly(rng)
-                d = _dx(p, rate(sign))
+                d = _dx(D, p, rate(sign))
                 f = lambda z: value(p, z, sign, 40)
                 for _ in range(10):
                     x = mpf(rng.randint(-300, 300)) / 100
@@ -150,10 +200,10 @@ class TestDifferentiation:
     def test_derivative_keeps_denominator_compact(self):
         der = FRONT
         for _ in range(4):
-            der = _dx(der, rate(1))
+            der = _dx(D, der, rate(1))
         # each derivative raises the sigma-degree, hence the power of
         # (E^2 + 1) in the closed form, by exactly one
-        _, den = _closed_form(der, 1)
+        _, den = _closed_form(_coeffs(der, D), 1)
         assert 2 * (len(den) - 1) <= 10
 
 
@@ -171,7 +221,7 @@ class TestEvaluation:
 
     def test_first_term_coefficient_at_zero(self):
         # -(1/2)/(E+E^-1)^2 = -(1/2)*sigma*(1 - sigma); at x=0 gives -1/8
-        c1 = _combine((Fraction(-1, 2), mul(FRONT, ONE_MINUS)))
+        c1 = _combine(D, (const(Fraction(-1, 2)), mul(FRONT, ONE_MINUS, D)))
         assert value(c1, 0) == mpf("-0.125")
 
     def test_both_tails_keep_their_digits(self):
@@ -185,5 +235,5 @@ class TestEvaluation:
                         assert abs(a - b) <= mpf("1e-35") * abs(b)
 
     def test_rendering_mentions_structure(self):
-        text = str(SeriesTerm(FRONT, 0, 1))
+        text = str(SeriesTerm(_coeffs(FRONT, D), 0, 1))
         assert "E^2" in text and "/" in text

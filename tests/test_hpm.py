@@ -182,19 +182,19 @@ def stirling_coefficients(problem: BHProblem, order: int) -> list[list]:
 
 
 def assert_stirling_form(problem: BHProblem, order: int) -> None:
-    computed = run_hpm(problem, order).powers[0]
+    terms = run_hpm(problem, order).terms
     expected = stirling_coefficients(problem, order)
-    for k, (got, want) in enumerate(zip(computed, expected)):
-        assert list(got) == want, f"c_{k} of {problem}"
-    assert len(computed) == len(expected) == order + 1
+    for k, (term, want) in enumerate(zip(terms, expected)):
+        assert list(term.coeffs) == want, f"c_{k} of {problem}"
+    assert len(terms) == len(expected) == order + 1
 
 
 class TestStirlingClosedForm:
     """Every c_k exactly, coefficient by coefficient in Q(sqrt(d))."""
 
     @pytest.mark.parametrize("cid", [1, 2, 3])
-    def test_presets_through_order_20(self, cid):
-        assert_stirling_form(case_preset(cid), 20)
+    def test_presets_through_order_30(self, cid):
+        assert_stirling_form(case_preset(cid), 30)
 
     @settings(max_examples=15, deadline=None)
     @given(

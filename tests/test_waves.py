@@ -157,6 +157,28 @@ class TestTaylorOracle:
             deng_wave(p).time_taylor_coefficients(0, 3, 30)
 
 
+class TestRadiusOfConvergence:
+    def test_case3_radius_at_three(self):
+        # |3 - i*pi/(2*kappa)|/|c| with kappa = 3(sqrt(3) - 1)/4, c = (sqrt(3) - 5)/2
+        with working_dps(30):
+            assert mpmath.almosteq(deng_wave(case_preset(3)).t_radius(3),
+                                   mpf("2.537074972361863"), rel_eps=mpf("1e-15"))
+
+    def test_root_test_of_oracle_coefficients(self):
+        # Cauchy-Hadamard: max_k |a_k|^(1/k) over k = 20..30 is 1/R to within 5%
+        for cid in (1, 2, 3):
+            w = deng_wave(case_preset(cid))
+            for x in (0, 1, 3):
+                with working_dps(40):
+                    coeffs = w.time_taylor_coefficients(x, 30, 40)
+                    root = max(abs(c) ** (mpf(1) / k) for k, c in enumerate(coeffs) if k >= 20)
+                    assert 0.95 < root * w.t_radius(x, 40) < 1.05, (cid, x)
+
+    def test_standing_front_has_infinite_radius(self):
+        p = BHProblem(alpha=0, beta=1, gamma=2)  # c = 0: u does not move
+        assert p.speed.is_zero() and deng_wave(p).t_radius(1) == mpmath.inf
+
+
 class TestResidual:
     def test_zero_function_is_steady(self):
         zero = lambda x, t, digits: mpf(0)
