@@ -85,8 +85,9 @@ def _coeffs(p: Poly, d: int) -> tuple[QuadraticNumber, ...]:
 
 
 def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
-    """sum(P * Q) over the pairs (one pair: the product) on their common
-    denominator, with (x + y*sqrt(d))(u + v*sqrt(d)) = xu + yv*d + (xv + yu)*sqrt(d)."""
+    """sum(P * Q) over the pairs on their common denominator, with
+    (x + y*sqrt(d))(u + v*sqrt(d)) = xu + yv*d + (xv + yu)*sqrt(d).  One pair
+    gives the product; pairs (f, P) with f of degree 0, a linear combination."""
     pairs = [(p, q) for p, q in pairs if p[0] and q[0]]
     den = math.lcm(*(p[2] * q[2] for p, q in pairs))
     size = max((len(p[0]) + len(q[0]) - 1 for p, q in pairs), default=0)
@@ -100,11 +101,6 @@ def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
                     a[j] += x * u + yd * v
                     b[j] += x * v + y * u
     return _reduced(a, b, den)
-
-
-def _combine(d: int, *terms: tuple[Poly, Poly]) -> Poly:
-    """Linear combination sum(f * P), each factor f of degree 0."""
-    return _sum_products(d, terms)
 
 
 def _dx(d: int, p: Poly, rate: Poly) -> Poly:
@@ -276,20 +272,19 @@ class HPMExpansion:
         n, d = self.problem.n, self.problem.radicand
         u, u_n1, u_2n1 = (self.powers[j][m] for j in (0, n, 2 * n))
         one, rate, alpha_n, beta_1, beta_g, beta_0 = _operator_factors(self.problem)
-        return _combine(
-            d,
+        return _sum_products(d, [
             (one, _dx(d, _dx(d, u, rate), rate)),
             (alpha_n, _dx(d, u_n1, rate)),  # -alpha*u^n*u_x
             (beta_1, u_n1),
             (beta_g, u),
             (beta_0, u_2n1),
-        )
+        ])
 
     def advanced(self) -> HPMExpansion:
         """Expansion with the next term appended: c_k = N_(k-1)/k."""
         k = self.order + 1
         d = self.problem.radicand
-        c_k = _combine(d, (((1,), (0,), k), self._operator(k - 1)))  # N_(k-1)/k
+        c_k = _sum_products(d, [(((1,), (0,), k), self._operator(k - 1))])  # N_(k-1)/k
         return HPMExpansion(self.problem, _extended(self.powers, c_k, d))
 
     def profiles_at(self, x, digits: int = DEFAULT_DIGITS) -> list[mpf]:

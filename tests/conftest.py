@@ -7,7 +7,7 @@ import pytest
 from mpmath import mpf
 
 from bhhpm import BHProblem, HPMExpansion, QuadraticNumber, SeriesTerm, case_preset, run_hpm
-from bhhpm.hpm import Poly, _combine, _lattice, _sum_products
+from bhhpm.hpm import Poly, _lattice, _sum_products
 
 
 def quad(a, b=0, d=0) -> QuadraticNumber:
@@ -42,9 +42,9 @@ def random_poly(rng: random.Random, degree: int = 3, nonzero: bool = False, d: i
 
 
 def add(a: Poly, b: Poly, d: int) -> Poly:
-    """a + b with the engine's linear combination."""
+    """a + b with the engine's linear combination: 1*a + 1*b."""
     one = _lattice([1], d)
-    return _combine(d, (one, a), (one, b))
+    return _sum_products(d, [(one, a), (one, b)])
 
 
 def mul(a: Poly, b: Poly, d: int) -> Poly:

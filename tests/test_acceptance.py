@@ -48,7 +48,7 @@ from bhhpm import (
 )
 from bhhpm.cli import main as cli_main
 from bhhpm.config import default_report_orders
-from bhhpm.hpm import _combine, _dx, _lattice
+from bhhpm.hpm import _dx, _lattice, _sum_products
 from bhhpm.scalars import to_mpf
 from bhhpm.tables import CellCheck
 from bhhpm.golden import (
@@ -107,7 +107,7 @@ def scaled_last_term(expansion: HPMExpansion, factor: Fraction = Fraction(101, 1
     """The expansion with its last coefficient c_K scaled by ``factor``
     exactly, so that of its partial sums only S_(K+1) = S_K + factor*v_K moves."""
     u, d = expansion.powers[0], expansion.problem.radicand
-    return HPMExpansion(expansion.problem, (u[:-1] + (_combine(d, (_lattice([factor], d), u[-1])),),))
+    return HPMExpansion(expansion.problem, (u[:-1] + (mul(_lattice([factor], d), u[-1], d),),))
 
 
 def floor_verdict(comparison: GoldenComparison) -> tuple[list[CellCheck], list[str]]:
@@ -325,8 +325,8 @@ class TestCriterion8:
             assert mul(a, b, 3) == mul(b, a, 3)
             assert add(add(a, b, 3), c, 3) == add(a, add(b, c, 3), 3)
             assert mul(mul(a, b, 3), c, 3) == mul(a, mul(b, c, 3), 3)
-            assert (mul(_combine(3, (f, a)), add(b, c, 3), 3)
-                    == _combine(3, (f, mul(a, b, 3)), (f, mul(a, c, 3))))
+            assert (mul(mul(f, a, 3), add(b, c, 3), 3)
+                    == _sum_products(3, [(f, mul(a, b, 3)), (f, mul(a, c, 3))]))
             checks += 5
 
         # field axioms on scalar coefficients: 50 triples x 4

@@ -15,7 +15,7 @@ from mpmath import mpf
 
 from bhhpm import BHProblem, SeriesTerm, case_preset, run_hpm, working_dps
 from bhhpm.hpm import (
-    ZERO_POLY, _closed_form, _coeffs, _combine, _dx, _lattice, _reduced, _sum_products,
+    ZERO_POLY, _closed_form, _coeffs, _dx, _lattice, _reduced, _sum_products,
 )
 
 from conftest import add, mul, quad, random_coeffs, random_poly, sigma_value
@@ -44,7 +44,7 @@ class TestSigmaPoly:
     def test_zero_coefficients_dropped(self):
         assert _reduced([3, 0, 0], [0, 0, 0], 1) == ((3,), (0,), 1)
         assert _lattice([quad(3), quad(0), quad(0)], D) == _lattice([quad(3)], D)
-        assert _combine(D, (const(1), FRONT), (const(-1), FRONT)) == ZERO_POLY
+        assert _sum_products(D, [(const(1), FRONT), (const(-1), FRONT)]) == ZERO_POLY
 
     def test_arithmetic(self):
         assert add(FRONT, ONE_MINUS, D) == _lattice([1], D)
@@ -77,8 +77,8 @@ def scalars(d: int):
 
 
 class TestLatticeInvariant:
-    """Every result of the add/scale, product and derivative helpers is in
-    the canonical form, so equal polynomials are equal tuples."""
+    """Every result of the sum of products (linear combinations included) and
+    of the derivative is canonical, so equal polynomials are equal tuples."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), d=st.sampled_from([0, 2, 3]))
@@ -87,8 +87,9 @@ class TestLatticeInvariant:
         p, q, r = (data.draw(polys) for _ in range(3))
         f, g = (_lattice([data.draw(scalars(d))], d) for _ in range(2))
         assert all(canonical(x) for x in (p, q, r))
-        assert canonical(_combine(d, (f, p), (g, q), (f, r)))
-        assert canonical(_combine(d, (_lattice([1], d), p), (_lattice([-1], d), p)))
+        # linear combinations (degree-0 factors), products, derivatives
+        assert canonical(_sum_products(d, [(f, p), (g, q), (f, r)]))
+        assert canonical(_sum_products(d, [(_lattice([1], d), p), (_lattice([-1], d), p)]))
         assert canonical(_sum_products(d, [(p, q), (q, r), (r, p)]))
         assert canonical(_dx(d, p, f))
 
@@ -141,7 +142,7 @@ class TestArithmetic:
     def test_triple_product_pointwise(self):
         # (1 - u0)(u0 - 1) u0 evaluated against the pointwise product
         rng = random.Random(17)
-        combo = mul(mul(ONE_MINUS, _combine(D, (const(-1), ONE_MINUS)), D), FRONT, D)
+        combo = mul(mul(ONE_MINUS, mul(const(-1), ONE_MINUS, D), D), FRONT, D)
         with working_dps(30):
             for _ in range(10):
                 x = Fraction(rng.randint(-280, 280), 100)
@@ -168,7 +169,7 @@ class TestDifferentiation:
     def test_logistic_identity_exact(self):
         # u0' = 2*kappa*s*u0*(1 - u0) for u0 = sigma on branch s = +1 or -1
         for s in (1, -1):
-            assert _dx(D, FRONT, rate(s)) == _combine(D, (rate(s), mul(FRONT, ONE_MINUS, D)))
+            assert _dx(D, FRONT, rate(s)) == mul(rate(s), mul(FRONT, ONE_MINUS, D), D)
 
     def test_second_derivative_against_finite_difference(self):
         u2 = _dx(D, _dx(D, FRONT, rate(1)), rate(1))
@@ -221,7 +222,7 @@ class TestEvaluation:
 
     def test_first_term_coefficient_at_zero(self):
         # -(1/2)/(E+E^-1)^2 = -(1/2)*sigma*(1 - sigma); at x=0 gives -1/8
-        c1 = _combine(D, (const(Fraction(-1, 2)), mul(FRONT, ONE_MINUS, D)))
+        c1 = mul(const(Fraction(-1, 2)), mul(FRONT, ONE_MINUS, D), D)
         assert value(c1, 0) == mpf("-0.125")
 
     def test_both_tails_keep_their_digits(self):
