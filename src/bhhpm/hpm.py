@@ -66,7 +66,10 @@ def _reduced(a: list[int], b: list[int], den: int) -> Poly:
     if not a:
         return ZERO_POLY
     g = math.gcd(den, *a, *b)
-    return tuple(x // g for x in a), tuple(y // g for y in b), den // g
+    # Lists, not generators: CPython sizes a tuple from a generator by a guess
+    # and resizes it, and its tuple free lists then hoard the resized blocks,
+    # so resident memory would grow with every step taken.
+    return tuple([x // g for x in a]), tuple([y // g for y in b]), den // g
 
 
 def _lattice(coeffs: Iterable[ScalarLike], d: int) -> Poly:
@@ -89,7 +92,7 @@ def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
     (x + y*sqrt(d))(u + v*sqrt(d)) = xu + yv*d + (xv + yu)*sqrt(d).  One pair
     gives the product; pairs (f, P) with f of degree 0, a linear combination."""
     pairs = [(p, q) for p, q in pairs if p[0] and q[0]]
-    den = math.lcm(*(p[2] * q[2] for p, q in pairs))
+    den = math.lcm(*[p[2] * q[2] for p, q in pairs])  # a list: see _reduced
     size = max((len(p[0]) + len(q[0]) - 1 for p, q in pairs), default=0)
     a, b = [0] * size, [0] * size
     for (pa, pb, pd), (qa, qb, qd) in pairs:
