@@ -213,8 +213,8 @@ class SeriesTerm:
 
 @lru_cache(maxsize=16)
 def _operator_factors(problem: BHProblem) -> tuple[Poly, ...]:
-    """1, the rate 2*sign*kappa of sigma and the coefficients -alpha/(n+1),
-    beta*(1 + gamma), -beta*gamma and -beta of N, once per problem."""
+    """1, the rate 2*sign*kappa of d(sigma)/dx and the coefficients
+    -alpha/(n+1), beta*(1 + gamma), -beta*gamma and -beta of N, once per problem."""
     beta, gamma = problem.beta, problem.gamma
     return tuple(_lattice([f], problem.radicand) for f in (
         1, problem.kappa * (2 * problem.sign), problem.alpha * Fraction(-1, problem.n + 1),
