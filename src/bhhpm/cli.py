@@ -6,17 +6,16 @@ terms symbolically), ``taylor-check`` (series coefficients against the
 exact wave's time-Taylor coefficients).
 
 Exit codes: 0 success/PASS, 1 reference comparison FAIL, 2 configuration
-error, 3 internal contract violation.  ``HPM_PRECISION`` overrides the
+or usage error (one line on stderr), 3 internal contract violation.  ``HPM_PRECISION`` overrides the
 default precision (30 significant digits) when set.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import os
 import sys
 
-import click
 import mpmath
 
 from . import golden as golden_data
@@ -55,56 +54,41 @@ def default_precision() -> int:
     return value
 
 
-def trap_errors(func):
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except (ConfigError, ProblemDomainError, UnsupportedProblemError) as exc:
-            click.echo(f"configuration error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
-        except ContractViolation as exc:
-            click.echo(f"internal contract violation: {exc}", err=True)
-            sys.exit(EXIT_CONTRACT)
-
-    return wrapper
+def _write(path: str, write) -> None:
+    """Call ``write`` on ``path`` opened for text; a path that cannot be
+    written is a configuration error."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            write(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot write table to {path!r}: {exc}") from None
 
 
-@click.group()
-def main() -> None:
-    """Exact perturbation-series solver for the generalized Burgers-Huxley
-    equation, with reference-table verification."""
-
-
-@main.command("run")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), help="Config file (key = value lines).")
-@click.option("--case", type=click.IntRange(1, 3), help="Built-in benchmark case instead of a config file.")
-@click.option("--orders", type=click.IntRange(min=1), help="Highest series order K.")
-@click.option("--precision", type=click.IntRange(min=DEFAULT_DIGITS), help="Significant decimal digits.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "md"]), help="Table output format.")
-@click.option("--out", type=click.Path(dir_okay=False), help="Output path (stdout when omitted).")
-@trap_errors
-def run_command(config_path, case, orders, precision, fmt, out) -> None:
+def run_command(args) -> int:
     """Compute the series and report relative errors on the grid."""
-    if config_path and case:
+    if args.config and args.case:
         raise ConfigError("--config and --case are mutually exclusive")
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as handle:
-            cfg = parse_config(handle.read())
-    elif case:
-        cfg = RunConfig(case=case, precision=default_precision())
-        cfg.report_orders = default_report_orders(case, cfg.orders)
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
+        cfg = parse_config(text)
+    elif args.case:
+        cfg = RunConfig(case=args.case, precision=default_precision())
+        cfg.report_orders = default_report_orders(args.case, cfg.orders)
     else:
         raise ConfigError("one of --config or --case is required")
-    if orders is not None:
-        cfg.orders = orders
-        cfg.report_orders = default_report_orders(cfg.case, orders)
-    if precision is not None:
-        cfg.precision = precision
-    if fmt is not None:
-        cfg.format = "markdown" if fmt == "md" else "csv"
-    if out is not None:
-        cfg.out = out
+    if args.orders is not None:
+        cfg.orders = args.orders
+        cfg.report_orders = default_report_orders(cfg.case, args.orders)
+    if args.precision is not None:
+        cfg.precision = args.precision
+    if args.format is not None:
+        cfg.format = "markdown" if args.format == "md" else "csv"
+    if args.out is not None:
+        cfg.out = args.out
 
     problem = cfg.problem()
     expansion = run_hpm(problem, cfg.orders)
@@ -119,42 +103,37 @@ def run_command(config_path, case, orders, precision, fmt, out) -> None:
 
     plot_text = tables.render_plot_data(table)
     if cfg.out:
-        tables.emit_table(table, cfg.format, cfg.out)
         plot_path = cfg.out + ".plot.csv"
-        with open(plot_path, "w", encoding="utf-8") as handle:
-            handle.write(plot_text)
-        click.echo(f"table written to {cfg.out}; convergence data to {plot_path}")
+        _write(cfg.out, lambda handle: tables.emit_table(table, cfg.format, handle))
+        _write(plot_path, lambda handle: handle.write(plot_text))
+        print(f"table written to {cfg.out}; convergence data to {plot_path}")
     else:
         tables.emit_table(table, cfg.format, sys.stdout)
-        click.echo("")
-        click.echo(plot_text, nl=False)
+        print()
+        sys.stdout.write(plot_text)
     with working_dps(cfg.precision):
         worst = table.max_cell()
-        click.echo(f"max relative error over grid: {sci10(worst)} ({sci10(100 * worst)} %)")
+        print(f"max relative error over grid: {sci10(worst)} ({sci10(100 * worst)} %)")
         ratio, x, t = max((abs(to_mpf(t)) / wave.t_radius(x, cfg.precision), x, t)
                           for x in cfg.grid_x for t in cfg.grid_t)
         if ratio >= 1:
-            click.echo(f"warning: t = {t} is {mpmath.nstr(ratio, 3)} times the t-radius of "
-                       f"convergence R(x) at x = {x}; the partial sums diverge there", err=True)
+            print(f"warning: t = {t} is {mpmath.nstr(ratio, 3)} times the t-radius of "
+                  f"convergence R(x) at x = {x}; the partial sums diverge there", file=sys.stderr)
+    return 0
 
 
-@main.command("golden")
-@click.option("--case", type=click.IntRange(1, 3), help="Check a single case (default: all three).")
-@click.option("--orders", type=click.IntRange(min=1), default=5, show_default=True, help="Series order K.")
-@click.option("--precision", type=click.IntRange(min=DEFAULT_DIGITS), help="Significant decimal digits.")
-@click.option("--verbose", is_flag=True, help="Print every cell comparison.")
-@trap_errors
-def golden_command(case, orders, precision, verbose) -> None:
+def golden_command(args) -> int:
     """Compare all presets against the built-in reference tables."""
-    digits = precision if precision is not None else default_precision()
-    cases = [case] if case else [1, 2, 3]
+    digits = args.precision if args.precision is not None else default_precision()
+    cases = [args.case] if args.case else [1, 2, 3]
     needed = max(max(golden_data.REFERENCE_ORDERS[c]) for c in cases) - 1
-    if orders < needed:
-        raise ConfigError(f"golden needs --orders >= {needed} (tables up to S{needed + 1}); got {orders}")
+    if args.orders < needed:
+        raise ConfigError(f"golden needs --orders >= {needed} (tables up to S{needed + 1}); "
+                          f"got {args.orders}")
     all_passed = True
     for case_id in cases:
         problem = case_preset(case_id)
-        expansion = run_hpm(problem, orders)
+        expansion = run_hpm(problem, args.orders)
         wave = deng_wave(problem)
         table = build_error_table(
             expansion,
@@ -166,57 +145,127 @@ def golden_command(case, orders, precision, verbose) -> None:
             case_id=case_id,
         )
         comparison = golden_compare(table, case_id)
-        click.echo(comparison.summary())
+        print(comparison.summary())
         failures = comparison.failures()
-        if failures and verbose:
+        if failures and args.verbose:
             for check in comparison.checks:
-                click.echo("  " + check.describe())
+                print("  " + check.describe())
         elif failures:
             for check in failures:
-                click.echo("  " + check.describe())
+                print("  " + check.describe())
         all_passed = all_passed and comparison.passed
-    if not all_passed:
-        sys.exit(EXIT_GOLDEN_FAIL)
+    return 0 if all_passed else EXIT_GOLDEN_FAIL
 
 
-@main.command("terms")
-@click.option("--case", type=click.IntRange(1, 3), required=True, help="Benchmark case.")
-@click.option("--orders", type=click.IntRange(min=1), default=3, show_default=True, help="Series order K.")
-@trap_errors
-def terms_command(case, orders) -> None:
+def terms_command(args) -> int:
     """Print the series terms v_0..v_K in closed form."""
-    problem = case_preset(case)
-    expansion = run_hpm(problem, orders)
-    click.echo(f"E = exp(kappa*x), kappa = {problem.kappa}")
+    problem = case_preset(args.case)
+    expansion = run_hpm(problem, args.orders)
+    print(f"E = exp(kappa*x), kappa = {problem.kappa}")
     for k, term in enumerate(expansion.terms):
-        click.echo(f"v_{k} = {term}")
+        print(f"v_{k} = {term}")
+    return 0
 
 
-@main.command("taylor-check")
-@click.option("--case", type=click.IntRange(1, 3), help="Check a single case (default: all three).")
-@click.option("--orders", type=click.IntRange(min=1), default=6, show_default=True, help="Highest order checked.")
-@click.option("--precision", type=click.IntRange(min=DEFAULT_DIGITS), help="Significant decimal digits.")
-@trap_errors
-def taylor_check_command(case, orders, precision) -> None:
+def taylor_check_command(args) -> int:
     """Verify t^k series coefficients against the exact wave's Taylor data."""
-    digits = precision if precision is not None else default_precision()
-    cases = [case] if case else [1, 2, 3]
+    digits = args.precision if args.precision is not None else default_precision()
+    cases = [args.case] if args.case else [1, 2, 3]
     tolerance = mpmath.mpf(TAYLOR_TOLERANCE)
     failed = False
     for case_id in cases:
         problem = case_preset(case_id)
-        expansion = run_hpm(problem, orders)
+        expansion = run_hpm(problem, args.orders)
         wave = deng_wave(problem)
         worst = max_taylor_deviation(expansion, wave, TAYLOR_SAMPLE_X, digits=digits)
         ok = worst <= tolerance
-        click.echo(
+        print(
             f"case {case_id}: max coefficient deviation {sci10(worst)} "
             f"({'PASS' if ok else 'FAIL'} at {TAYLOR_TOLERANCE})"
         )
         failed = failed or not ok
-    if failed:
-        sys.exit(EXIT_GOLDEN_FAIL)
+    return EXIT_GOLDEN_FAIL if failed else 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are one line on stderr, exit 2."""
+
+    def error(self, message: str):
+        self.exit(EXIT_CONFIG, f"usage error: {self.prog}: {message}\n")
+
+
+def _at_least(low: int):
+    """Argument type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
+        return value
+    return parse
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="bhhpm",
+        description="Exact perturbation-series solver for the generalized Burgers-Huxley "
+                    "equation, with reference-table verification.",
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(name, func, **options):
+        sub = commands.add_parser(name, help=func.__doc__, description=func.__doc__)
+        sub.set_defaults(func=func)
+        for flag, kwargs in options.items():
+            sub.add_argument(flag, **kwargs)
+
+    case = dict(type=int, choices=(1, 2, 3), metavar="{1,2,3}")
+    orders = dict(type=_at_least(1), metavar="N")
+    precision = dict(type=_at_least(DEFAULT_DIGITS), metavar="DIGITS",
+                     help="Significant decimal digits.")
+    command("run", run_command, **{
+        "--config": dict(metavar="PATH", help="Config file (key = value lines)."),
+        "--case": dict(case, help="Built-in benchmark case instead of a config file."),
+        "--orders": dict(orders, help="Highest series order K."),
+        "--precision": precision,
+        "--format": dict(choices=("csv", "md"), help="Table output format."),
+        "--out": dict(metavar="PATH", help="Output path (stdout when omitted)."),
+    })
+    command("golden", golden_command, **{
+        "--case": dict(case, help="Check a single case (default: all three)."),
+        "--orders": dict(orders, default=5, help="Series order K. [default: 5]"),
+        "--precision": precision,
+        "--verbose": dict(action="store_true", help="Print every cell comparison."),
+    })
+    command("terms", terms_command, **{
+        "--case": dict(case, required=True, help="Benchmark case."),
+        "--orders": dict(orders, default=3, help="Series order K. [default: 3]"),
+    })
+    command("taylor-check", taylor_check_command, **{
+        "--case": dict(case, help="Check a single case (default: all three)."),
+        "--orders": dict(orders, default=6, help="Highest order checked. [default: 6]"),
+        "--precision": precision,
+    })
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command; return its exit code."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error already reported
+        return exc.code
+    try:
+        return args.func(args)
+    except (ConfigError, ProblemDomainError, UnsupportedProblemError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ContractViolation as exc:
+        print(f"internal contract violation: {exc}", file=sys.stderr)
+        return EXIT_CONTRACT
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

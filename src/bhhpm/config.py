@@ -17,13 +17,12 @@ number (malformed numeric literals).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BHError
 from .golden import DISPLAY_ORDERS, GRID_T, GRID_X
 from .problem import BHProblem, BRANCHES, case_preset
-from .scalars import DEFAULT_DIGITS, QuadraticNumber
+from .scalars import DEFAULT_DIGITS, ZERO, QuadraticNumber
 
 PROBLEM_KEYS = ("alpha", "beta", "gamma", "n", "branch", "x0")
 KNOWN_KEYS = PROBLEM_KEYS + (
@@ -119,24 +118,45 @@ def parse_number(text: str, line: int = 0) -> QuadraticNumber:
         raise ConfigNumberError(f"invalid number literal {text!r}: {exc}", line)
 
 
-@dataclass
 class RunConfig:
-    """Fully resolved run description."""
+    """Fully resolved run description; configs with equal fields are equal."""
 
-    case: int | None = None
-    alpha: QuadraticNumber | None = None
-    beta: QuadraticNumber | None = None
-    gamma: QuadraticNumber | None = None
-    n: int = 1
-    branch: str = "upper"
-    x0: QuadraticNumber = field(default_factory=QuadraticNumber)
-    orders: int = DEFAULT_ORDERS
-    report_orders: tuple[int, ...] = ()
-    grid_x: tuple[Fraction, ...] = GRID_X
-    grid_t: tuple[Fraction, ...] = GRID_T
-    precision: int = DEFAULT_DIGITS
-    format: str = "markdown"
-    out: str | None = None
+    def __init__(
+        self,
+        case: int | None = None,
+        alpha: QuadraticNumber | None = None,
+        beta: QuadraticNumber | None = None,
+        gamma: QuadraticNumber | None = None,
+        n: int = 1,
+        branch: str = "upper",
+        x0: QuadraticNumber = ZERO,
+        orders: int = DEFAULT_ORDERS,
+        report_orders: tuple[int, ...] = (),
+        grid_x: tuple[Fraction, ...] = GRID_X,
+        grid_t: tuple[Fraction, ...] = GRID_T,
+        precision: int = DEFAULT_DIGITS,
+        format: str = "markdown",
+        out: str | None = None,
+    ) -> None:
+        self.case = case
+        self.alpha = alpha
+        self.beta = beta
+        self.gamma = gamma
+        self.n = n
+        self.branch = branch
+        self.x0 = x0
+        self.orders = orders
+        self.report_orders = report_orders
+        self.grid_x = grid_x
+        self.grid_t = grid_t
+        self.precision = precision
+        self.format = format
+        self.out = out
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def problem(self) -> BHProblem:
         if self.case is not None:

@@ -28,7 +28,6 @@ serve as test oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -179,7 +178,6 @@ def _value_at(p: Poly, m: int, s: int, d: int) -> mpf:
     return mpmath.ldexp(surd_to_mpf(u, v, d) / den, -s * top)
 
 
-@dataclass(frozen=True)
 class SeriesTerm:
     """The series term v_k = c_k(x)*t^k of order k = ``order``, in closed form.
 
@@ -189,9 +187,15 @@ class SeriesTerm:
     ``HPMExpansion.profiles_at``.
     """
 
-    coeffs: tuple[QuadraticNumber, ...]
-    order: int
-    sign: int
+    def __init__(self, coeffs: tuple[QuadraticNumber, ...], order: int, sign: int) -> None:
+        self.coeffs = coeffs
+        self.order = order
+        self.sign = sign
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coeffs, self.order, self.sign) == (other.coeffs, other.order, other.sign)
 
     @property
     def is_zero(self) -> bool:
@@ -236,15 +240,15 @@ def _front(problem: BHProblem) -> Poly:
     return _lattice([ZERO, problem.gamma], problem.radicand)
 
 
-@dataclass(frozen=True, eq=False)
 class HPMExpansion:
     """The series through order K for one problem, held as ``powers``: the
     Taylor coefficients in t of u, u^2, .., u^(2n+1) through t^K.  The
     series of u is (c_0, .., c_K), from which ``terms`` are read and which
     ``profiles_at`` evaluates."""
 
-    problem: BHProblem
-    powers: tuple[Series, ...]
+    def __init__(self, problem: BHProblem, powers: tuple[Series, ...]) -> None:
+        self.problem = problem
+        self.powers = powers
 
     @classmethod
     def _seeded(cls, problem: BHProblem, c0: Poly) -> HPMExpansion:

@@ -12,42 +12,33 @@ benchmark cases and it is validated exactly in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal
 
 from .errors import ProblemDomainError
-from .scalars import QuadraticNumber, sqrt_rational, squarefree_decompose
+from .scalars import ZERO, QuadraticNumber, ScalarLike, sqrt_rational, squarefree_decompose
 
 Branch = Literal["upper", "lower"]
 
 BRANCHES = ("upper", "lower")
 
 
-@dataclass(frozen=True)
 class BHProblem:
-    """Immutable problem instance with exact derived wave parameters."""
+    """Problem instance with exact derived wave parameters.
 
-    alpha: QuadraticNumber
-    beta: QuadraticNumber
-    gamma: QuadraticNumber
-    n: int = 1
-    branch: Branch = "upper"
-    x0: QuadraticNumber = field(default_factory=QuadraticNumber)
+    Equal problems (same alpha, beta, gamma, n, branch and x0) hash alike,
+    so a problem can key a cache.  Nothing changes a problem after
+    construction.
+    """
 
-    # derived, filled in __post_init__
-    discriminant: Fraction = field(init=False, compare=False)
-    radicand: int = field(init=False, compare=False)
-    rho: QuadraticNumber = field(init=False, compare=False)
-    kappa: QuadraticNumber = field(init=False, compare=False)
-    speed: QuadraticNumber = field(init=False, compare=False)
-    amplitude: QuadraticNumber = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "x0"):
-            value = getattr(self, name)
-            if not isinstance(value, QuadraticNumber):
-                object.__setattr__(self, name, QuadraticNumber.coerce(value))
+    def __init__(self, alpha: ScalarLike, beta: ScalarLike, gamma: ScalarLike,
+                 n: int = 1, branch: Branch = "upper", x0: ScalarLike = ZERO) -> None:
+        self.alpha = QuadraticNumber.coerce(alpha)
+        self.beta = QuadraticNumber.coerce(beta)
+        self.gamma = QuadraticNumber.coerce(gamma)
+        self.n = n
+        self.branch = branch
+        self.x0 = QuadraticNumber.coerce(x0)
         if self.n < 1:
             raise ProblemDomainError("n must be a positive integer")
         if self.branch not in BRANCHES:
@@ -87,12 +78,23 @@ class BHProblem:
         ) * Fraction(1, 2 * n1)
         amplitude = self.gamma * Fraction(1, 2)
 
-        object.__setattr__(self, "discriminant", dfrac)
-        object.__setattr__(self, "radicand", d)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "speed", speed)
-        object.__setattr__(self, "amplitude", amplitude)
+        self.discriminant = dfrac
+        self.radicand = d
+        self.rho = rho
+        self.kappa = kappa
+        self.speed = speed
+        self.amplitude = amplitude
+
+    def _key(self) -> tuple:
+        return self.alpha, self.beta, self.gamma, self.n, self.branch, self.x0
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def sign(self) -> int:

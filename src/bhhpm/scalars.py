@@ -12,7 +12,6 @@ a and b*sqrt(d) cancel it goes through the conjugate, so no digits are lost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -79,18 +78,35 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, d
 
 
-@dataclass(frozen=True, eq=False)
 class QuadraticNumber:
     """Exact element ``rational + radical*sqrt(radicand)`` of Q(sqrt(d)).
 
     The radicand is kept square-free; purely rational values are stored with
     radicand 0.  Two values can be combined arithmetically only when their
-    radicands agree or one side is purely rational.
+    radicands agree or one side is purely rational.  Values are immutable by
+    convention: no method changes one after construction.
     """
 
-    rational: Fraction = Fraction(0)
-    radical: Fraction = Fraction(0)
-    radicand: int = 0
+    __slots__ = ("rational", "radical", "radicand")
+
+    def __init__(self, rational: RationalLike = Fraction(0),
+                 radical: RationalLike = Fraction(0), radicand: int = 0) -> None:
+        if not isinstance(rational, Fraction):
+            rational = Fraction(rational)
+        if not isinstance(radical, Fraction):
+            radical = Fraction(radical)
+        s, d = squarefree_decompose(radicand)
+        if s != 1:
+            radical *= s
+        if d == 1:
+            rational += radical
+            radical = Fraction(0)
+            d = 0
+        if radical == 0:
+            d = 0
+        self.rational = rational
+        self.radical = radical
+        self.radicand = d
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -107,25 +123,6 @@ class QuadraticNumber:
         if self.radical == 0:
             return hash(self.rational)
         return hash((self.rational, self.radical, self.radicand))
-
-    def __post_init__(self) -> None:
-        rational, radical = self.rational, self.radical
-        if not isinstance(rational, Fraction):
-            rational = Fraction(rational)
-        if not isinstance(radical, Fraction):
-            radical = Fraction(radical)
-        s, d = squarefree_decompose(self.radicand)
-        if s != 1:
-            radical *= s
-        if d == 1:
-            rational += radical
-            radical = Fraction(0)
-            d = 0
-        if radical == 0:
-            d = 0
-        object.__setattr__(self, "rational", rational)
-        object.__setattr__(self, "radical", radical)
-        object.__setattr__(self, "radicand", d)
 
     @classmethod
     def from_rational(cls, value: RationalLike) -> QuadraticNumber:

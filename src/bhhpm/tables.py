@@ -12,7 +12,6 @@ front the series accepts.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
@@ -70,16 +69,18 @@ def fraction_str(value: Fraction) -> str:
     return f"{sign}{text[:-shift]}.{text[-shift:]}"
 
 
-@dataclass
 class ErrorTable:
     """Grid of relative errors, rows keyed by (t, m), columns by x."""
 
-    orders: tuple[int, ...]
-    ts: tuple[Fraction, ...]
-    xs: tuple[Fraction, ...]
-    cells: dict[CellKey, mpf | None]
-    case_id: int | None = None
-    precision: int = DEFAULT_DIGITS
+    def __init__(self, orders: tuple[int, ...], ts: tuple[Fraction, ...],
+                 xs: tuple[Fraction, ...], cells: dict[CellKey, mpf | None],
+                 case_id: int | None = None, precision: int = DEFAULT_DIGITS) -> None:
+        self.orders = orders
+        self.ts = ts
+        self.xs = xs
+        self.cells = cells
+        self.case_id = case_id
+        self.precision = precision
 
     def cell(self, t: Fraction, m: int, x: Fraction) -> mpf | None:
         return self.cells[(Fraction(t), m, Fraction(x))]
@@ -151,17 +152,22 @@ SMALL_CELL = mpf("1e-10")
 MAGNITUDE_BAND = (mpf("0.1"), mpf("10"))
 
 
-@dataclass
 class CellCheck:
-    t: Fraction
-    m: int
-    x: Fraction
-    computed: mpf
-    reference: mpf
-    rule: str            # "relative" or "magnitude"
-    deviation: mpf       # |computed - reference| / reference
-    ratio: mpf           # computed / reference
-    ok: bool
+    """One reference cell against the computed one.  ``rule`` is "relative"
+    or "magnitude", ``deviation`` is |computed - reference|/reference and
+    ``ratio`` is computed/reference."""
+
+    def __init__(self, t: Fraction, m: int, x: Fraction, computed: mpf, reference: mpf,
+                 rule: str, deviation: mpf, ratio: mpf, ok: bool) -> None:
+        self.t = t
+        self.m = m
+        self.x = x
+        self.computed = computed
+        self.reference = reference
+        self.rule = rule
+        self.deviation = deviation
+        self.ratio = ratio
+        self.ok = ok
 
     @property
     def badness(self) -> mpf:
@@ -180,10 +186,10 @@ class CellCheck:
         )
 
 
-@dataclass
 class GoldenComparison:
-    case_id: int
-    checks: list[CellCheck] = field(default_factory=list)
+    def __init__(self, case_id: int, checks: list[CellCheck] | None = None) -> None:
+        self.case_id = case_id
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:

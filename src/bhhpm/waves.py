@@ -14,7 +14,6 @@ independent of the symbolic engine and anchors its correctness tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -29,11 +28,11 @@ from .scalars import DEFAULT_DIGITS, GUARD_DIGITS, to_mpf, working_dps
 PointFunction = Callable[[mpf, mpf, int], mpf]
 
 
-@dataclass(frozen=True)
 class TravelingWave:
     """The exact front of ``problem``; a bound ``eval_at`` is a PointFunction."""
 
-    problem: BHProblem
+    def __init__(self, problem: BHProblem) -> None:
+        self.problem = problem
 
     def eval_at(self, x, t, digits: int = DEFAULT_DIGITS) -> mpf:
         """Wave value, relative error below ``10**(-digits + 4)``."""

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from mpmath import mpf
 
 from bhhpm import BHProblem, HPMExpansion, QuadraticNumber, SeriesTerm, case_preset, run_hpm
+from bhhpm.cli import main
 from bhhpm.hpm import Poly, _lattice, _sum_products
 
 
@@ -113,3 +117,28 @@ def expansions():
 def expansions_k6():
     """Order-6 expansions for the three benchmark cases."""
     return {cid: run_hpm(case_preset(cid), 6) for cid in (1, 2, 3)}
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: BaseException | None
+
+    @property
+    def output(self) -> str:
+        """Standard output followed by standard error."""
+        return self.stdout + self.stderr
+
+
+def run_cli(args: list[str]) -> CliResult:
+    """``bhhpm ARGS`` in process: its exit code, captured stdout and stderr,
+    and the exception that escaped ``main`` (None when none did)."""
+    out, err = io.StringIO(), io.StringIO()
+    exception = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(args)
+        except Exception as exc:
+            code, exception = 1, exc
+    return CliResult(code, out.getvalue(), err.getvalue(), exception)

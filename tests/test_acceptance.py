@@ -22,7 +22,6 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from click.testing import CliRunner
 from mpmath import mpf
 
 from bhhpm import (
@@ -46,7 +45,6 @@ from bhhpm import (
     run_hpm,
     working_dps,
 )
-from bhhpm.cli import main as cli_main
 from bhhpm.config import default_report_orders
 from bhhpm.hpm import _dx, _lattice, _sum_products
 from bhhpm.scalars import to_mpf
@@ -60,7 +58,8 @@ from bhhpm.golden import (
 )
 
 from conftest import (
-    add, matches_reference, mul, quad, random_poly, random_quad, reference_terms, sigma_value,
+    add, matches_reference, mul, quad, random_poly, random_quad, reference_terms, run_cli,
+    sigma_value,
 )
 from test_config import random_config
 
@@ -419,7 +418,6 @@ class TestCriterion9:
             round_trips += 1
 
         # ten invalid configs: specific error class, and exit code 2 via CLI
-        runner = CliRunner()
         class_ok = exit_ok = 0
         for index, (text, expected) in enumerate(INVALID_CONFIGS):
             with pytest.raises(ConfigError) as caught:
@@ -431,7 +429,7 @@ class TestCriterion9:
             class_ok += 1
             path = tmp_path / f"bad_{index}.conf"
             path.write_text(text)
-            result = runner.invoke(cli_main, ["run", "--config", str(path)])
+            result = run_cli(["run", "--config", str(path)])
             assert result.exit_code == 2, f"config {index}: exit {result.exit_code}"
             exit_ok += 1
 

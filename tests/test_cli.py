@@ -1,12 +1,15 @@
+import os
+import subprocess
+import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhhpm.cli import main
+from conftest import run_cli
 
 #: A steep, fast front: 1 + tanh(kappa*phi) is 0 to 30 digits at every
 #: default grid point, where the wave's logistic form keeps its digits.
@@ -15,74 +18,69 @@ STEEP_BETA = Fraction(1000000007, 8)
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
 class TestRun:
-    def test_preset_csv_to_stdout(self, runner):
-        result = runner.invoke(main, ["run", "--case", "1", "--format", "csv"])
+    def test_preset_csv_to_stdout(self):
+        result = run_cli(["run", "--case", "1", "--format", "csv"])
         assert result.exit_code == 0
         assert "t,m,x,percent_relative_error" in result.output
         assert "0.1,1,1,1.693168743e-2" in result.output
         assert "max relative error over grid" in result.output
 
-    def test_preset_markdown(self, runner):
-        result = runner.invoke(main, ["run", "--case", "2"])
+    def test_preset_markdown(self):
+        result = run_cli(["run", "--case", "2"])
         assert result.exit_code == 0
         assert result.output.count("| 0.1 | S") == 4
 
-    def test_config_file_with_output(self, runner, tmp_path):
+    def test_config_file_with_output(self, tmp_path):
         config = tmp_path / "run.conf"
         out = tmp_path / "table.csv"
         config.write_text(
             f"case = case1\norders = 3\nreport_orders = 1, 2\n"
             f"format = csv\nout = {out}\n"
         )
-        result = runner.invoke(main, ["run", "--config", str(config)])
+        result = run_cli(["run", "--config", str(config)])
         assert result.exit_code == 0
         assert out.read_text().startswith("t,m,x,")
         plot = tmp_path / "table.csv.plot.csv"
         assert plot.read_text().startswith("m,max_percent_relative_error")
 
-    def test_cli_orders_override(self, runner):
-        result = runner.invoke(main, ["run", "--case", "1", "--orders", "2", "--format", "csv"])
+    def test_cli_orders_override(self):
+        result = run_cli(["run", "--case", "1", "--orders", "2", "--format", "csv"])
         assert result.exit_code == 0
         assert "0.1,3,1," in result.output      # fallback layout 1..3
         assert ",6," not in result.output
 
-    def test_config_and_case_conflict(self, runner, tmp_path):
+    def test_config_and_case_conflict(self, tmp_path):
         config = tmp_path / "c.conf"
         config.write_text("case = case1\n")
-        result = runner.invoke(main, ["run", "--config", str(config), "--case", "2"])
+        result = run_cli(["run", "--config", str(config), "--case", "2"])
         assert result.exit_code == 2
 
-    def test_requires_some_problem(self, runner):
-        result = runner.invoke(main, ["run"])
+    def test_requires_some_problem(self):
+        result = run_cli(["run"])
         assert result.exit_code == 2
         assert "configuration error" in result.output
 
-    def test_bad_config_exits_2(self, runner, tmp_path):
+    def test_bad_config_exits_2(self, tmp_path):
         config = tmp_path / "bad.conf"
         config.write_text("alpha = 1/0\n")
-        result = runner.invoke(main, ["run", "--config", str(config)])
+        result = run_cli(["run", "--config", str(config)])
         assert result.exit_code == 2
         assert "line 1" in result.output
 
-    def test_uncertifiable_radicand_exits_2(self, runner, tmp_path):
+    def test_uncertifiable_radicand_exits_2(self, tmp_path):
         config = tmp_path / "steep.conf"
         config.write_text("alpha = 0\nbeta = 1000036000099/8\ngamma = 1\n")
-        result = runner.invoke(main, ["run", "--config", str(config)])
+        result = run_cli(["run", "--config", str(config)])
         assert result.exit_code == 2
         assert result.output.startswith("configuration error: ")
         assert "cannot certify square-free part of 1000036000099" in result.output
         assert result.output.count("\n") == 1
 
-    def test_steep_front_has_defined_cells(self, runner, tmp_path):
+    def test_steep_front_has_defined_cells(self, tmp_path):
         config = tmp_path / "steep.conf"
         config.write_text(f"alpha = 0\nbeta = {STEEP_BETA}\ngamma = 1\n")
-        result = runner.invoke(main, ["run", "--config", str(config)])
+        result = run_cli(["run", "--config", str(config)])
         assert result.exit_code == 0
         # t = 2/5 lies far past the t-radius of convergence at x = 1
         assert result.stderr.count("\n") == 1
@@ -91,49 +89,122 @@ class TestRun:
         assert "max relative error over grid" in result.stdout
 
     @pytest.mark.parametrize("cid", [1, 2, 3])
-    def test_paper_grid_inside_radius_of_convergence(self, runner, cid):
+    def test_paper_grid_inside_radius_of_convergence(self, cid):
         # the paper's t <= 0.4 stays inside R(x): R(3) = 2.54 for case 3
-        result = runner.invoke(main, ["run", "--case", str(cid)])
+        result = run_cli(["run", "--case", str(cid)])
         assert result.exit_code == 0
         assert result.stderr == ""
 
-    def test_unknown_flag_exits_2(self, runner):
-        result = runner.invoke(main, ["run", "--nope"])
+    def test_unknown_flag_exits_2(self):
+        result = run_cli(["run", "--nope"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("via", ["option", "config"])
+    def test_unwritable_out_exits_2(self, tmp_path, via):
+        out = tmp_path / "missing" / "x.csv"
+        if via == "option":
+            result = run_cli(["run", "--case", "1", "--out", str(out)])
+        else:
+            config = tmp_path / "run.conf"
+            config.write_text(f"case = case1\nout = {out}\n")
+            result = run_cli(["run", "--config", str(config)])
+        assert result.exit_code == 2
+        assert result.exception is None
+        assert result.stderr.startswith(f"configuration error: cannot write table to '{out}': ")
+        assert result.stderr.count("\n") == 1
+
+    def test_unwritable_plot_path_exits_2(self, tmp_path):
+        out = tmp_path / "x.csv"
+        (tmp_path / "x.csv.plot.csv").mkdir()
+        result = run_cli(["run", "--case", "1", "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(
+            f"configuration error: cannot write table to '{out}.plot.csv': ")
+        assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["not-utf8", "missing", "directory"])
+    def test_unreadable_config_exits_2(self, tmp_path, kind):
+        config = tmp_path / "run.conf"
+        if kind == "not-utf8":
+            config.write_bytes(b"case = 1\n\xff\xfe\n")
+        elif kind == "directory":
+            config.mkdir()
+        result = run_cli(["run", "--config", str(config)])
+        assert result.exit_code == 2
+        assert result.exception is None
+        assert result.stderr.startswith(f"configuration error: cannot read config '{config}': ")
+        assert result.stderr.count("\n") == 1
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("args", [
+        ["run", "--case", "4"],
+        ["run", "--case", "1", "--orders", "0"],
+        ["run", "--case", "1", "--precision", "29"],
+        ["run", "--case", "1", "--format", "xml"],
+        ["golden", "--orders", "five"],
+        ["plot"],
+        [],
+    ], ids=["case-4", "orders-0", "precision-29", "format-xml", "orders-nan",
+            "unknown-command", "no-command"])
+    def test_one_line_exit_2(self, args):
+        result = run_cli(args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage error: bhhpm")
+        assert result.stderr.count("\n") == 1
+
+    def test_help_exits_0(self):
+        result = run_cli(["run", "--help"])
+        assert result.exit_code == 0
+        assert "--config PATH" in result.stdout
+
+
+class TestImports:
+    """The CLI starts without click, dataclasses or inspect."""
+
+    @pytest.mark.parametrize("module", ["bhhpm", "bhhpm.cli"])
+    def test_import_set(self, module):
+        code = (f"import sys, {module}; "
+                "print(' '.join(m for m in ('click', 'dataclasses', 'inspect') if m in sys.modules))")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True).stdout.split()
+        assert loaded == []
 
 
 class TestGolden:
-    def test_reference_comparison_reports_noise_floor(self, runner):
+    def test_reference_comparison_reports_noise_floor(self):
         # cells at the reference data's precision floor fail the strict rule
-        result = runner.invoke(main, ["golden", "--case", "3"])
+        result = run_cli(["golden", "--case", "3"])
         assert result.exit_code == 1
         assert "case 3: FAIL (32/36 cells)" in result.output
         assert "worst cell" in result.output
 
-    def test_insufficient_orders_is_usage_error(self, runner):
-        result = runner.invoke(main, ["golden", "--case", "1", "--orders", "2"])
+    def test_insufficient_orders_is_usage_error(self):
+        result = run_cli(["golden", "--case", "1", "--orders", "2"])
         assert result.exit_code == 2
         assert result.output.startswith("configuration error: golden needs --orders >= 5")
         assert result.output.count("\n") == 1
 
 
 class TestTerms:
-    def test_prints_series(self, runner):
-        result = runner.invoke(main, ["terms", "--case", "1"])
+    def test_prints_series(self):
+        result = run_cli(["terms", "--case", "1"])
         assert result.exit_code == 0
         assert "kappa = 1/4*sqrt(2)" in result.output
         assert "v_0 = (E^2)/(E^2 + 1)" in result.output
         assert "v_1 = (-1/2*E^2)/(E^4 + 2*E^2 + 1) * t" in result.output
         assert "v_3" in result.output
 
-    def test_case_required(self, runner):
-        result = runner.invoke(main, ["terms"])
+    def test_case_required(self):
+        result = run_cli(["terms"])
         assert result.exit_code == 2
 
 
 class TestTaylorCheck:
-    def test_single_case_passes(self, runner):
-        result = runner.invoke(main, ["taylor-check", "--case", "1", "--orders", "4"])
+    def test_single_case_passes(self):
+        result = run_cli(["taylor-check", "--case", "1", "--orders", "4"])
         assert result.exit_code == 0
         assert "case 1" in result.output and "PASS" in result.output
 
@@ -148,23 +219,23 @@ class TestOutputFixtures:
            for c in (1, 2, 3)],
         ids=["golden", "run-case1", "run-case2", "run-case3"],
     )
-    def test_stdout_matches_fixture(self, runner, monkeypatch, args, fixture, exit_code):
+    def test_stdout_matches_fixture(self, monkeypatch, args, fixture, exit_code):
         monkeypatch.delenv("HPM_PRECISION", raising=False)
-        result = runner.invoke(main, args)
+        result = run_cli(args)
         assert result.exit_code == exit_code
         expected = (DATA / fixture).read_text(encoding="utf-8").splitlines()
         assert result.stdout.splitlines() == expected
 
 
 class TestPrecisionEnv:
-    def test_env_override_accepted(self, runner, monkeypatch):
+    def test_env_override_accepted(self, monkeypatch):
         monkeypatch.setenv("HPM_PRECISION", "35")
-        result = runner.invoke(main, ["run", "--case", "1", "--orders", "1", "--format", "csv"])
+        result = run_cli(["run", "--case", "1", "--orders", "1", "--format", "csv"])
         assert result.exit_code == 0
 
-    def test_env_override_validated(self, runner, monkeypatch):
+    def test_env_override_validated(self, monkeypatch):
         monkeypatch.setenv("HPM_PRECISION", "ten")
-        result = runner.invoke(main, ["run", "--case", "1"])
+        result = run_cli(["run", "--case", "1"])
         assert result.exit_code == 2
         assert "HPM_PRECISION" in result.output
 
@@ -196,19 +267,23 @@ def run_configs(draw) -> str:
 @st.composite
 def commands(draw) -> list[str]:
     """``run --case``, ``golden``, ``terms`` or ``taylor-check``, each with
-    options drawn from its own."""
-    name = draw(st.sampled_from(["run", "golden", "terms", "taylor-check"]))
+    options drawn from its own, in range or just outside it (``--case 0|4``,
+    ``--orders 0``, ``--precision 29``, ``--format xml``); or an unknown
+    sub-command, or none at all."""
+    name = draw(st.sampled_from(["run", "golden", "terms", "taylor-check", "plot", None]))
+    if name is None:
+        return []
     args = [name]
     if name in ("run", "terms") or draw(st.booleans()):
-        args += ["--case", str(draw(st.integers(1, 3)))]
+        args += ["--case", str(draw(st.integers(0, 4)))]
     if draw(st.booleans()):
-        args += ["--orders", str(draw(st.integers(1, 8)))]
+        args += ["--orders", str(draw(st.integers(0, 8)))]
     if name != "terms" and draw(st.booleans()):
-        args += ["--precision", str(draw(st.integers(30, 40)))]
+        args += ["--precision", str(draw(st.integers(29, 40)))]
     if name == "golden" and draw(st.booleans()):
         args.append("--verbose")
     if name == "run" and draw(st.booleans()):
-        args += ["--format", draw(st.sampled_from(["csv", "md"]))]
+        args += ["--format", draw(st.sampled_from(["csv", "md", "xml"]))]
     return args
 
 
@@ -227,20 +302,20 @@ class TestExitCodes:
     @settings(max_examples=30, deadline=None)
     @given(text=run_configs(), args=overrides())
     def test_any_config_exits_0_1_or_2_with_one_line(self, text, args):
-        runner = CliRunner()
-        with runner.isolated_filesystem():
-            with open("run.conf", "w", encoding="utf-8") as handle:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.conf")
+            with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
-            result = runner.invoke(main, ["run", "--config", "run.conf", *args])
+            result = run_cli(["run", "--config", path, *args])
         assert result.exception is None or isinstance(result.exception, SystemExit), (text, args)
         assert result.exit_code in (0, 1, 2), (text, args)
         assert result.stderr.count("\n") <= 1, (text, args)
         assert "Traceback" not in result.output, (text, args)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(args=commands())
     def test_any_command_exits_0_1_or_2_with_one_line(self, args):
-        result = CliRunner().invoke(main, args)
+        result = run_cli(args)
         assert result.exception is None or isinstance(result.exception, SystemExit), args
         assert result.exit_code in (0, 1, 2), args
         assert result.stderr.count("\n") <= 1, args
