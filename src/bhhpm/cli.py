@@ -6,8 +6,9 @@ terms symbolically), ``taylor-check`` (series coefficients against the
 exact wave's time-Taylor coefficients).
 
 Exit codes: 0 success/PASS, 1 reference comparison FAIL, 2 configuration
-or usage error (one line on stderr), 3 internal contract violation.  ``HPM_PRECISION`` overrides the
-default precision (30 significant digits) when set.
+or usage error (one line on stderr), 3 internal contract violation.
+``HPM_PRECISION`` overrides the default precision (30 significant digits)
+when set.
 """
 
 from __future__ import annotations
@@ -210,13 +211,15 @@ def _at_least(low: int):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bhhpm",
+        allow_abbrev=False,
         description="Exact perturbation-series solver for the generalized Burgers-Huxley "
                     "equation, with reference-table verification.",
     )
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     def command(name, func, **options):
-        sub = commands.add_parser(name, help=func.__doc__, description=func.__doc__)
+        sub = commands.add_parser(name, help=func.__doc__, description=func.__doc__,
+                                  allow_abbrev=False)
         sub.set_defaults(func=func)
         for flag, kwargs in options.items():
             sub.add_argument(flag, **kwargs)
