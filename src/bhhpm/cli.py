@@ -7,26 +7,18 @@ exact wave's time-Taylor coefficients).
 
 Exit codes: 0 success/PASS, 1 reference comparison FAIL, 2 configuration
 or usage error (one line on stderr), 3 internal contract violation.
-``HPM_PRECISION`` overrides the default precision (30 significant digits)
-when set.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import mpmath
 
 from . import golden as golden_data
 from . import tables
-from .config import (
-    ConfigError,
-    RunConfig,
-    default_report_orders,
-    parse_config,
-)
+from .config import ConfigError, parse_config
 from .errors import ContractViolation, ProblemDomainError, UnsupportedProblemError
 from .hpm import max_taylor_deviation, run_hpm
 from .problem import case_preset
@@ -40,19 +32,6 @@ EXIT_CONTRACT = 3
 
 TAYLOR_SAMPLE_X = (-2, -1, 0, 1, 3)
 TAYLOR_TOLERANCE = "1e-25"
-
-
-def default_precision() -> int:
-    env = os.environ.get("HPM_PRECISION")
-    if env is None:
-        return DEFAULT_DIGITS
-    try:
-        value = int(env)
-    except ValueError:
-        raise ConfigError(f"HPM_PRECISION must be an integer, got {env!r}")
-    if value < DEFAULT_DIGITS:
-        raise ConfigError(f"HPM_PRECISION must be at least {DEFAULT_DIGITS}")
-    return value
 
 
 def _write(path: str, write) -> None:
@@ -69,27 +48,17 @@ def run_command(args) -> int:
     """Compute the series and report relative errors on the grid."""
     if args.config and args.case:
         raise ConfigError("--config and --case are mutually exclusive")
+    if not (args.config or args.case):
+        raise ConfigError("one of --config or --case is required")
+    text = ""
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-        cfg = parse_config(text)
-    elif args.case:
-        cfg = RunConfig(case=args.case, precision=default_precision())
-        cfg.report_orders = default_report_orders(args.case, cfg.orders)
-    else:
-        raise ConfigError("one of --config or --case is required")
-    if args.orders is not None:
-        cfg.orders = args.orders
-        cfg.report_orders = default_report_orders(cfg.case, args.orders)
-    if args.precision is not None:
-        cfg.precision = args.precision
-    if args.format is not None:
-        cfg.format = "markdown" if args.format == "md" else "csv"
-    if args.out is not None:
-        cfg.out = args.out
+    cfg = parse_config(text, case=args.case, orders=args.orders, precision=args.precision,
+                       format=args.format, out=args.out)
 
     problem = cfg.problem()
     expansion = run_hpm(problem, cfg.orders)
@@ -125,9 +94,8 @@ def run_command(args) -> int:
 
 def golden_command(args) -> int:
     """Compare all presets against the built-in reference tables."""
-    digits = args.precision if args.precision is not None else default_precision()
     cases = [args.case] if args.case else [1, 2, 3]
-    needed = max(max(golden_data.REFERENCE_ORDERS[c]) for c in cases) - 1
+    needed = max(golden_data.REFERENCE_ORDERS) - 1
     if args.orders < needed:
         raise ConfigError(f"golden needs --orders >= {needed} (tables up to S{needed + 1}); "
                           f"got {args.orders}")
@@ -139,10 +107,10 @@ def golden_command(args) -> int:
         table = build_error_table(
             expansion,
             wave,
-            orders=golden_data.REFERENCE_ORDERS[case_id],
+            orders=golden_data.REFERENCE_ORDERS,
             ts=golden_data.GRID_T,
             xs=golden_data.GRID_X,
-            digits=digits,
+            digits=args.precision,
             case_id=case_id,
         )
         comparison = golden_compare(table, case_id)
@@ -170,7 +138,6 @@ def terms_command(args) -> int:
 
 def taylor_check_command(args) -> int:
     """Verify t^k series coefficients against the exact wave's Taylor data."""
-    digits = args.precision if args.precision is not None else default_precision()
     cases = [args.case] if args.case else [1, 2, 3]
     tolerance = mpmath.mpf(TAYLOR_TOLERANCE)
     failed = False
@@ -178,7 +145,7 @@ def taylor_check_command(args) -> int:
         problem = case_preset(case_id)
         expansion = run_hpm(problem, args.orders)
         wave = deng_wave(problem)
-        worst = max_taylor_deviation(expansion, wave, TAYLOR_SAMPLE_X, digits=digits)
+        worst = max_taylor_deviation(expansion, wave, TAYLOR_SAMPLE_X, digits=args.precision)
         ok = worst <= tolerance
         print(
             f"case {case_id}: max coefficient deviation {sci10(worst)} "
@@ -239,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("golden", golden_command, **{
         "--case": dict(case, help="Check a single case (default: all three)."),
         "--orders": dict(orders, default=5, help="Series order K. [default: 5]"),
-        "--precision": precision,
+        "--precision": dict(precision, default=DEFAULT_DIGITS),
         "--verbose": dict(action="store_true", help="Print every cell comparison."),
     })
     command("terms", terms_command, **{
@@ -249,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("taylor-check", taylor_check_command, **{
         "--case": dict(case, help="Check a single case (default: all three)."),
         "--orders": dict(orders, default=6, help="Highest order checked. [default: 6]"),
-        "--precision": precision,
+        "--precision": dict(precision, default=DEFAULT_DIGITS),
     })
     return parser
 

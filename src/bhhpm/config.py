@@ -205,8 +205,12 @@ def _parse_list(text: str, line: int) -> list[str]:
     return items
 
 
-def parse_config(text: str) -> RunConfig:
-    seen: dict[str, int] = {}
+def parse_config(text: str, *, case: int | None = None, orders: int | None = None,
+                 precision: int | None = None, format: str | None = None,
+                 out: str | None = None) -> RunConfig:
+    """The resolved config of ``text``.  Each keyword that is not None
+    replaces the text's entry for its key, as a value without a line number;
+    defaults, ranges and aliases then apply to it as to the text's own."""
     raw: dict[str, tuple[str, int]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -218,22 +222,24 @@ def parse_config(text: str) -> RunConfig:
         key, value = match.group("key"), match.group("value").strip()
         if key not in KNOWN_KEYS:
             raise ConfigSyntaxError(f"unknown key {key!r}", lineno)
-        if key in seen:
+        if key in raw:
             raise ConfigConflictError(
-                f"duplicate key {key!r} (first set at line {seen[key]})", lineno
+                f"duplicate key {key!r} (first set at line {raw[key][1]})", lineno
             )
         if not value:
             raise ConfigSyntaxError(f"missing value for {key!r}", lineno)
-        seen[key] = lineno
         raw[key] = (value, lineno)
+    overrides = {"case": case, "orders": orders, "precision": precision,
+                 "format": format, "out": out}
+    raw.update((key, (str(value), 0)) for key, value in overrides.items() if value is not None)
 
-    case: int | None = None
+    case_id: int | None = None
     numbers: dict[str, QuadraticNumber] = {}
     if "case" in raw:
         value, lineno = raw["case"]
         if value not in _CASE_NAMES:
             raise ConfigSyntaxError(f"unknown case {value!r}", lineno)
-        case = _CASE_NAMES[value]
+        case_id = _CASE_NAMES[value]
         for key in PROBLEM_KEYS:
             if key in raw:
                 raise ConfigConflictError(
@@ -254,8 +260,8 @@ def parse_config(text: str) -> RunConfig:
             if key not in raw:
                 raise ConfigConflictError(f"explicit problem needs {key!r}")
 
-    cfg = RunConfig(case=case)
-    if case is None:
+    cfg = RunConfig(case=case_id)
+    if case_id is None:
         cfg.alpha = numbers["alpha"]
         cfg.beta = numbers["beta"]
         cfg.gamma = numbers["gamma"]
@@ -283,11 +289,12 @@ def parse_config(text: str) -> RunConfig:
             _parse_int(item, lineno, "report_orders") for item in _parse_list(value, lineno)
         )
     else:
-        cfg.report_orders = default_report_orders(case, cfg.orders)
+        cfg.report_orders = default_report_orders(case_id, cfg.orders)
     bad = [m for m in cfg.report_orders if not 1 <= m <= cfg.orders + 1]
     if bad:
+        source = " (orders from --orders)" if raw.get("orders", ("", 1))[1] == 0 else ""
         raise ConfigConflictError(
-            f"report_orders {bad} outside 1..orders+1 = 1..{cfg.orders + 1}",
+            f"report_orders {bad} outside 1..orders+1 = 1..{cfg.orders + 1}{source}",
             raw.get("report_orders", ("", 0))[1],
         )
     if "grid_x" in raw:

@@ -34,12 +34,9 @@ DISPLAY_ORDERS: dict[int, tuple[int, ...]] = {
     3: (1, 3, 5, 6),
 }
 
-#: Row sets keyed by the partial-sum size that generates the printed values.
-REFERENCE_ORDERS: dict[int, tuple[int, ...]] = {
-    1: (1, 3, 5, 6),
-    2: (1, 3, 5, 6),
-    3: (1, 3, 5, 6),
-}
+#: Rows of every reference table: the partial-sum sizes that generate the
+#: printed values.
+REFERENCE_ORDERS: tuple[int, ...] = (1, 3, 5, 6)
 
 #: Upper bounds on the maximum 6-term relative error over the grid, in
 #: percent units (100 * cell value).
@@ -50,9 +47,9 @@ MAX_S6_PERCENT_CLAIM: dict[int, str] = {
 }
 
 
-def _table(rows: dict[int, tuple[str, str, str]], orders: tuple[int, ...]) -> dict[tuple[Fraction, int, Fraction], str]:
+def _table(rows: dict[int, tuple[str, str, str]]) -> dict[tuple[Fraction, int, Fraction], str]:
     cells: dict[tuple[Fraction, int, Fraction], str] = {}
-    keys = [(t, m) for t in GRID_T for m in orders]
+    keys = [(t, m) for t in GRID_T for m in REFERENCE_ORDERS]
     flat = [rows[i] for i in range(len(keys))]
     for (t, m), values in zip(keys, flat):
         for x, value in zip(GRID_X, values):
@@ -76,7 +73,6 @@ REFERENCE_TABLES: dict[int, dict[tuple[Fraction, int, Fraction], str]] = {
             10: ("2.799248652e-7", "4.009848425e-7", "2.364525175e-7"),
             11: ("5.775483086e-8", "6.758498122e-9", "1.111128458e-8"),
         },
-        REFERENCE_ORDERS[1],
     ),
     2: _table(
         {
@@ -93,7 +89,6 @@ REFERENCE_TABLES: dict[int, dict[tuple[Fraction, int, Fraction], str]] = {
             10: ("0.0000075558572", "0.0000060480463", "0.0000170599007"),
             11: ("0.000001302473287", "0.000001221861195", "8.044206e-8"),
         },
-        REFERENCE_ORDERS[2],
     ),
     3: _table(
         {
@@ -110,6 +105,5 @@ REFERENCE_TABLES: dict[int, dict[tuple[Fraction, int, Fraction], str]] = {
             10: ("0.001086228788", "0.001651183957", "0.0005006633300"),
             11: ("0.0002239213593", "0.0003721014272", "0.0001680489489"),
         },
-        REFERENCE_ORDERS[3],
     ),
 }

@@ -8,8 +8,8 @@ v^(2n+1)).  With v_0 time-independent this is the time-Taylor series of the
 solution: v_k = c_k(x)*t^k with k*c_k = [t^(k-1)] N(u).
 
 Each c_k is a dense polynomial over Q(sqrt(d)) in the logistic variable
-sigma = E^2/(E^2 + 1), E = exp(kappa*x) (1/(E^2 + 1) on the lower branch),
-so d(sigma)/dx = +/-2*kappa*sigma*(1 - sigma) and derivatives need no
+sigma = E^2/(E^2 + 1), E = exp(kappa*(x + x0)) (1/(E^2 + 1) on the lower
+branch), so d(sigma)/dx = +/-2*kappa*sigma*(1 - sigma) and derivatives need no
 denominators.  The Taylor coefficients of u^2..u^(2n+1) gain one term per
 order (Griewank & Walther, Evaluating Derivatives, ch. 13) and
 u^n*u_x = d/dx(u^(n+1))/(n+1), so order k costs O(k) polynomial products.
@@ -20,7 +20,7 @@ on Python ints and reduces each result by one gcd.  ``QuadraticNumber``
 stays at the boundaries: the problem's constants go in (``_lattice``) and a
 ``SeriesTerm``'s coefficients come out (``_coeffs``) to print as the closed
 form N(E^2)/(E^2 + 1)^deg.  Numbers come from ``profiles_at`` alone: it
-rounds sigma(x) = 1/(1 + exp(-/+2*kappa*x)) once per point to a binary
+rounds sigma = 1/(1 + exp(-/+2*kappa*(x + x0))) once per point to a binary
 value and runs Horner's rule on A and B there.  The published closed forms
 serve as test oracles.
 """
@@ -183,8 +183,8 @@ class SeriesTerm:
 
     ``coeffs`` are the sigma-coefficients of c_k, lowest power first and
     trailing zeros trimmed; ``sign`` (+1 upper branch, -1 lower) fixes
-    sigma = E^2/(E^2 + 1) or 1/(E^2 + 1).  Its values come from
-    ``HPMExpansion.profiles_at``.
+    sigma = E^2/(E^2 + 1) or 1/(E^2 + 1), E = exp(kappa*(x + x0)).  Its
+    values come from ``HPMExpansion.profiles_at``.
     """
 
     def __init__(self, coeffs: tuple[QuadraticNumber, ...], order: int, sign: int) -> None:
@@ -227,14 +227,13 @@ def _operator_factors(problem: BHProblem) -> tuple[Poly, ...]:
 
 def _front(problem: BHProblem) -> Poly:
     """The initial front gamma*sigma: n = 1 only (for n >= 2 the front is its
-    n-th root), and x0 = 0 only (x0 enters as the constant exp(kappa*x0))."""
+    n-th root).  Any shift x0 lies in sigma's argument x + x0, so the series
+    algebra is that of x0 = 0."""
     if problem.n != 1:
         raise UnsupportedProblemError(
             f"symbolic series requires n = 1 (got n = {problem.n}); "
             "the exact wave still evaluates numerically"
         )
-    if not problem.x0.is_zero():
-        raise UnsupportedProblemError("symbolic series requires x0 = 0")
     if problem.kappa.is_zero():
         raise UnsupportedProblemError("front steepness kappa is zero; no wave profile")
     return _lattice([ZERO, problem.gamma], problem.radicand)
@@ -296,14 +295,15 @@ class HPMExpansion:
 
     def profiles_at(self, x, digits: int = DEFAULT_DIGITS) -> list[mpf]:
         """c_0(x)..c_K(x), each exact at one binary value sigma = m/2^s of
-        sigma(x) = 1/(1 + exp(-/+2*kappa*x)), computed once for all of them.
+        sigma = 1/(1 + exp(-/+2*kappa*(x + x0))), computed once for all of them.
 
         The smaller of sigma and 1 - sigma is rounded, so either tail keeps
         its digits.
         """
         problem = self.problem
         with working_dps(digits):
-            z = -2 * problem.sign * to_mpf(problem.kappa) * to_mpf(x)
+            arg = to_mpf(x) + to_mpf(problem.x0) if problem.x0 else to_mpf(x)  # no surd at x0 = 0
+            z = -2 * problem.sign * to_mpf(problem.kappa) * arg
             man, exp = (1 / (1 + mpmath.exp(abs(z)))).man_exp
             m, s = man, -exp
             if z < 0:

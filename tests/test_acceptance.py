@@ -93,7 +93,7 @@ def reference_run(case_id: int, expansion: HPMExpansion | None = None) -> Golden
     table = build_error_table(
         expansion,
         wave,
-        orders=REFERENCE_ORDERS[case_id],
+        orders=REFERENCE_ORDERS,
         ts=GRID_T,
         xs=GRID_X,
         digits=PRECISION,

@@ -50,6 +50,36 @@ class TestRun:
         assert "0.1,3,1," in result.output      # fallback layout 1..3
         assert ",6," not in result.output
 
+    @pytest.mark.parametrize("cid", [1, 2, 3])
+    @pytest.mark.parametrize("options", [["--format", "csv"], ["--format", "md", "--orders", "3"]],
+                             ids=["csv", "md-orders-3"])
+    def test_case_option_equals_case_config(self, tmp_path, cid, options):
+        config = tmp_path / "run.conf"
+        config.write_text(f"case = case{cid}\n")
+        by_option = run_cli(["run", "--case", str(cid), *options])
+        by_config = run_cli(["run", "--config", str(config), *options])
+        assert by_option.exit_code == by_config.exit_code == 0
+        assert by_option.stdout == by_config.stdout
+
+    def test_orders_option_keeps_config_report_orders(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("case = case1\nreport_orders = 1, 2\nformat = csv\n")
+        result = run_cli(["run", "--config", str(config), "--orders", "4"])
+        assert result.exit_code == 0
+        rows = {line.split(",")[1] for line in result.stdout.splitlines()
+                if line.startswith("0.1,")}
+        assert rows == {"1", "2"}
+
+    def test_orders_option_checks_config_report_orders(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("case = case1\nreport_orders = 1, 6\n")
+        result = run_cli(["run", "--config", str(config), "--orders", "4"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("configuration error: report_orders [6] outside ")
+        assert "(orders from --orders) at line 2" in result.stderr
+        assert result.stderr.count("\n") == 1
+
     def test_config_and_case_conflict(self, tmp_path):
         config = tmp_path / "c.conf"
         config.write_text("case = case1\n")
@@ -219,8 +249,7 @@ class TestOutputFixtures:
            for c in (1, 2, 3)],
         ids=["golden", "run-case1", "run-case2", "run-case3"],
     )
-    def test_stdout_matches_fixture(self, monkeypatch, args, fixture, exit_code):
-        monkeypatch.delenv("HPM_PRECISION", raising=False)
+    def test_stdout_matches_fixture(self, args, fixture, exit_code):
         result = run_cli(args)
         assert result.exit_code == exit_code
         expected = (DATA / fixture).read_text(encoding="utf-8").splitlines()
@@ -228,16 +257,12 @@ class TestOutputFixtures:
 
 
 class TestPrecisionEnv:
-    def test_env_override_accepted(self, monkeypatch):
-        monkeypatch.setenv("HPM_PRECISION", "35")
-        result = run_cli(["run", "--case", "1", "--orders", "1", "--format", "csv"])
-        assert result.exit_code == 0
-
-    def test_env_override_validated(self, monkeypatch):
+    def test_env_is_ignored(self, monkeypatch):
+        # precision comes from --precision or the config's precision key only
         monkeypatch.setenv("HPM_PRECISION", "ten")
-        result = run_cli(["run", "--case", "1"])
-        assert result.exit_code == 2
-        assert "HPM_PRECISION" in result.output
+        result = run_cli(["run", "--case", "1", "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.stdout == (DATA / "run_case1.csv").read_text(encoding="utf-8")
 
 
 def _rationals(low, high, denominator=4):
@@ -246,7 +271,8 @@ def _rationals(low, high, denominator=4):
 
 @st.composite
 def run_configs(draw) -> str:
-    """Small random explicit configs, including the steep front's beta."""
+    """Small random explicit configs, including the steep front's beta and
+    an optional shift x0."""
     values = {
         "alpha": draw(_rationals(-3, 3)),
         "beta": draw(st.one_of(_rationals(0, 3), st.just(STEEP_BETA))),
@@ -258,6 +284,8 @@ def run_configs(draw) -> str:
             st.lists(_rationals(-3, 3), min_size=1, max_size=3, unique=True))),
         "grid_t": str(draw(_rationals(0, Fraction(2, 5), 10))),
     }
+    if draw(st.booleans()):
+        values["x0"] = draw(_rationals(-2, 2))
     if draw(st.booleans()):
         values["report_orders"] = ", ".join(str(m) for m in draw(
             st.lists(st.integers(1, values["orders"] + 1), min_size=1, max_size=3, unique=True)))

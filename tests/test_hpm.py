@@ -58,10 +58,18 @@ class TestInitialGuess:
         with pytest.raises(UnsupportedProblemError):
             HPMExpansion.start(p)
 
-    def test_nonzero_shift_rejected(self):
-        p = BHProblem(alpha=0, beta=1, gamma=1, x0=quad(1))
-        with pytest.raises(UnsupportedProblemError):
-            HPMExpansion.start(p)
+    def test_nonzero_shift_matches_oracle(self):
+        # x0 only moves sigma's argument to x + x0
+        for cid in (1, 2, 3):
+            p = case_preset(cid)
+            shifts = [quad(Fraction(1, 2)), quad(Fraction(-3, 2)), quad(Fraction(5, 4))]
+            if p.radicand > 1:
+                shifts.append(quad(1, 1, p.radicand))
+            for x0 in shifts:
+                shifted = BHProblem(p.alpha, p.beta, p.gamma, p.n, p.branch, x0)
+                worst = max_taylor_deviation(run_hpm(shifted, 10), deng_wave(shifted),
+                                             (-2, -1, 0, 1, 3), digits=30)
+                assert worst <= mpf("1e-25"), (cid, x0, worst)
 
 
 class TestSeriesTerm:

@@ -5,6 +5,8 @@ import pytest
 from mpmath import mpf
 
 from bhhpm import case_preset, deng_wave, working_dps
+from bhhpm.cli import _write
+from bhhpm.config import ConfigError
 from bhhpm.errors import ContractViolation
 from bhhpm.golden import DISPLAY_ORDERS, GRID_T, GRID_X, REFERENCE_ORDERS, REFERENCE_TABLES
 from bhhpm.tables import (
@@ -29,7 +31,7 @@ def tables(expansions):
         out[cid] = build_error_table(
             expansions[cid],
             wave,
-            orders=tuple(sorted(set(REFERENCE_ORDERS[cid]) | set(DISPLAY_ORDERS[cid]))),
+            orders=tuple(sorted(set(REFERENCE_ORDERS) | set(DISPLAY_ORDERS[cid]))),
             ts=GRID_T,
             xs=GRID_X,
             digits=30,
@@ -112,7 +114,7 @@ class TestGoldenCompare:
             key: mpf(value) for key, value in REFERENCE_TABLES[cid].items()
         }
         return ErrorTable(
-            orders=REFERENCE_ORDERS[cid], ts=GRID_T, xs=GRID_X, cells=cells, case_id=cid
+            orders=REFERENCE_ORDERS, ts=GRID_T, xs=GRID_X, cells=cells, case_id=cid
         )
 
     @pytest.mark.parametrize("cid", [1, 2, 3])
@@ -145,7 +147,7 @@ class TestGoldenCompare:
         table = build_error_table(
             expansions[1],
             deng_wave(case_preset(1)),
-            orders=REFERENCE_ORDERS[1],
+            orders=REFERENCE_ORDERS,
             ts=(Fraction(1, 10),),
             xs=GRID_X,
         )
@@ -202,12 +204,18 @@ class TestEmission:
         emit_table(tables[1], "csv", stream)
         assert stream.getvalue().startswith("t,m,x,")
         path = tmp_path / "out.md"
-        emit_table(tables[1], "markdown", str(path))
+        _write(str(path), lambda handle: emit_table(tables[1], "markdown", handle))
         assert path.read_text().startswith("| t | terms |")
 
     def test_emit_bad_path_reports(self, tables):
-        with pytest.raises(OSError, match="no/such/dir"):
-            emit_table(tables[1], "csv", "no/such/dir/out.csv")
+        with pytest.raises(ConfigError, match="no/such/dir"):
+            _write("no/such/dir/out.csv", lambda handle: emit_table(tables[1], "csv", handle))
+
+    def test_emit_rejects_unknown_format(self, tables):
+        # the config resolves the md alias; emit_table takes the canonical name
+        for fmt in ("md", "xml"):
+            with pytest.raises(ValueError, match="unknown table format"):
+                emit_table(tables[1], fmt, io.StringIO())
 
     def test_plot_data(self, tables):
         summary = convergence_summary(tables[1])
