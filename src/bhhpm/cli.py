@@ -46,12 +46,8 @@ def _write(path: str, write) -> None:
 
 def run_command(args) -> int:
     """Compute the series and report relative errors on the grid."""
-    if args.config and args.case:
-        raise ConfigError("--config and --case are mutually exclusive")
-    if not (args.config or args.case):
-        raise ConfigError("one of --config or --case is required")
     text = ""
-    if args.config:
+    if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 text = handle.read()
@@ -60,15 +56,14 @@ def run_command(args) -> int:
     cfg = parse_config(text, case=args.case, orders=args.orders, precision=args.precision,
                        format=args.format, out=args.out)
 
-    problem = cfg.problem()
-    expansion = run_hpm(problem, cfg.orders)
-    wave = deng_wave(problem)
+    expansion = run_hpm(cfg.problem, cfg.orders)
+    wave = deng_wave(cfg.problem)
     table = build_error_table(expansion, wave, cfg.report_orders, cfg.grid_t, cfg.grid_x,
-                              digits=cfg.precision, case_id=cfg.case)
+                              digits=cfg.precision)
     if all(cell is None for cell in table.cells.values()):
         raise ConfigError(
             f"the exact wave is 0 to {cfg.precision} digits at every grid point "
-            f"(front steepness kappa = {problem.kappa}), so no relative error is defined"
+            f"(front steepness kappa = {cfg.problem.kappa}), so no relative error is defined"
         )
 
     plot_text = tables.render_plot_data(table)
@@ -184,18 +179,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
-    def command(name, func, **options):
+    def command(name, func, one_of=(), **options):
+        """Add sub-command ``name``; exactly one of the flags in ``one_of``
+        must be given."""
         sub = commands.add_parser(name, help=func.__doc__, description=func.__doc__,
                                   allow_abbrev=False)
         sub.set_defaults(func=func)
+        source = sub.add_mutually_exclusive_group(required=True) if one_of else sub
         for flag, kwargs in options.items():
-            sub.add_argument(flag, **kwargs)
+            (source if flag in one_of else sub).add_argument(flag, **kwargs)
 
     case = dict(type=int, choices=(1, 2, 3), metavar="{1,2,3}")
     orders = dict(type=_at_least(1), metavar="N")
     precision = dict(type=_at_least(DEFAULT_DIGITS), metavar="DIGITS",
                      help="Significant decimal digits.")
-    command("run", run_command, **{
+    command("run", run_command, one_of=("--config", "--case"), **{
         "--config": dict(metavar="PATH", help="Config file (key = value lines)."),
         "--case": dict(case, help="Built-in benchmark case instead of a config file."),
         "--orders": dict(orders, help="Highest series order K."),

@@ -6,12 +6,15 @@ comment.  Numbers may be integers, fractions ("p/q"), terminating decimals,
 or quadratic literals ("a+b*sqrt(d)" with rational a and b).  A ``case``
 preset fixes the problem parameters; explicitly setting any of them next to
 ``case`` is a conflict, as is repeating a key.  ``parse_config`` resolves all
-defaults, so ``parse_config(render_config(cfg)) == cfg``.
+defaults: ``cfg.problem`` is the resolved ``BHProblem``, a preset or one built
+from the problem keys the text sets.  ``render_config`` writes that problem's
+parameters explicitly, so ``parse_config(render_config(cfg)) == cfg``.
 
 Errors carry the 1-based line number and come in three classes: syntax
 (malformed lines, unknown keys, bad enumeration values), conflict (duplicate
 keys, preset overrides, inconsistent order lists, missing problem), and
-number (malformed numeric literals).
+number (malformed numeric literals).  Parameters outside the problem's domain
+raise ``ProblemDomainError`` once every other key has passed its checks.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 from .errors import BHError
 from .golden import DISPLAY_ORDERS, GRID_T, GRID_X
 from .problem import BHProblem, BRANCHES, case_preset
-from .scalars import DEFAULT_DIGITS, ZERO, QuadraticNumber
+from .scalars import DEFAULT_DIGITS, QuadraticNumber
 
 PROBLEM_KEYS = ("alpha", "beta", "gamma", "n", "branch", "x0")
 KNOWN_KEYS = PROBLEM_KEYS + (
@@ -123,13 +126,7 @@ class RunConfig:
 
     def __init__(
         self,
-        case: int | None = None,
-        alpha: QuadraticNumber | None = None,
-        beta: QuadraticNumber | None = None,
-        gamma: QuadraticNumber | None = None,
-        n: int = 1,
-        branch: str = "upper",
-        x0: QuadraticNumber = ZERO,
+        problem: BHProblem,
         orders: int = DEFAULT_ORDERS,
         report_orders: tuple[int, ...] = (),
         grid_x: tuple[Fraction, ...] = GRID_X,
@@ -138,13 +135,7 @@ class RunConfig:
         format: str = "markdown",
         out: str | None = None,
     ) -> None:
-        self.case = case
-        self.alpha = alpha
-        self.beta = beta
-        self.gamma = gamma
-        self.n = n
-        self.branch = branch
-        self.x0 = x0
+        self.problem = problem
         self.orders = orders
         self.report_orders = report_orders
         self.grid_x = grid_x
@@ -157,22 +148,6 @@ class RunConfig:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return vars(self) == vars(other)
-
-    def problem(self) -> BHProblem:
-        if self.case is not None:
-            return case_preset(self.case)
-        if self.alpha is None or self.beta is None or self.gamma is None:
-            raise ConfigConflictError(
-                "config selects no problem: set 'case' or alpha/beta/gamma"
-            )
-        return BHProblem(
-            alpha=self.alpha,
-            beta=self.beta,
-            gamma=self.gamma,
-            n=self.n,
-            branch=self.branch,  # type: ignore[arg-type]
-            x0=self.x0,
-        )
 
 
 def default_report_orders(case: int | None, orders: int) -> tuple[int, ...]:
@@ -234,7 +209,8 @@ def parse_config(text: str, *, case: int | None = None, orders: int | None = Non
     raw.update((key, (str(value), 0)) for key, value in overrides.items() if value is not None)
 
     case_id: int | None = None
-    numbers: dict[str, QuadraticNumber] = {}
+    # the problem keys the text sets; BHProblem supplies the others' defaults
+    params: dict[str, object] = {}
     if "case" in raw:
         value, lineno = raw["case"]
         if value not in _CASE_NAMES:
@@ -251,7 +227,7 @@ def parse_config(text: str, *, case: int | None = None, orders: int | None = Non
         # malformed value is reported at its own line
         for key in ("alpha", "beta", "gamma", "x0"):
             if key in raw:
-                numbers[key] = parse_number(*raw[key])
+                params[key] = parse_number(*raw[key])
         if not any(key in raw for key in ("alpha", "beta", "gamma")):
             raise ConfigConflictError(
                 "config selects no problem: set 'case' or alpha/beta/gamma"
@@ -259,24 +235,18 @@ def parse_config(text: str, *, case: int | None = None, orders: int | None = Non
         for key in ("alpha", "beta", "gamma"):
             if key not in raw:
                 raise ConfigConflictError(f"explicit problem needs {key!r}")
-
-    cfg = RunConfig(case=case_id)
-    if case_id is None:
-        cfg.alpha = numbers["alpha"]
-        cfg.beta = numbers["beta"]
-        cfg.gamma = numbers["gamma"]
         if "n" in raw:
-            cfg.n = _parse_int(raw["n"][0], raw["n"][1], "n")
+            params["n"] = _parse_int(raw["n"][0], raw["n"][1], "n")
         if "branch" in raw:
             value, lineno = raw["branch"]
             if value not in BRANCHES:
                 raise ConfigSyntaxError(
                     f"branch must be 'upper' or 'lower', got {value!r}", lineno
                 )
-            cfg.branch = value
-        if "x0" in raw:
-            cfg.x0 = numbers["x0"]
+            params["branch"] = value
 
+    # the problem is built last, so a faulty key elsewhere is reported first
+    cfg = RunConfig(None)  # type: ignore[arg-type]
     if "orders" in raw:
         cfg.orders = _parse_int(raw["orders"][0], raw["orders"][1], "orders")
     if "precision" in raw:
@@ -312,21 +282,13 @@ def parse_config(text: str, *, case: int | None = None, orders: int | None = Non
         cfg.format = "markdown" if value in ("md", "markdown") else "csv"
     if "out" in raw:
         cfg.out = raw["out"][0]
+    cfg.problem = case_preset(case_id) if case_id else BHProblem(**params)
     return cfg
 
 
 def render_config(cfg: RunConfig) -> str:
     """Emit a config that parses back to an equal RunConfig."""
-    lines: list[str] = []
-    if cfg.case is not None:
-        lines.append(f"case = case{cfg.case}")
-    else:
-        lines.append(f"alpha = {cfg.alpha}")
-        lines.append(f"beta = {cfg.beta}")
-        lines.append(f"gamma = {cfg.gamma}")
-        lines.append(f"n = {cfg.n}")
-        lines.append(f"branch = {cfg.branch}")
-        lines.append(f"x0 = {cfg.x0}")
+    lines = [f"{key} = {getattr(cfg.problem, key)}" for key in PROBLEM_KEYS]
     lines.append(f"orders = {cfg.orders}")
     lines.append("report_orders = " + ", ".join(str(m) for m in cfg.report_orders))
     lines.append("grid_x = " + ", ".join(str(x) for x in cfg.grid_x))

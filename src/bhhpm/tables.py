@@ -275,15 +275,11 @@ def render_markdown(table: ErrorTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def convergence_summary(table: ErrorTable) -> list[tuple[int, mpf]]:
-    """(m, max-over-grid cell) pairs for convergence plotting."""
-    return [(m, table.max_cell(m)) for m in table.orders]
-
-
 def render_plot_data(table: ErrorTable) -> str:
+    """One ``m,max`` row per order: the largest cell over the grid."""
     lines = [PLOT_HEADER]
-    for m, value in convergence_summary(table):
-        lines.append(f"{m},{sci10(value)}")
+    for m in table.orders:
+        lines.append(f"{m},{sci10(table.max_cell(m))}")
     return "\n".join(lines) + "\n"
 
 

@@ -407,7 +407,7 @@ class TestCriterion9:
         # the three presets and 20 randomized valid configs round-trip
         round_trips = 0
         for cid in (1, 2, 3):
-            cfg = RunConfig(case=cid)
+            cfg = RunConfig(case_preset(cid))
             cfg.report_orders = default_report_orders(cid, cfg.orders)
             assert parse_config(render_config(cfg)) == cfg
             round_trips += 1

@@ -85,11 +85,13 @@ class TestRun:
         config.write_text("case = case1\n")
         result = run_cli(["run", "--config", str(config), "--case", "2"])
         assert result.exit_code == 2
+        assert result.stderr.startswith("usage error: ")
+        assert result.stderr.count("\n") == 1
 
     def test_requires_some_problem(self):
         result = run_cli(["run"])
         assert result.exit_code == 2
-        assert "configuration error" in result.output
+        assert "usage error" in result.output
 
     def test_bad_config_exits_2(self, tmp_path):
         config = tmp_path / "bad.conf"
@@ -271,19 +273,21 @@ def _rationals(low, high, denominator=4):
 
 @st.composite
 def run_configs(draw) -> str:
-    """Small random explicit configs, including the steep front's beta and
-    an optional shift x0."""
+    """Small random explicit configs, including the steep front's beta; n,
+    branch and the shift x0 are each set or left to their defaults."""
     values = {
         "alpha": draw(_rationals(-3, 3)),
         "beta": draw(st.one_of(_rationals(0, 3), st.just(STEEP_BETA))),
         "gamma": draw(_rationals(-2, 3)),
-        "n": draw(st.sampled_from([1, 2])),
-        "branch": draw(st.sampled_from(["upper", "lower"])),
         "orders": draw(st.integers(1, 3)),
         "grid_x": ", ".join(str(x) for x in draw(
             st.lists(_rationals(-3, 3), min_size=1, max_size=3, unique=True))),
         "grid_t": str(draw(_rationals(0, Fraction(2, 5), 10))),
     }
+    if draw(st.booleans()):
+        values["n"] = draw(st.sampled_from([1, 2]))
+    if draw(st.booleans()):
+        values["branch"] = draw(st.sampled_from(["upper", "lower"]))
     if draw(st.booleans()):
         values["x0"] = draw(_rationals(-2, 2))
     if draw(st.booleans()):
@@ -294,15 +298,16 @@ def run_configs(draw) -> str:
 
 @st.composite
 def commands(draw) -> list[str]:
-    """``run --case``, ``golden``, ``terms`` or ``taylor-check``, each with
-    options drawn from its own, in range or just outside it (``--case 0|4``,
-    ``--orders 0``, ``--precision 29``, ``--format xml``); or an unknown
-    sub-command, or none at all."""
+    """``run``, ``golden``, ``terms`` or ``taylor-check``, each with options
+    drawn from its own, in range or just outside it (``--case 0|4``,
+    ``--orders 0``, ``--precision 29``, ``--format xml``), and ``run`` at
+    times without its required ``--case``; or an unknown sub-command, or
+    none at all."""
     name = draw(st.sampled_from(["run", "golden", "terms", "taylor-check", "plot", None]))
     if name is None:
         return []
     args = [name]
-    if name in ("run", "terms") or draw(st.booleans()):
+    if name == "terms" or draw(st.booleans()):
         args += ["--case", str(draw(st.integers(0, 4)))]
     if draw(st.booleans()):
         args += ["--orders", str(draw(st.integers(0, 8)))]

@@ -13,6 +13,7 @@ from bhhpm import (
 )
 from bhhpm.config import default_report_orders, parse_number
 from bhhpm.errors import ProblemDomainError
+from bhhpm.problem import BHProblem, case_preset
 
 from conftest import quad
 
@@ -66,20 +67,20 @@ class TestNumbers:
 class TestParsing:
     def test_minimal_preset(self):
         cfg = parse_config("case = case1\norders = 5")
-        assert cfg.case == 1
+        assert cfg.problem == case_preset(1)
         assert cfg.orders == 5
         assert cfg.report_orders == (1, 2, 3, 6)
         assert cfg.grid_x == (Fraction(1), Fraction(2), Fraction(3))
         assert cfg.grid_t == (Fraction(1, 10), Fraction(3, 10), Fraction(2, 5))
         assert cfg.precision == 30
         assert cfg.format == "markdown"
-        assert cfg.problem().gamma == 1
+        assert cfg.problem.gamma == 1
 
     def test_explicit_case3_parameters(self):
         cfg = parse_config(
             "alpha = -2\nbeta = 1\ngamma = 3\nn = 1\nbranch = lower"
         )
-        problem = cfg.problem()
+        problem = cfg.problem
         assert problem.alpha == -2
         assert problem.gamma == 3
         assert problem.branch == "lower"
@@ -90,7 +91,7 @@ class TestParsing:
         cfg = parse_config(
             "# run setup\n\ncase = case2   # second benchmark\n\norders = 4\n"
         )
-        assert cfg.case == 2 and cfg.orders == 4
+        assert cfg.problem == case_preset(2) and cfg.orders == 4
         # printed layout needs 6 terms; falls back to the full range
         assert cfg.report_orders == (1, 2, 3, 4, 5)
 
@@ -108,7 +109,15 @@ class TestParsing:
 
     def test_quadratic_literals_in_problem(self):
         cfg = parse_config("alpha = 0\nbeta = 1\ngamma = 1+1*sqrt(2)\nbranch = upper")
-        assert cfg.problem().gamma == quad(1, 1, 2)
+        assert cfg.problem.gamma == quad(1, 1, 2)
+
+    @pytest.mark.parametrize("cid", [1, 2, 3])
+    def test_case_names_resolve_to_presets(self, cid):
+        assert parse_config(f"case = case{cid}").problem == case_preset(cid)
+
+    def test_omitted_problem_keys_take_problem_defaults(self):
+        cfg = parse_config("alpha = -1\nbeta = 2\ngamma = 3/2")
+        assert cfg.problem == BHProblem(quad(-1), quad(2), quad(Fraction(3, 2)))
 
 
 class TestParseErrors:
@@ -164,25 +173,32 @@ class TestParseErrors:
         with pytest.raises(ConfigSyntaxError, match="empty list"):
             parse_config("case = case1\ngrid_x = 1,,2")
 
-    def test_bad_problem_parameters_surface_after_parse(self):
-        cfg = parse_config("alpha = 0\nbeta = -1\ngamma = 1")
-        with pytest.raises(ProblemDomainError):
-            cfg.problem()
+    def test_bad_problem_parameters_raise_in_parse(self):
+        with pytest.raises(ProblemDomainError, match="beta"):
+            parse_config("alpha = 0\nbeta = -1\ngamma = 1")
+
+    def test_problem_is_checked_after_every_other_key(self):
+        with pytest.raises(ConfigSyntaxError, match="format.*line 4"):
+            parse_config("alpha = 0\nbeta = -1\ngamma = 1\nformat = xml")
 
 
 def random_config(rng: random.Random) -> RunConfig:
     orders = rng.randint(2, 7)
     if rng.random() < 0.5:
-        cfg = RunConfig(case=rng.choice([1, 2, 3]))
+        cfg = RunConfig(case_preset(rng.choice([1, 2, 3])))
     else:
-        cfg = RunConfig(
+        # n, branch and x0 are each left to BHProblem's default half the time
+        optional = {
+            "n": rng.randint(1, 3),
+            "branch": rng.choice(["upper", "lower"]),
+            "x0": quad(Fraction(rng.randint(-4, 4), 2)),
+        }
+        cfg = RunConfig(BHProblem(
             alpha=quad(rng.randint(-3, 0)),
             beta=quad(rng.randint(0, 3)),
             gamma=quad(Fraction(rng.randint(1, 6), 2)),
-            n=rng.randint(1, 3),
-            branch=rng.choice(["upper", "lower"]),
-            x0=quad(Fraction(rng.randint(-4, 4), 2)),
-        )
+            **{key: value for key, value in optional.items() if rng.random() < 0.5},
+        ))
     cfg.orders = orders
     cfg.report_orders = tuple(
         sorted(rng.sample(range(1, orders + 2), rng.randint(1, orders)))
@@ -202,7 +218,7 @@ def random_config(rng: random.Random) -> RunConfig:
 class TestRoundTrip:
     def test_presets_round_trip(self):
         for cid in (1, 2, 3):
-            cfg = RunConfig(case=cid)
+            cfg = RunConfig(case_preset(cid))
             cfg.report_orders = default_report_orders(cid, cfg.orders)
             assert parse_config(render_config(cfg)) == cfg
 

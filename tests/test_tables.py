@@ -12,7 +12,6 @@ from bhhpm.golden import DISPLAY_ORDERS, GRID_T, GRID_X, REFERENCE_ORDERS, REFER
 from bhhpm.tables import (
     ErrorTable,
     build_error_table,
-    convergence_summary,
     emit_table,
     fraction_str,
     golden_compare,
@@ -218,10 +217,9 @@ class TestEmission:
                 emit_table(tables[1], fmt, io.StringIO())
 
     def test_plot_data(self, tables):
-        summary = convergence_summary(tables[1])
-        assert [m for m, _ in summary] == list(tables[1].orders)
-        values = [v for _, v in summary]
+        header, *rows = render_plot_data(tables[1]).splitlines()
+        assert header == "m,max_percent_relative_error"
+        summary = [row.split(",") for row in rows]
+        assert [int(m) for m, _ in summary] == list(tables[1].orders)
+        values = [float(v) for _, v in summary]
         assert all(a >= b for a, b in zip(values, values[1:]))
-        text = render_plot_data(tables[1])
-        assert text.splitlines()[0] == "m,max_percent_relative_error"
-        assert len(text.strip().splitlines()) == 1 + len(tables[1].orders)
