@@ -5,13 +5,16 @@ presets against the built-in reference tables), ``terms`` (print the series
 terms symbolically), ``taylor-check`` (series coefficients against the
 exact wave's time-Taylor coefficients).
 
-Exit codes: 0 success/PASS, 1 reference comparison FAIL, 2 configuration
-or usage error (one line on stderr), 3 internal contract violation.
+Exit codes: 0 success/PASS, 1 reference comparison FAIL or stdout closed by
+its reader (no traceback), 2 configuration or usage error (one line on
+stderr), 3 internal contract violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 
 import mpmath
@@ -27,6 +30,7 @@ from .tables import build_error_table, golden_compare, sci10
 from .waves import deng_wave
 
 EXIT_GOLDEN_FAIL = 1
+EXIT_STDOUT_CLOSED = 1
 EXIT_CONFIG = 2
 EXIT_CONTRACT = 3
 
@@ -110,12 +114,8 @@ def golden_command(args) -> int:
         )
         comparison = golden_compare(table, case_id)
         print(comparison.summary())
-        failures = comparison.failures()
-        if failures and args.verbose:
-            for check in comparison.checks:
-                print("  " + check.describe())
-        elif failures:
-            for check in failures:
+        if failures := comparison.failures():
+            for check in comparison.checks if args.verbose else failures:
                 print("  " + check.describe())
         all_passed = all_passed and comparison.passed
     return 0 if all_passed else EXIT_GOLDEN_FAIL
@@ -226,7 +226,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help, or a usage error already reported
         return exc.code
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left: the flush at exit goes to os.devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        with contextlib.suppress(AttributeError, OSError, ValueError):  # stdout is no file
+            os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_STDOUT_CLOSED
     except (ConfigError, ProblemDomainError, UnsupportedProblemError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -48,13 +48,9 @@ MAX_S6_PERCENT_CLAIM: dict[int, str] = {
 
 
 def _table(rows: dict[int, tuple[str, str, str]]) -> dict[tuple[Fraction, int, Fraction], str]:
-    cells: dict[tuple[Fraction, int, Fraction], str] = {}
     keys = [(t, m) for t in GRID_T for m in REFERENCE_ORDERS]
-    flat = [rows[i] for i in range(len(keys))]
-    for (t, m), values in zip(keys, flat):
-        for x, value in zip(GRID_X, values):
-            cells[(t, m, x)] = value
-    return cells
+    return {(t, m, x): value
+            for i, (t, m) in enumerate(keys) for x, value in zip(GRID_X, rows[i])}
 
 
 REFERENCE_TABLES: dict[int, dict[tuple[Fraction, int, Fraction], str]] = {

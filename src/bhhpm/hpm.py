@@ -9,14 +9,17 @@ solution: v_k = c_k(x)*t^k with k*c_k = [t^(k-1)] N(u).
 
 Each c_k is a dense polynomial over Q(sqrt(d)) in the logistic variable
 sigma = E^2/(E^2 + 1), E = exp(kappa*(x + x0)) (1/(E^2 + 1) on the lower
-branch), so d(sigma)/dx = +/-2*kappa*sigma*(1 - sigma) and derivatives need no
-denominators.  The Taylor coefficients of u^2..u^(2n+1) gain one term per
-order (Griewank & Walther, Evaluating Derivatives, ch. 13) and
-u^n*u_x = d/dx(u^(n+1))/(n+1), so order k costs O(k) polynomial products.
+branch), so d/dx P(sigma) = +/-2*kappa*delta(P) with the integer map
+delta(P) = sigma*(1 - sigma)*P'(sigma): derivatives need no denominators.
+The Taylor coefficients of u^2..u^(2n+1) gain one term per order (Griewank &
+Walther, Evaluating Derivatives, ch. 13), u^2's by symmetry, and c_k is one
+linear combination, so order k costs 2n + 1 sums of O(k) products of
+polynomials of degree O(k): O(k^3) integer multiplications.
 
 Such a polynomial is held as an integer triple (A, B, D), coefficient i
 being (A[i] + B[i]*sqrt(d))/D for the problem's radicand d, so the step runs
-on Python ints and reduces each result by one gcd.  ``QuadraticNumber``
+on Python ints, skips every product with an all-zero sqrt(d) half (all of
+presets 1 and 2) and reduces each result by one gcd.  ``QuadraticNumber``
 stays at the boundaries: the problem's constants go in (``_lattice``) and a
 ``SeriesTerm``'s coefficients come out (``_coeffs``) to print as the closed
 form N(E^2)/(E^2 + 1)^deg.  Numbers come from ``profiles_at`` alone: it
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable
 
 import mpmath
@@ -86,40 +88,50 @@ def _coeffs(p: Poly, d: int) -> tuple[QuadraticNumber, ...]:
     return tuple(QuadraticNumber(Fraction(x, den), Fraction(y, den), d) for x, y in zip(a, b))
 
 
-def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
-    """sum(P * Q) over the pairs on their common denominator, with
-    (x + y*sqrt(d))(u + v*sqrt(d)) = xu + yv*d + (xv + yu)*sqrt(d).  One pair
-    gives the product; pairs (f, P) with f of degree 0, a linear combination."""
+def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]], den: int = 1) -> Poly:
+    """sum(P * Q)/den over the pairs on their common denominator, with
+    (x + y*sqrt(d))(u + v*sqrt(d)) = xu + yv*d + (xv + yu)*sqrt(d), skipping
+    zero x, y and an all-zero B of Q.  One pair gives the product; pairs
+    (f, P) with f of degree 0, a linear combination."""
     pairs = [(p, q) for p, q in pairs if p[0] and q[0]]
-    den = math.lcm(*[p[2] * q[2] for p, q in pairs])  # a list: see _reduced
+    common = math.lcm(*[p[2] * q[2] for p, q in pairs])  # a list: see _reduced
     size = max((len(p[0]) + len(q[0]) - 1 for p, q in pairs), default=0)
     a, b = [0] * size, [0] * size
     for (pa, pb, pd), (qa, qb, qd) in pairs:
-        s = den // (pd * qd)
-        for i, (x, y) in enumerate(zip(pa, pb)):
-            if x or y:
-                x, y, yd = x * s, y * s, y * s * d
-                for j, (u, v) in enumerate(zip(qa, qb), i):
-                    a[j] += x * u + yd * v
-                    b[j] += x * v + y * u
-    return _reduced(a, b, den)
+        s = common // (pd * qd)
+        # x*u to A and y*u to B; then, unless Q's B is all zero, x*v to B and y*v*d to A
+        for q, x_to, y_to, y_scale in [(qa, a, b, s), (qb, b, a, s * d)][:1 + any(qb)]:
+            for i, (x, y) in enumerate(zip(pa, pb)):
+                if x:
+                    x *= s
+                    for j, u in enumerate(q, i):
+                        x_to[j] += x * u
+                if y:
+                    y *= y_scale
+                    for j, u in enumerate(q, i):
+                        y_to[j] += y * u
+    return _reduced(a, b, common * den)
 
 
-def _dx(d: int, p: Poly, rate: Poly) -> Poly:
-    """d/dx of P(sigma), where d(sigma)/dx = rate*sigma*(1 - sigma):
-    sigma*(1 - sigma)*P'(sigma) = sum_i (i*p_i - (i-1)*p_(i-1)) sigma^i."""
+def _delta(p: Poly) -> Poly:
+    """sigma*(1 - sigma)*P'(sigma) = sum_i (i*p_i - (i-1)*p_(i-1)) sigma^i, unreduced
+    (a factor for _sum_products), so d/dx P(sigma) = rate*delta(P)."""
     a, b, den = p
-    da, db = ([i * x - (i - 1) * y for i, (x, y) in enumerate(zip(c + (0,), (0,) + c))]
+    da, db = ([i * x - (i - 1) * y for i, (x, y) in enumerate(zip([*c, 0], [0, *c]))]
               for c in (a, b))
-    return _sum_products(d, [(rate, (da, db, den))])
+    return da, db, den
 
 
 def _extended(powers: tuple[Series, ...], c: Poly, d: int) -> tuple[Series, ...]:
     """Append c_m to the series of u, then (u^j)_m = sum_i (u^(j-1))_i * c_(m-i)
-    to the series of u^2, u^3, ... in turn."""
+    to the series of u^2, u^3, ... in turn; (u^2)_m = 2*sum_(i<m-i) u_i*u_(m-i)
+    + u_(m/2)^2 by symmetry."""
     u = powers[0] + (c,)
-    extended = [u]
-    for power in powers[1:]:
+    h = len(u) // 2
+    pairs = [(([2 * x for x in a], [2 * y for y in b], den), q)
+             for (a, b, den), q in zip(u[:h], reversed(u))] + [(u[h], u[h])] * (len(u) % 2)
+    extended = [u, powers[1] + (_sum_products(d, pairs),)]
+    for power in powers[2:]:
         extended.append(power + (_sum_products(d, zip(extended[-1], reversed(u))),))
     return tuple(extended)
 
@@ -215,13 +227,13 @@ class SeriesTerm:
         return f"{profile} * t^{self.order}"
 
 
-@lru_cache(maxsize=16)
 def _operator_factors(problem: BHProblem) -> tuple[Poly, ...]:
-    """1, the rate 2*sign*kappa of d(sigma)/dx and the coefficients
-    -alpha/(n+1), beta*(1 + gamma), -beta*gamma and -beta of N, once per problem."""
-    beta, gamma = problem.beta, problem.gamma
+    """The constants of N(u) = rate^2*delta(delta(u)) - alpha*rate*delta(u^(n+1))/(n+1)
+    + beta*(1 + gamma)*u^(n+1) - beta*gamma*u - beta*u^(2n+1), in that order, where
+    rate = 2*sign*kappa is the d(sigma)/dx = rate*sigma*(1 - sigma) of the front."""
+    beta, gamma, rate = problem.beta, problem.gamma, problem.kappa * (2 * problem.sign)
     return tuple(_lattice([f], problem.radicand) for f in (
-        1, problem.kappa * (2 * problem.sign), problem.alpha * Fraction(-1, problem.n + 1),
+        rate * rate, rate * problem.alpha * Fraction(-1, problem.n + 1),
         beta * (gamma + 1), -beta * gamma, -beta))
 
 
@@ -248,6 +260,7 @@ class HPMExpansion:
     def __init__(self, problem: BHProblem, powers: tuple[Series, ...]) -> None:
         self.problem = problem
         self.powers = powers
+        self._factors: tuple[Poly, ...] | None = None  # N's constants, once per series
 
     @classmethod
     def _seeded(cls, problem: BHProblem, c0: Poly) -> HPMExpansion:
@@ -273,25 +286,18 @@ class HPMExpansion:
         sign, d = self.problem.sign, self.problem.radicand
         return tuple(SeriesTerm(_coeffs(c, d), k, sign) for k, c in enumerate(self.powers[0]))
 
-    def _operator(self, m: int) -> Poly:
-        """t^m coefficient of N(u), from c_0..c_m and the cached powers."""
-        n, d = self.problem.n, self.problem.radicand
-        u, u_n1, u_2n1 = (self.powers[j][m] for j in (0, n, 2 * n))
-        one, rate, alpha_n, beta_1, beta_g, beta_0 = _operator_factors(self.problem)
-        return _sum_products(d, [
-            (one, _dx(d, _dx(d, u, rate), rate)),
-            (alpha_n, _dx(d, u_n1, rate)),  # -alpha*u^n*u_x
-            (beta_1, u_n1),
-            (beta_g, u),
-            (beta_0, u_2n1),
-        ])
-
     def advanced(self) -> HPMExpansion:
-        """Expansion with the next term appended: c_k = N_(k-1)/k."""
-        k = self.order + 1
-        d = self.problem.radicand
-        c_k = _sum_products(d, [(((1,), (0,), k), self._operator(k - 1))])  # N_(k-1)/k
-        return HPMExpansion(self.problem, _extended(self.powers, c_k, d))
+        """Expansion with the next term appended: c_k = N_(k-1)/k, one sum of
+        products with u_xx = rate^2*delta(delta(u)) and
+        u^n*u_x = rate*delta(u^(n+1))/(n+1)."""
+        n, d = self.problem.n, self.problem.radicand
+        factors = self._factors or _operator_factors(self.problem)
+        u, u_n1, u_2n1 = (self.powers[j][-1] for j in (0, n, 2 * n))
+        terms = (_delta(_delta(u)), _delta(u_n1), u_n1, u, u_2n1)  # in the order of factors
+        expansion = HPMExpansion(self.problem, _extended(
+            self.powers, _sum_products(d, zip(factors, terms), self.order + 1), d))
+        expansion._factors = factors
+        return expansion
 
     def profiles_at(self, x, digits: int = DEFAULT_DIGITS) -> list[mpf]:
         """c_0(x)..c_K(x), each exact at one binary value sigma = m/2^s of

@@ -46,7 +46,7 @@ from bhhpm import (
     working_dps,
 )
 from bhhpm.config import default_report_orders
-from bhhpm.hpm import _dx, _lattice, _sum_products
+from bhhpm.hpm import _delta, _lattice, _sum_products
 from bhhpm.scalars import to_mpf
 from bhhpm.tables import CellCheck
 from bhhpm.golden import (
@@ -356,13 +356,13 @@ class TestCriterion8:
                     assert mpmath.almosteq(lhs, rhs, rel_eps=mpf("1e-25"), abs_eps=mpf("1e-25"))
                     checks += 1
 
-        # _dx vs 5-point finite difference, step 1e-6, on both branches
+        # rate*delta(P) vs 5-point finite difference, step 1e-6, on both branches
         with working_dps(40):
             h = mpf("1e-6")
             for i in range(60):
                 sign = 1 if i % 2 else -1
                 p = random_poly(rng, 3, d=3)
-                der = _dx(3, p, _lattice([kappa * (2 * sign)], 3))
+                der = mul(_lattice([kappa * (2 * sign)], 3), _delta(p), 3)
 
                 def f(x, digits):
                     return sigma_value(p, fronts[sign], x, digits)

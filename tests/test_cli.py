@@ -1,13 +1,18 @@
+import errno
+import io
 import os
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from bhhpm.cli import main
 
 from conftest import run_cli
 
@@ -218,6 +223,43 @@ class TestGolden:
         assert result.exit_code == 2
         assert result.output.startswith("configuration error: golden needs --orders >= 5")
         assert result.output.count("\n") == 1
+
+
+class BrokenPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+class TestClosedStdout:
+    """A closed stdout (``bhhpm golden | head -1``) ends in exit 1 with
+    nothing on stderr: no traceback and no "Exception ignored" line."""
+
+    @pytest.mark.parametrize("args", [["golden"], ["run", "--case", "1", "--format", "csv"]],
+                             ids=["golden", "run"])
+    def test_in_process(self, args):
+        err = io.StringIO()
+        with redirect_stdout(BrokenPipe()), redirect_stderr(err):
+            assert main(args) == 1
+        assert err.getvalue() == ""
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_process(self, unbuffered):
+        # no reader ever exists, so the first write (unbuffered) or the flush
+        # (buffered) fails
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run([sys.executable, "-m", "bhhpm", "run", "--case", "1"],
+                                    env=env, stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (1, "")
 
 
 class TestTerms:

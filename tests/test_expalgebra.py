@@ -15,7 +15,7 @@ from mpmath import mpf
 
 from bhhpm import BHProblem, SeriesTerm, case_preset, run_hpm, working_dps
 from bhhpm.hpm import (
-    ZERO_POLY, _closed_form, _coeffs, _dx, _lattice, _reduced, _sum_products,
+    ZERO_POLY, _closed_form, _coeffs, _delta, _extended, _lattice, _reduced, _sum_products,
 )
 
 from conftest import add, mul, quad, random_coeffs, random_poly, sigma_value
@@ -36,6 +36,11 @@ def const(value):
     return _lattice([value], D)
 
 
+def dx(p, sign: int = 1):
+    """d/dx of P(sigma) on branch ``sign``: rate*delta(P)."""
+    return mul(rate(sign), _delta(p), D)
+
+
 def value(p, x, sign: int = 1, digits: int = 30):
     return sigma_value(p, FRONTS[sign], x, digits)
 
@@ -54,7 +59,7 @@ class TestSigmaPoly:
     def test_diff(self):
         # d/dx sigma^2 = 2*sigma*rate*sigma*(1 - sigma)
         r = KAPPA * 2
-        assert _dx(D, mul(FRONT, FRONT, D), rate(1)) == _lattice([0, 0, r * 2, r * -2], D)
+        assert dx(mul(FRONT, FRONT, D)) == _lattice([0, 0, r * 2, r * -2], D)
 
     def test_coefficients_round_trip(self):
         rng = random.Random(11)
@@ -76,9 +81,24 @@ def scalars(d: int):
     return st.tuples(part, part if d else st.just(0)).map(lambda ab: quad(*ab, d))
 
 
+def schoolbook(pairs, d: int) -> tuple:
+    """sum(P * Q) over the pairs, coefficient by coefficient in Q(sqrt(d)),
+    trailing zeros trimmed."""
+    total = []
+    for p, q in pairs:
+        for i, x in enumerate(_coeffs(p, d)):
+            for j, y in enumerate(_coeffs(q, d)):
+                total += [quad(0)] * (i + j + 1 - len(total))
+                total[i + j] += x * y
+    while total and total[-1].is_zero():
+        total.pop()
+    return tuple(total)
+
+
 class TestLatticeInvariant:
     """Every result of the sum of products (linear combinations included) and
-    of the derivative is canonical, so equal polynomials are equal tuples."""
+    of the derivative is canonical, so equal polynomials are equal tuples, and
+    has the coefficients of the schoolbook sum of products."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), d=st.sampled_from([0, 2, 3]))
@@ -91,7 +111,23 @@ class TestLatticeInvariant:
         assert canonical(_sum_products(d, [(f, p), (g, q), (f, r)]))
         assert canonical(_sum_products(d, [(_lattice([1], d), p), (_lattice([-1], d), p)]))
         assert canonical(_sum_products(d, [(p, q), (q, r), (r, p)]))
-        assert canonical(_dx(d, p, f))
+        assert canonical(_sum_products(d, [(f, _delta(p))]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.sampled_from([2, 3]))
+    def test_values_match_schoolbook(self, data, d):
+        # each factor is drawn with an all-zero sqrt(d) half or a general one,
+        # so every skip of the kernel meets every other case
+        polys = st.lists(st.booleans().flatmap(lambda surd: scalars(d if surd else 0)),
+                         max_size=5).map(lambda cs: _lattice(cs, d))
+        p, q, r = (data.draw(polys) for _ in range(3))
+        u = tuple(data.draw(polys) for _ in range(data.draw(st.integers(1, 5))))
+        f, g = (_lattice([data.draw(scalars(d))], d) for _ in range(2))
+        for pairs in ([(p, q)], [(f, p), (g, q), (f, r)], [(p, q), (q, r), (r, p)]):
+            assert _coeffs(_sum_products(d, pairs), d) == schoolbook(pairs, d)
+        # the square by symmetry against the plain convolution
+        assert (_extended((u[:-1], ()), u[-1], d)
+                == (u, (_sum_products(d, zip(u, reversed(u))),)))
 
 
 class TestCanonicalForm:
@@ -164,15 +200,15 @@ class TestArithmetic:
 
 class TestDifferentiation:
     def test_constant_derivative_is_zero(self):
-        assert _dx(D, _lattice([Fraction(1, 2)], D), rate(1)) == ZERO_POLY
+        assert dx(_lattice([Fraction(1, 2)], D)) == ZERO_POLY
 
     def test_logistic_identity_exact(self):
         # u0' = 2*kappa*s*u0*(1 - u0) for u0 = sigma on branch s = +1 or -1
         for s in (1, -1):
-            assert _dx(D, FRONT, rate(s)) == mul(rate(s), mul(FRONT, ONE_MINUS, D), D)
+            assert dx(FRONT, s) == mul(rate(s), mul(FRONT, ONE_MINUS, D), D)
 
     def test_second_derivative_against_finite_difference(self):
-        u2 = _dx(D, _dx(D, FRONT, rate(1)), rate(1))
+        u2 = dx(dx(FRONT))
         with working_dps(40):
             h = mpf("1e-6")
             x = mpf(1)
@@ -189,7 +225,7 @@ class TestDifferentiation:
             for i in range(50):
                 sign = 1 if i % 2 else -1
                 p = random_poly(rng)
-                d = _dx(D, p, rate(sign))
+                d = dx(p, sign)
                 f = lambda z: value(p, z, sign, 40)
                 for _ in range(10):
                     x = mpf(rng.randint(-300, 300)) / 100
@@ -201,7 +237,7 @@ class TestDifferentiation:
     def test_derivative_keeps_denominator_compact(self):
         der = FRONT
         for _ in range(4):
-            der = _dx(D, der, rate(1))
+            der = dx(der)
         # each derivative raises the sigma-degree, hence the power of
         # (E^2 + 1) in the closed form, by exactly one
         _, den = _closed_form(_coeffs(der, D), 1)
