@@ -83,8 +83,8 @@ def run_command(args) -> int:
     with working_dps(cfg.precision):
         worst = table.max_cell()
         print(f"max relative error over grid: {sci10(worst)} ({sci10(100 * worst)} %)")
-        ratio, x, t = max((abs(to_mpf(t)) / wave.t_radius(x, cfg.precision), x, t)
-                          for x in cfg.grid_x for t in cfg.grid_t)
+        ratio, x, t = max((abs(to_mpf(t)) / radius, x, t) for x in cfg.grid_x
+                          for radius in [wave.t_radius(x, cfg.precision)] for t in cfg.grid_t)
         if ratio >= 1:
             print(f"warning: t = {t} is {mpmath.nstr(ratio, 3)} times the t-radius of "
                   f"convergence R(x) at x = {x}; the partial sums diverge there", file=sys.stderr)

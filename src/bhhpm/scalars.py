@@ -7,6 +7,7 @@ so that rationals from different contexts compare equal.  ``to_mpf`` turns an
 int, Fraction or QuadraticNumber into an mpf at the current working precision
 (``working_dps`` adds guard digits on top of the requested precision); where
 a and b*sqrt(d) cancel it goes through the conjugate, so no digits are lost.
+sqrt(d) and each QuadraticNumber are rounded once per working precision.
 """
 
 from __future__ import annotations
@@ -242,6 +243,8 @@ class QuadraticNumber:
 
 
 ZERO = QuadraticNumber()
+#: sqrt(d) at the working precision, memoised per (d, ``mpmath.mp.prec``).
+_sqrt = lru_cache(maxsize=64)(lambda d, prec: mpmath.sqrt(d))
 
 
 def surd_to_mpf(u: int, v: int, d: int) -> mpf:
@@ -254,20 +257,24 @@ def surd_to_mpf(u: int, v: int, d: int) -> mpf:
     """
     if not v:
         return mpf(u)
-    root = v * mpmath.sqrt(d)
+    root = v * _sqrt(d, mpmath.mp.prec)
     if u * v >= 0:
         return u + root
     return (u * u - v * v * d) / (u - root)
 
 
+@lru_cache(maxsize=64)
+def _quadratic_to_mpf(value: QuadraticNumber, prec: int) -> mpf:
+    w = math.lcm(value.rational.denominator, value.radical.denominator)
+    return surd_to_mpf(int(value.rational * w), int(value.radical * w), value.radicand) / w
+
+
 def to_mpf(value) -> mpf:
     """An int, Fraction, QuadraticNumber or mpf as an mpf at the current
-    working precision; a + b*sqrt(d) goes over one denominator first."""
+    working precision; a + b*sqrt(d) goes over one denominator first, once
+    per value and precision (``mpmath.mp.prec``)."""
     if isinstance(value, QuadraticNumber):
-        a, b = value.rational, value.radical
-        w = math.lcm(a.denominator, b.denominator)
-        u, v = a.numerator * (w // a.denominator), b.numerator * (w // b.denominator)
-        return surd_to_mpf(u, v, value.radicand) / w
+        return _quadratic_to_mpf(value, mpmath.mp.prec)
     if isinstance(value, Fraction):
         return mpf(value.numerator) / value.denominator
     return mpf(value)

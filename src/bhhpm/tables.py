@@ -2,11 +2,12 @@
 
 A table cell holds |S_m(x,t) - u_exact(x,t)| / |u_exact(x,t)| in extended
 precision (the units the reference tables print; multiply by 100 for
-percent).  Each x costs one vector c_0(x)..c_K(x) from
-``HPMExpansion.profiles_at``; every S_m at (x, t) is a running sum of
-c_k(x)*t^k over it.  Cells where the exact solution vanishes are stored as
-None ("undefined"); the logistic form of the wave keeps it nonzero on any
-front the series accepts.
+percent).  Per table, each t and its powers t^k are rounded once; per x,
+``HPMExpansion.profiles_at`` gives c_0(x)..c_K(x); per (x, t), the wave
+gives u_exact and |u_exact|, and S_m is a running sum of c_k(x)*t^k; per
+cell, one difference and one division remain.  Cells where u_exact vanishes
+are None ("undefined"); the logistic wave keeps it nonzero on any front the
+series accepts.
 """
 
 from __future__ import annotations
@@ -123,20 +124,22 @@ def build_error_table(
         )
     cells: dict[CellKey, mpf | None] = {}
     with working_dps(digits):
+        powers = {t: [time**k for k in range(max(orders, default=0))]
+                  for t in ts for time in [to_mpf(t)]}
         for x in xs:
             profiles = expansion.profiles_at(x, digits)
             for t in ts:
                 exact = wave.eval_at(x, t, digits)
+                if exact == 0:
+                    cells.update({(t, m, x): None for m in orders})
+                    continue
                 # S_1, S_2, ..: the running sum of c_k(x)*t^k
-                time, total, sums = to_mpf(t), mpf(0), []
-                for k, c in enumerate(profiles):
-                    total += c * time**k
+                scale, total, sums = abs(exact), mpf(0), []
+                for c, power in zip(profiles, powers[t]):
+                    total += c * power
                     sums.append(total)
                 for m in orders:
-                    if exact == 0:
-                        cells[(t, m, x)] = None
-                        continue
-                    cells[(t, m, x)] = +abs(sums[m - 1] - exact) / abs(exact)
+                    cells[(t, m, x)] = abs(sums[m - 1] - exact) / scale
     return ErrorTable(
         orders=orders, ts=ts, xs=xs, cells=cells, case_id=case_id, precision=digits
     )

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,9 +6,16 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from bhhpm import BHProblem, QuadraticNumber, sqrt_rational, squarefree_decompose, working_dps
+from bhhpm import (
+    BHProblem,
+    QuadraticNumber,
+    case_preset,
+    sqrt_rational,
+    squarefree_decompose,
+    working_dps,
+)
 from bhhpm.errors import AlgebraDomainError
-from bhhpm.scalars import to_mpf
+from bhhpm.scalars import surd_to_mpf, to_mpf
 
 
 def quad(a, b=0, d=0):
@@ -204,6 +212,27 @@ class TestEvalf:
             value = to_mpf(kappa)
         with mpmath.workdps(200):
             assert abs(value - reference) / reference < mpf("1e-38")
+
+    def test_memo_keeps_precisions_apart(self):
+        # sqrt(d) and each constant are memoised per working precision: every
+        # context must get its own rounding, never one made in another context
+        kappa = case_preset(3).kappa  # (3*sqrt(3) - 3)/4
+        w = math.lcm(kappa.rational.denominator, kappa.radical.denominator)
+        u, v = int(kappa.rational * w), int(kappa.radical * w)
+
+        def fresh(u, v):  # surd_to_mpf's two routes, sqrt(3) computed anew
+            root = v * mpmath.sqrt(3)
+            return u + root if u * v >= 0 else (u * u - v * v * 3) / (u - root)
+
+        for digits in (30, 80, 30):
+            with working_dps(digits):
+                assert to_mpf(kappa) == fresh(u, v) / w
+                assert surd_to_mpf(u, v, 3) == fresh(u, v)
+                assert surd_to_mpf(-u, v, 3) == fresh(-u, v)
+        with working_dps(80):
+            value = to_mpf(kappa)
+        with mpmath.workdps(200):
+            assert abs(value - fresh(u, v) / w) / value < mpf("1e-78")
 
 
 class TestSqrtRational:

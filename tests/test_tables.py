@@ -1,14 +1,16 @@
 import io
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mpf
 
-from bhhpm import case_preset, deng_wave, working_dps
+from bhhpm import BHProblem, case_preset, deng_wave, run_hpm, working_dps
 from bhhpm.cli import _write
 from bhhpm.config import ConfigError
 from bhhpm.errors import ContractViolation
 from bhhpm.golden import DISPLAY_ORDERS, GRID_T, GRID_X, REFERENCE_ORDERS, REFERENCE_TABLES
+from bhhpm.scalars import to_mpf
 from bhhpm.tables import (
     ErrorTable,
     build_error_table,
@@ -105,6 +107,47 @@ class TestErrorTable:
         table = tables[1]
         assert table.max_cell() == table.cell(Fraction(2, 5), 1, Fraction(1))
         assert table.max_cell(6) < table.max_cell(1)
+
+
+def plain_cells(expansion, wave, orders, ts, xs, digits=30):
+    """Every cell by the plain loop: c_k(x) from ``profiles_at`` per x, u from
+    ``eval_at`` per (x, t), then per order S_m = sum_k c_k*time**k and
+    abs(S_m - u)/abs(u)."""
+    cells = {}
+    with working_dps(digits):
+        for x in xs:
+            profiles = expansion.profiles_at(x, digits)
+            for t in ts:
+                exact = wave.eval_at(x, t, digits)
+                time = to_mpf(t)
+                for m in orders:
+                    total = mpf(0)
+                    for k, c in enumerate(profiles[:m]):
+                        total += c * time**k
+                    cells[(t, m, x)] = None if exact == 0 else abs(total - exact) / abs(exact)
+    return cells
+
+
+class TestCellBits:
+    """``build_error_table`` hoists work out of the cell loop (each t and its
+    powers per table, the |u| per (x, t)); every cell keeps the plain loop's
+    bits."""
+
+    @pytest.mark.parametrize("front", ["case1", "case2", "case3", "slow", "lower-x0"])
+    def test_cells_equal_plain_loop(self, front, expansions):
+        if front.startswith("case"):
+            problem, expansion = case_preset(int(front[-1])), expansions[int(front[-1])]
+        else:
+            problem = (BHProblem(31622, Fraction(7, 8), 1) if front == "slow" else
+                       BHProblem(-1, Fraction(3, 2), Fraction(2, 3), branch="lower", x0=Fraction(7, 3)))
+            expansion = run_hpm(problem, 4)
+        rng = random.Random(13)
+        xs = [Fraction(-24), Fraction(24)] + [Fraction(rng.randint(-2400, 2400), 100) for _ in range(8)]
+        ts = [Fraction(rng.randint(1, 400), 1000) for _ in range(3)]
+        orders = range(1, expansion.order + 2)
+        wave = deng_wave(problem)
+        table = build_error_table(expansion, wave, orders=orders, ts=ts, xs=xs)
+        assert table.cells == plain_cells(expansion, wave, orders, ts, xs)
 
 
 class TestGoldenCompare:
