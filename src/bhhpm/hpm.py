@@ -20,18 +20,20 @@ Such a polynomial is held as an integer triple (A, B, D), coefficient i
 being (A[i] + B[i]*sqrt(d))/D for the problem's radicand d, so the step runs
 on Python ints, skips every product with an all-zero sqrt(d) half (all of
 presets 1 and 2) and reduces each result by one gcd.  ``QuadraticNumber``
-stays at the boundaries: the problem's constants go in (``_lattice``) and a
-``SeriesTerm``'s coefficients come out (``_coeffs``) to print as the closed
-form N(E^2)/(E^2 + 1)^deg.  Numbers come from ``profiles_at`` alone: it
-rounds sigma = 1/(1 + exp(-/+2*kappa*(x + x0))) once per point to a binary
-value and runs Horner's rule on A and B there.  The published closed forms
-serve as test oracles.
+stays at the boundaries: the problem's constants are lifted to integers
+once (``_lattice``), so a series builds no ``QuadraticNumber`` or
+``Fraction``, and a ``SeriesTerm``'s coefficients come out (``_coeffs``) to
+print as the closed form N(E^2)/(E^2 + 1)^deg.  Numbers come from
+``profiles_at`` alone: it rounds sigma = 1/(1 + exp(-/+2*kappa*(x + x0)))
+once per point to a binary value and runs Horner's rule on A and B there.
+The published closed forms serve as test oracles.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable
 
 import mpmath
@@ -74,12 +76,14 @@ def _reduced(a: list[int], b: list[int], den: int) -> Poly:
 
 
 def _lattice(coeffs: Iterable[ScalarLike], d: int) -> Poly:
-    """The sigma-polynomial with these exact coefficients, lowest power first."""
+    """The sigma-polynomial with these exact coefficients, lowest power first,
+    lifted by integer numerators and denominators (no Fraction arithmetic)."""
     qs = [QuadraticNumber.coerce(c) for c in coeffs]
     if any(q.radicand not in (0, d) for q in qs):
         raise AlgebraDomainError(f"a coefficient is not in Q(sqrt({d})): {qs}")
     den = math.lcm(*[f.denominator for q in qs for f in (q.rational, q.radical)])
-    return _reduced([int(q.rational * den) for q in qs], [int(q.radical * den) for q in qs], den)
+    return _reduced([q.rational.numerator * (den // q.rational.denominator) for q in qs],
+                    [q.radical.numerator * (den // q.radical.denominator) for q in qs], den)
 
 
 def _coeffs(p: Poly, d: int) -> tuple[QuadraticNumber, ...]:
@@ -88,17 +92,21 @@ def _coeffs(p: Poly, d: int) -> tuple[QuadraticNumber, ...]:
     return tuple(QuadraticNumber(Fraction(x, den), Fraction(y, den), d) for x, y in zip(a, b))
 
 
-def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]], den: int = 1) -> Poly:
-    """sum(P * Q)/den over the pairs on their common denominator, with
-    (x + y*sqrt(d))(u + v*sqrt(d)) = xu + yv*d + (xv + yu)*sqrt(d), skipping
-    zero x, y and an all-zero B of Q.  One pair gives the product; pairs
-    (f, P) with f of degree 0, a linear combination."""
-    pairs = [(p, q) for p, q in pairs if p[0] and q[0]]
-    common = math.lcm(*[p[2] * q[2] for p, q in pairs])  # a list: see _reduced
-    size = max((len(p[0]) + len(q[0]) - 1 for p, q in pairs), default=0)
+def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]], den: int = 1,
+                  weights: Iterable[int] = repeat(1)) -> Poly:
+    """sum(w * P * Q)/den over the pairs (integer weight w, 1 by default) on
+    their common denominator, with (x + y*sqrt(d))(u + v*sqrt(d)) = xu + yv*d
+    + (xv + yu)*sqrt(d), skipping zero x, y and an all-zero B of Q.  One pair
+    gives the product; pairs (f, P) with f of degree 0, a linear combination."""
+    kept, common, size = [], 1, 0
+    for (p, q), w in zip(pairs, weights):
+        if p[0] and q[0]:
+            kept.append((p, q, w))
+            common = math.lcm(common, p[2] * q[2])
+            size = max(size, len(p[0]) + len(q[0]) - 1)
     a, b = [0] * size, [0] * size
-    for (pa, pb, pd), (qa, qb, qd) in pairs:
-        s = common // (pd * qd)
+    for (pa, pb, pd), (qa, qb, qd), w in kept:
+        s = common // (pd * qd) * w
         # x*u to A and y*u to B; then, unless Q's B is all zero, x*v to B and y*v*d to A
         for q, x_to, y_to, y_scale in [(qa, a, b, s), (qb, b, a, s * d)][:1 + any(qb)]:
             for i, (x, y) in enumerate(zip(pa, pb)):
@@ -115,11 +123,11 @@ def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]], den: int = 1) -> P
 
 def _delta(p: Poly) -> Poly:
     """sigma*(1 - sigma)*P'(sigma) = sum_i (i*p_i - (i-1)*p_(i-1)) sigma^i, unreduced
-    (a factor for _sum_products), so d/dx P(sigma) = rate*delta(P)."""
-    a, b, den = p
-    da, db = ([i * x - (i - 1) * y for i, (x, y) in enumerate(zip([*c, 0], [0, *c]))]
-              for c in (a, b))
-    return da, db, den
+    (a factor for _sum_products), so d/dx P(sigma) = rate*delta(P); an all-zero
+    half stays all zero."""
+    *halves, den = p
+    return (*[[i * x - (i - 1) * y for i, (x, y) in enumerate(zip([*c, 0], [0, *c]))]
+              if any(c) else [0] * (len(c) + 1) for c in halves], den)
 
 
 def _extended(powers: tuple[Series, ...], c: Poly, d: int) -> tuple[Series, ...]:
@@ -128,9 +136,9 @@ def _extended(powers: tuple[Series, ...], c: Poly, d: int) -> tuple[Series, ...]
     + u_(m/2)^2 by symmetry."""
     u = powers[0] + (c,)
     h = len(u) // 2
-    pairs = [(([2 * x for x in a], [2 * y for y in b], den), q)
-             for (a, b, den), q in zip(u[:h], reversed(u))] + [(u[h], u[h])] * (len(u) % 2)
-    extended = [u, powers[1] + (_sum_products(d, pairs),)]
+    # weight 2 for the h pairs i < m - i; zip drops the final 1 when m is odd
+    square = _sum_products(d, zip(u[:h + len(u) % 2], reversed(u)), weights=[2] * h + [1])
+    extended = [u, powers[1] + (square,)]
     for power in powers[2:]:
         extended.append(power + (_sum_products(d, zip(extended[-1], reversed(u))),))
     return tuple(extended)
@@ -230,11 +238,17 @@ class SeriesTerm:
 def _operator_factors(problem: BHProblem) -> tuple[Poly, ...]:
     """The constants of N(u) = rate^2*delta(delta(u)) - alpha*rate*delta(u^(n+1))/(n+1)
     + beta*(1 + gamma)*u^(n+1) - beta*gamma*u - beta*u^(2n+1), in that order, where
-    rate = 2*sign*kappa is the d(sigma)/dx = rate*sigma*(1 - sigma) of the front."""
-    beta, gamma, rate = problem.beta, problem.gamma, problem.kappa * (2 * problem.sign)
-    return tuple(_lattice([f], problem.radicand) for f in (
-        rate * rate, rate * problem.alpha * Fraction(-1, problem.n + 1),
-        beta * (gamma + 1), -beta * gamma, -beta))
+    rate = 2*sign*kappa is the d(sigma)/dx = rate*sigma*(1 - sigma) of the front,
+    as degree-0 products of the lifted kappa, alpha, beta and gamma."""
+    d, one = problem.radicand, ((1,), (0,), 1)
+    kappa, alpha, beta, gamma = (_lattice([c], d) for c in (
+        problem.kappa, problem.alpha, problem.beta, problem.gamma))
+    rate = _sum_products(d, [(one, kappa)], weights=[2 * problem.sign])
+    return (_sum_products(d, [(rate, rate)]),
+            _sum_products(d, [(alpha, rate)], problem.n + 1, weights=[-1]),
+            _sum_products(d, [(beta, one), (beta, gamma)]),
+            _sum_products(d, [(beta, gamma)], weights=[-1]),
+            _sum_products(d, [(beta, one)], weights=[-1]))
 
 
 def _front(problem: BHProblem) -> Poly:

@@ -88,7 +88,7 @@ class QuadraticNumber:
     convention: no method changes one after construction.
     """
 
-    __slots__ = ("rational", "radical", "radicand")
+    __slots__ = ("rational", "radical", "radicand", "_hash")
 
     def __init__(self, rational: RationalLike = Fraction(0),
                  radical: RationalLike = Fraction(0), radicand: int = 0) -> None:
@@ -108,6 +108,7 @@ class QuadraticNumber:
         self.rational = rational
         self.radical = radical
         self.radicand = d
+        self._hash: int | None = None  # set on first use: Fraction hashes are not cached
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -121,9 +122,10 @@ class QuadraticNumber:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.radical == 0:
-            return hash(self.rational)
-        return hash((self.rational, self.radical, self.radicand))
+        if self._hash is None:
+            self._hash = hash(self.rational if self.radical == 0
+                              else (self.rational, self.radical, self.radicand))
+        return self._hash
 
     @classmethod
     def from_rational(cls, value: RationalLike) -> QuadraticNumber:

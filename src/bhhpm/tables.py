@@ -26,8 +26,8 @@ from .waves import TravelingWave
 
 CellKey = tuple[Fraction, int, Fraction]
 
-CSV_HEADER = "t,m,x,percent_relative_error"
-PLOT_HEADER = "m,max_percent_relative_error"
+CSV_HEADER = "t,m,x,relative_error"
+PLOT_HEADER = "m,max_relative_error"
 
 
 def sci10(value: mpf | None) -> str:

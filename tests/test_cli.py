@@ -27,7 +27,7 @@ class TestRun:
     def test_preset_csv_to_stdout(self):
         result = run_cli(["run", "--case", "1", "--format", "csv"])
         assert result.exit_code == 0
-        assert "t,m,x,percent_relative_error" in result.output
+        assert "t,m,x,relative_error" in result.output
         assert "0.1,1,1,1.693168743e-2" in result.output
         assert "max relative error over grid" in result.output
 
@@ -47,7 +47,7 @@ class TestRun:
         assert result.exit_code == 0
         assert out.read_text().startswith("t,m,x,")
         plot = tmp_path / "table.csv.plot.csv"
-        assert plot.read_text().startswith("m,max_percent_relative_error")
+        assert plot.read_text().startswith("m,max_relative_error")
 
     def test_cli_orders_override(self):
         result = run_cli(["run", "--case", "1", "--orders", "2", "--format", "csv"])

@@ -81,15 +81,15 @@ def scalars(d: int):
     return st.tuples(part, part if d else st.just(0)).map(lambda ab: quad(*ab, d))
 
 
-def schoolbook(pairs, d: int) -> tuple:
-    """sum(P * Q) over the pairs, coefficient by coefficient in Q(sqrt(d)),
-    trailing zeros trimmed."""
+def schoolbook(pairs, d: int, weights=None) -> tuple:
+    """sum(w * P * Q) over the pairs, coefficient by coefficient in Q(sqrt(d)),
+    trailing zeros trimmed; w is 1 for every pair without ``weights``."""
     total = []
-    for p, q in pairs:
+    for (p, q), w in zip(pairs, weights or [1] * len(pairs)):
         for i, x in enumerate(_coeffs(p, d)):
             for j, y in enumerate(_coeffs(q, d)):
                 total += [quad(0)] * (i + j + 1 - len(total))
-                total[i + j] += x * y
+                total[i + j] += x * y * w
     while total and total[-1].is_zero():
         total.pop()
     return tuple(total)
@@ -123,8 +123,11 @@ class TestLatticeInvariant:
         p, q, r = (data.draw(polys) for _ in range(3))
         u = tuple(data.draw(polys) for _ in range(data.draw(st.integers(1, 5))))
         f, g = (_lattice([data.draw(scalars(d))], d) for _ in range(2))
+        weights = data.draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
         for pairs in ([(p, q)], [(f, p), (g, q), (f, r)], [(p, q), (q, r), (r, p)]):
             assert _coeffs(_sum_products(d, pairs), d) == schoolbook(pairs, d)
+            assert (_coeffs(_sum_products(d, pairs, weights=weights), d)
+                    == schoolbook(pairs, d, weights))
         # the square by symmetry against the plain convolution
         assert (_extended((u[:-1], ()), u[-1], d)
                 == (u, (_sum_products(d, zip(u, reversed(u))),)))
@@ -201,6 +204,15 @@ class TestArithmetic:
 class TestDifferentiation:
     def test_constant_derivative_is_zero(self):
         assert dx(_lattice([Fraction(1, 2)], D)) == ZERO_POLY
+
+    def test_delta_with_an_all_zero_half(self):
+        # sigma*(1 - sigma)*(-2 + 3*sigma) = -2*sigma + 5*sigma^2 - 3*sigma^3, and
+        # sigma*(1 - sigma)*sqrt(3) = sqrt(3)*sigma - sqrt(3)*sigma^2: the zero half
+        # stays zero at the length of the other
+        rational = _lattice([1, -2, Fraction(3, 2)], 3)
+        assert rational[1] == (0, 0, 0)
+        assert _delta(rational) == ([0, -4, 10, -6], [0, 0, 0, 0], 2)
+        assert _delta(_lattice([0, quad(0, 1, 3)], 3)) == ([0, 0, 0], [0, 1, -1], 1)
 
     def test_logistic_identity_exact(self):
         # u0' = 2*kappa*s*u0*(1 - u0) for u0 = sigma on branch s = +1 or -1

@@ -10,7 +10,8 @@ from mpmath import mpf
 
 from bhhpm import BHProblem, case_preset, deng_wave, max_taylor_deviation, run_hpm, working_dps
 from bhhpm.errors import ContractViolation, ProblemDomainError, UnsupportedProblemError
-from bhhpm.hpm import HPMExpansion, SeriesTerm, _closed_form
+from bhhpm.hpm import HPMExpansion, SeriesTerm, _closed_form, _lattice, _operator_factors
+from bhhpm.scalars import QuadraticNumber
 
 from conftest import matches_reference, quad, reference_terms
 
@@ -117,6 +118,46 @@ class TestRecursion:
     def test_run_hpm_validates_order(self):
         with pytest.raises(ContractViolation):
             run_hpm(case_preset(1), 0)
+
+
+FRONTS = {
+    "case1": case_preset(1), "case2": case_preset(2), "case3": case_preset(3),
+    "slow": BHProblem(31622, Fraction(7, 8), 1),
+    "lower-x0": BHProblem(-1, Fraction(3, 2), Fraction(2, 3), branch="lower", x0=Fraction(7, 3)),
+}
+
+
+class TestIntegerLift:
+    """The series step runs on integers from the first call on."""
+
+    @pytest.mark.parametrize("front", FRONTS)
+    def test_operator_factors_match_field_arithmetic(self, front):
+        p = FRONTS[front]
+        rate = p.kappa * (2 * p.sign)
+        expected = (rate * rate, -rate * p.alpha / (p.n + 1), p.beta * (1 + p.gamma),
+                    -p.beta * p.gamma, -p.beta)
+        assert _operator_factors(p) == tuple(_lattice([f], p.radicand) for f in expected)
+
+    def test_series_builds_no_exact_scalars(self, monkeypatch):
+        built = []
+        quad_init, fraction_new = QuadraticNumber.__init__, Fraction.__new__
+
+        def counting_init(self, *args, **kwargs):
+            built.append("QuadraticNumber")
+            quad_init(self, *args, **kwargs)
+
+        def counting_new(cls, *args, **kwargs):
+            built.append("Fraction")
+            return fraction_new(cls, *args, **kwargs)
+
+        problems = [case_preset(c) for c in (1, 2, 3)]
+        with monkeypatch.context() as patch:  # undone before the asserts
+            patch.setattr(QuadraticNumber, "__init__", counting_init)
+            patch.setattr(Fraction, "__new__", staticmethod(counting_new))
+            probe = Fraction(1, 2)  # the one value counted: the counter works
+            for p in problems:
+                run_hpm(p, 10)
+        assert probe and built == ["Fraction"]
 
 
 class TestGoldenTerms:

@@ -88,6 +88,21 @@ class TestQuadraticNumber:
         assert QuadraticNumber(0.5, 0.25, 3) == quad(half, Fraction(1, 4), 3)
         assert QuadraticNumber(half, half, 3).rational is half
 
+    def test_hash_is_computed_once(self, monkeypatch):
+        # equal values hash alike (ints and Fractions included), and a second
+        # hash of a value hashes none of its Fractions again
+        calls = []
+        fraction_hash = Fraction.__hash__
+        monkeypatch.setattr(Fraction, "__hash__", lambda f: calls.append(f) or fraction_hash(f))
+        for q in (quad(Fraction(-3, 7)), quad(2, 3, 1), quad(Fraction(1, 2), Fraction(-5, 3), 3)):
+            first = hash(q)
+            calls.clear()
+            assert hash(q) == first and not calls
+        assert hash(quad(Fraction(-3, 7))) == hash(Fraction(-3, 7))
+        assert hash(quad(2, 3, 1)) == hash(quad(5)) == hash(5) == hash(Fraction(5))
+        assert hash(quad(0, Fraction(1, 2), 8)) == hash(quad(0, 1, 2))
+        assert {Fraction(3, 4): "x"}[quad(Fraction(3, 4))] == "x"
+
     def test_sqrt3_squared(self):
         root3 = quad(0, 1, 3)
         assert root3 * root3 == quad(3)

@@ -212,7 +212,7 @@ class TestEmission:
     def test_csv_contains_reference_line(self, tables):
         text = render_csv(tables[1])
         lines = text.splitlines()
-        assert lines[0] == "t,m,x,percent_relative_error"
+        assert lines[0] == "t,m,x,relative_error"
         assert any(line.startswith("0.1,1,1,1.693168743e-2") for line in lines)
 
     def test_markdown_row_count(self, expansions):
@@ -232,7 +232,7 @@ class TestEmission:
         table = build_error_table(
             expansions[1], deng_wave(case_preset(1)), orders=(), ts=(), xs=()
         )
-        assert render_csv(table) == "t,m,x,percent_relative_error\n"
+        assert render_csv(table) == "t,m,x,relative_error\n"
 
     def test_undefined_cell_rendering(self):
         table = ErrorTable(
@@ -261,7 +261,7 @@ class TestEmission:
 
     def test_plot_data(self, tables):
         header, *rows = render_plot_data(tables[1]).splitlines()
-        assert header == "m,max_percent_relative_error"
+        assert header == "m,max_relative_error"
         summary = [row.split(",") for row in rows]
         assert [int(m) for m, _ in summary] == list(tables[1].orders)
         values = [float(v) for _, v in summary]
