@@ -94,14 +94,10 @@ def run_command(args) -> int:
 def golden_command(args) -> int:
     """Compare all presets against the built-in reference tables."""
     cases = [args.case] if args.case else [1, 2, 3]
-    needed = max(golden_data.REFERENCE_ORDERS) - 1
-    if args.orders < needed:
-        raise ConfigError(f"golden needs --orders >= {needed} (tables up to S{needed + 1}); "
-                          f"got {args.orders}")
     all_passed = True
     for case_id in cases:
         problem = case_preset(case_id)
-        expansion = run_hpm(problem, args.orders)
+        expansion = run_hpm(problem, max(golden_data.REFERENCE_ORDERS) - 1)  # up to S6
         wave = deng_wave(problem)
         table = build_error_table(
             expansion,
@@ -203,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     })
     command("golden", golden_command, **{
         "--case": dict(case, help="Check a single case (default: all three)."),
-        "--orders": dict(orders, default=5, help="Series order K. [default: 5]"),
         "--precision": dict(precision, default=DEFAULT_DIGITS),
         "--verbose": dict(action="store_true", help="Print every cell comparison."),
     })

@@ -63,9 +63,10 @@ class ConfigNumberError(ConfigError):
     pass
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+|\.\d+)?$")
-_SQRT_RE = re.compile(
-    r"^(?P<b>[+-]?(?:\d+(?:/\d+|\.\d+)?\*)?)sqrt\((?P<d>\d+)\)$"
+_R = r"\d+(?:/\d+|\.\d+)?"  # an unsigned integer, fraction or terminating decimal
+_RATIONAL_RE = re.compile(rf"^[+-]?{_R}$")
+_QUADRATIC_RE = re.compile(
+    rf"^(?:(?P<a>[+-]?{_R})(?P<s>[+-]))?(?P<b>[+-]?(?:{_R}\*)?)sqrt\((?P<d>\d+)\)$"
 )
 
 
@@ -80,43 +81,16 @@ def parse_rational(text: str, line: int = 0) -> Fraction:
 
 
 def parse_number(text: str, line: int = 0) -> QuadraticNumber:
-    """Parse "p/q", a decimal, or "a+b*sqrt(d)" (either part optional)."""
+    """Parse "p/q", a decimal, or "a+b*sqrt(d)" (a and b optional)."""
     text = text.strip().replace(" ", "")
-    if "sqrt" not in text:
-        return QuadraticNumber.from_rational(parse_rational(text, line))
-    # split a leading rational part, if any, from the radical term
-    split = -1
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and i > 0 and depth == 0 and text[i - 1] not in "+-*/":
-            split = i
-    if split > 0:
-        head, tail = text[:split], text[split:]
-        if "sqrt" in head:
-            raise ConfigNumberError(f"invalid number literal {text!r}", line)
-        rational = parse_rational(head, line)
-        sign = 1 if tail[0] == "+" else -1
-        radical_text = tail[1:]
-    else:
-        rational = Fraction(0)
-        sign = 1
-        radical_text = text
-    match = _SQRT_RE.match(radical_text)
+    match = _QUADRATIC_RE.match(text)
     if not match:
-        raise ConfigNumberError(f"invalid number literal {text!r}", line)
-    b_text = match.group("b")
-    if b_text in ("", "+"):
-        b = Fraction(1)
-    elif b_text == "-":
-        b = Fraction(-1)
-    else:
-        b = parse_rational(b_text.rstrip("*"), line)
+        return QuadraticNumber.from_rational(parse_rational(text, line))
+    a, s, b, d = match.group("a", "s", "b", "d")
+    rational = parse_rational(a, line) if a else 0
+    radical = parse_rational(b[:-1] if b.endswith("*") else b + "1", line)
     try:
-        return QuadraticNumber(rational, sign * b, int(match.group("d")))
+        return QuadraticNumber(rational, -radical if s == "-" else radical, int(d))
     except ValueError as exc:
         raise ConfigNumberError(f"invalid number literal {text!r}: {exc}", line)
 

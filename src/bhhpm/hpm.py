@@ -21,9 +21,9 @@ being (A[i] + B[i]*sqrt(d))/D for the problem's radicand d, so the step runs
 on Python ints, skips every product with an all-zero sqrt(d) half (all of
 presets 1 and 2) and reduces each result by one gcd.  ``QuadraticNumber``
 stays at the boundaries: the problem's constants are lifted to integers
-once (``_lattice``), so a series builds no ``QuadraticNumber`` or
-``Fraction``, and a ``SeriesTerm``'s coefficients come out (``_coeffs``) to
-print as the closed form N(E^2)/(E^2 + 1)^deg.  Numbers come from
+once per problem (``_lattice``), so a series builds no ``QuadraticNumber``
+or ``Fraction``, and a ``SeriesTerm``'s coefficients come out (``_coeffs``)
+to print as the closed form N(E^2)/(E^2 + 1)^deg.  Numbers come from
 ``profiles_at`` alone: it rounds sigma = 1/(1 + exp(-/+2*kappa*(x + x0)))
 once per point to a binary value and runs Horner's rule on A and B there.
 The published closed forms serve as test oracles.
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from typing import Iterable
 
@@ -235,11 +236,13 @@ class SeriesTerm:
         return f"{profile} * t^{self.order}"
 
 
+@lru_cache(maxsize=8)
 def _operator_factors(problem: BHProblem) -> tuple[Poly, ...]:
     """The constants of N(u) = rate^2*delta(delta(u)) - alpha*rate*delta(u^(n+1))/(n+1)
     + beta*(1 + gamma)*u^(n+1) - beta*gamma*u - beta*u^(2n+1), in that order, where
     rate = 2*sign*kappa is the d(sigma)/dx = rate*sigma*(1 - sigma) of the front,
-    as degree-0 products of the lifted kappa, alpha, beta and gamma."""
+    as degree-0 products of the lifted kappa, alpha, beta and gamma; formed once
+    per problem, not once per step."""
     d, one = problem.radicand, ((1,), (0,), 1)
     kappa, alpha, beta, gamma = (_lattice([c], d) for c in (
         problem.kappa, problem.alpha, problem.beta, problem.gamma))
@@ -274,21 +277,12 @@ class HPMExpansion:
     def __init__(self, problem: BHProblem, powers: tuple[Series, ...]) -> None:
         self.problem = problem
         self.powers = powers
-        self._factors: tuple[Poly, ...] | None = None  # N's constants, once per series
-
-    @classmethod
-    def _seeded(cls, problem: BHProblem, c0: Poly) -> HPMExpansion:
-        return cls(problem, _extended(((),) * (2 * problem.n + 1), c0, problem.radicand))
 
     @classmethod
     def start(cls, problem: BHProblem) -> HPMExpansion:
         """Start from the front gamma*sigma, i.e. the exact wave at t = 0."""
-        return cls._seeded(problem, _front(problem))
-
-    @classmethod
-    def from_initial(cls, problem: BHProblem, value: ScalarLike) -> HPMExpansion:
-        """Start from a constant profile, e.g. a steady state (any n)."""
-        return cls._seeded(problem, _lattice([value], problem.radicand))
+        return cls(problem, _extended(((),) * (2 * problem.n + 1), _front(problem),
+                                      problem.radicand))
 
     @property
     def order(self) -> int:
@@ -305,13 +299,11 @@ class HPMExpansion:
         products with u_xx = rate^2*delta(delta(u)) and
         u^n*u_x = rate*delta(u^(n+1))/(n+1)."""
         n, d = self.problem.n, self.problem.radicand
-        factors = self._factors or _operator_factors(self.problem)
+        factors = _operator_factors(self.problem)
         u, u_n1, u_2n1 = (self.powers[j][-1] for j in (0, n, 2 * n))
         terms = (_delta(_delta(u)), _delta(u_n1), u_n1, u, u_2n1)  # in the order of factors
-        expansion = HPMExpansion(self.problem, _extended(
+        return HPMExpansion(self.problem, _extended(
             self.powers, _sum_products(d, zip(factors, terms), self.order + 1), d))
-        expansion._factors = factors
-        return expansion
 
     def profiles_at(self, x, digits: int = DEFAULT_DIGITS) -> list[mpf]:
         """c_0(x)..c_K(x), each exact at one binary value sigma = m/2^s of
@@ -353,31 +345,24 @@ def run_hpm(problem: BHProblem, order: int) -> HPMExpansion:
     return expansion
 
 
-def max_taylor_deviation(
-    expansion: HPMExpansion, wave, xs, max_order: int | None = None,
-    digits: int = DEFAULT_DIGITS,
-) -> mpf:
-    """Worst deviation of each v_k's t^k coefficient from the exact wave's
-    time-Taylor coefficients over the sample points.
+def max_taylor_deviation(expansion: HPMExpansion, wave, xs,
+                         digits: int = DEFAULT_DIGITS) -> mpf:
+    """Worst deviation of each v_k's t^k coefficient (k = 1..K) from the exact
+    wave's time-Taylor coefficients over the sample points.
 
     Deviations are relative to the oracle coefficient; where the oracle is
     exactly zero (symmetry points) they are measured against the largest
     oracle coefficient at that x instead, so an exact structural zero on the
     symbolic side registers as zero deviation rather than 0/0.
     """
-    if max_order is None:
-        max_order = expansion.order
-    if max_order > expansion.order:
-        raise ContractViolation(
-            f"expansion has order {expansion.order}, cannot check {max_order}"
-        )
+    order = expansion.order
     with working_dps(digits):
         worst = mpf(0)
         for x in xs:
-            oracle = wave.time_taylor_coefficients(x, max_order, digits)
+            oracle = wave.time_taylor_coefficients(x, order, digits)
             symbolic = expansion.profiles_at(x, digits)
             scale = max(abs(c) for c in oracle) or mpf(1)
-            for k in range(1, max_order + 1):
+            for k in range(1, order + 1):
                 denom = abs(oracle[k]) if oracle[k] != 0 else scale
                 worst = max(worst, abs(symbolic[k] - oracle[k]) / denom)
         return +worst

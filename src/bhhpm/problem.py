@@ -102,16 +102,6 @@ class BHProblem:
         return 1 if self.branch == "upper" else -1
 
 
-def _preset(alpha: int, beta: int, gamma: int, branch: Branch) -> BHProblem:
-    return BHProblem(
-        alpha=QuadraticNumber.from_rational(alpha),
-        beta=QuadraticNumber.from_rational(beta),
-        gamma=QuadraticNumber.from_rational(gamma),
-        n=1,
-        branch=branch,
-    )
-
-
 #: The three built-in benchmark problems.
 PRESETS: dict[int, tuple[int, int, int, Branch]] = {
     1: (0, 1, 1, "upper"),
@@ -126,4 +116,4 @@ def case_preset(case_id: int) -> BHProblem:
         alpha, beta, gamma, branch = PRESETS[case_id]
     except KeyError:
         raise ProblemDomainError(f"unknown case {case_id!r}; presets are 1, 2, 3")
-    return _preset(alpha, beta, gamma, branch)
+    return BHProblem(alpha, beta, gamma, branch=branch)

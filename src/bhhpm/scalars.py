@@ -101,8 +101,8 @@ class QuadraticNumber:
             radical *= s
         if d == 1:
             rational += radical
+        if d <= 1 and radical:  # sqrt(0) = 0; sqrt(1) went into the rational part
             radical = Fraction(0)
-            d = 0
         if radical == 0:
             d = 0
         self.rational = rational
@@ -194,12 +194,6 @@ class QuadraticNumber:
 
     def __rmul__(self, other: ScalarLike) -> QuadraticNumber:
         return self * other
-
-    def __truediv__(self, other: ScalarLike) -> QuadraticNumber:
-        return self * QuadraticNumber.coerce(other).inverse()
-
-    def __rtruediv__(self, other: ScalarLike) -> QuadraticNumber:
-        return QuadraticNumber.coerce(other) * self.inverse()
 
     def inverse(self) -> QuadraticNumber:
         # 1/(a+b*sqrt(d)) = (a-b*sqrt(d))/(a^2 - b^2 d); the norm vanishes

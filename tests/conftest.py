@@ -101,7 +101,7 @@ def matches_reference(term: SeriesTerm, form: tuple[QuadraticNumber, dict[int, i
         computed = quad(0)
         for c in reversed(term.coeffs):
             computed = computed * sigma + c
-        published = factor * sum(c * s**e for e, c in numerator.items()) / (s + 1 / s) ** power
+        published = factor * sum(c * s**e for e, c in numerator.items()) * (s + 1 / s) ** -power
         if computed != published:
             return False
     return True

@@ -236,7 +236,7 @@ class TestCriterion5:
         for cid in (1, 2, 3):
             wave = deng_wave(case_preset(cid))
             worst_by_case[cid] = max_taylor_deviation(
-                expansions_k6[cid], wave, xs, max_order=6, digits=PRECISION
+                expansions_k6[cid], wave, xs, digits=PRECISION
             )
         passed = all(w <= tolerance for w in worst_by_case.values())
         detail = "; ".join(

@@ -49,6 +49,16 @@ class TestRun:
         plot = tmp_path / "table.csv.plot.csv"
         assert plot.read_text().startswith("m,max_relative_error")
 
+    def test_sqrt_zero_alpha_is_zero_alpha(self, tmp_path):
+        outputs = []
+        for alpha in ("sqrt(0)", "0"):
+            config = tmp_path / "run.conf"
+            config.write_text(f"alpha = {alpha}\nbeta = 1\ngamma = 1\n")
+            result = run_cli(["run", "--config", str(config)])
+            assert result.exit_code == 0
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_cli_orders_override(self):
         result = run_cli(["run", "--case", "1", "--orders", "2", "--format", "csv"])
         assert result.exit_code == 0
@@ -179,7 +189,7 @@ class TestUsageErrors:
         ["run", "--case", "1", "--orders", "0"],
         ["run", "--case", "1", "--precision", "29"],
         ["run", "--case", "1", "--format", "xml"],
-        ["golden", "--orders", "five"],
+        ["terms", "--case", "1", "--orders", "five"],
         ["plot"],
         [],
     ], ids=["case-4", "orders-0", "precision-29", "format-xml", "orders-nan",
@@ -219,10 +229,12 @@ class TestGolden:
         assert "worst cell" in result.output
 
     def test_insufficient_orders_is_usage_error(self):
-        result = run_cli(["golden", "--case", "1", "--orders", "2"])
+        # golden always runs to S6, the last reference row, so it takes no --orders
+        result = run_cli(["golden", "--orders", "5"])
         assert result.exit_code == 2
-        assert result.output.startswith("configuration error: golden needs --orders >= 5")
-        assert result.output.count("\n") == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage error: bhhpm")
+        assert result.stderr.count("\n") == 1
 
 
 class BrokenPipe(io.StringIO):
@@ -341,17 +353,17 @@ def run_configs(draw) -> str:
 @st.composite
 def commands(draw) -> list[str]:
     """``run``, ``golden``, ``terms`` or ``taylor-check``, each with options
-    drawn from its own, in range or just outside it (``--case 0|4``,
-    ``--orders 0``, ``--precision 29``, ``--format xml``), and ``run`` at
-    times without its required ``--case``; or an unknown sub-command, or
-    none at all."""
+    drawn from its own (``golden`` has no ``--orders``), in range or just
+    outside it (``--case 0|4``, ``--orders 0``, ``--precision 29``,
+    ``--format xml``), and ``run`` at times without its required ``--case``;
+    or an unknown sub-command, or none at all."""
     name = draw(st.sampled_from(["run", "golden", "terms", "taylor-check", "plot", None]))
     if name is None:
         return []
     args = [name]
     if name == "terms" or draw(st.booleans()):
         args += ["--case", str(draw(st.integers(0, 4)))]
-    if draw(st.booleans()):
+    if name != "golden" and draw(st.booleans()):
         args += ["--orders", str(draw(st.integers(0, 8)))]
     if name != "terms" and draw(st.booleans()):
         args += ["--precision", str(draw(st.integers(29, 40)))]

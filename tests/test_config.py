@@ -34,13 +34,21 @@ class TestNumbers:
             ("-3/4+3/4*sqrt(3)", quad(Fraction(-3, 4), Fraction(3, 4), 3)),
             ("1-sqrt(2)", quad(1, -1, 2)),
             ("0.5*sqrt(8)", quad(0, 1, 2)),
+            ("+sqrt(2)", quad(0, 1, 2)),
+            ("1+-sqrt(2)", quad(1, -1, 2)),
+            ("1--sqrt(2)", quad(1, 1, 2)),
+            ("1+sqrt(4)", quad(3)),
+            ("sqrt(12)", quad(0, 2, 3)),
+            ("-1/2-3*sqrt(5)", quad(Fraction(-1, 2), -3, 5)),
+            ("sqrt(0)", quad(0)),
         ],
     )
     def test_valid_literals(self, text, expected):
         assert parse_number(text) == expected
 
     @pytest.mark.parametrize(
-        "text", ["", "1/0", "abc", "1+", "sqrt(-2)", "sqrt(2)+sqrt(3)", "1..2", "2e-3"]
+        "text", ["", "1/0", "abc", "1+", "sqrt(-2)", "sqrt(2)+sqrt(3)", "1..2", "2e-3",
+                 "--sqrt(2)", "sqrt(2)+1", "1/0+sqrt(2)", "1/2+3/0*sqrt(2)"]
     )
     def test_invalid_literals(self, text):
         with pytest.raises(ConfigNumberError):

@@ -85,36 +85,6 @@ class TestSeriesTerm:
 
 
 class TestRecursion:
-    def test_steady_state_zero_profile(self):
-        # v0 = 0 is a reaction root: every correction vanishes
-        for cid in (1, 2, 3):
-            p = case_preset(cid)
-            expansion = HPMExpansion.from_initial(p, 0)
-            for _ in range(4):
-                expansion = expansion.advanced()
-            assert all(term.is_zero for term in expansion.terms[1:])
-
-    def test_steady_state_gamma_profile(self):
-        p = case_preset(3)
-        expansion = HPMExpansion.from_initial(p, p.gamma)
-        for _ in range(3):
-            expansion = expansion.advanced()
-        assert all(term.is_zero for term in expansion.terms[1:])
-
-    def test_steady_state_with_higher_n(self):
-        # exercises the general power-convolution path
-        p = BHProblem(alpha=1, beta=1, gamma=Fraction(1, 2), n=2)
-        expansion = HPMExpansion.from_initial(p, 0)
-        for _ in range(3):
-            expansion = expansion.advanced()
-        assert all(term.is_zero for term in expansion.terms[1:])
-
-    def test_non_constant_initial_profile_rejected(self):
-        # only a scalar constant starts a series; a profile is not one
-        p = case_preset(2)
-        with pytest.raises(TypeError):
-            HPMExpansion.from_initial(p, initial_term(p))
-
     def test_run_hpm_validates_order(self):
         with pytest.raises(ContractViolation):
             run_hpm(case_preset(1), 0)
@@ -134,7 +104,7 @@ class TestIntegerLift:
     def test_operator_factors_match_field_arithmetic(self, front):
         p = FRONTS[front]
         rate = p.kappa * (2 * p.sign)
-        expected = (rate * rate, -rate * p.alpha / (p.n + 1), p.beta * (1 + p.gamma),
+        expected = (rate * rate, -rate * p.alpha * Fraction(1, p.n + 1), p.beta * (1 + p.gamma),
                     -p.beta * p.gamma, -p.beta)
         assert _operator_factors(p) == tuple(_lattice([f], p.radicand) for f in expected)
 
@@ -158,6 +128,14 @@ class TestIntegerLift:
             for p in problems:
                 run_hpm(p, 10)
         assert probe and built == ["Fraction"]
+
+    def test_operator_factors_formed_once_per_problem(self):
+        _operator_factors.cache_clear()
+        for _ in range(2):
+            for c in (1, 2, 3):
+                run_hpm(case_preset(c), 4)  # a new but equal problem each time
+        info = _operator_factors.cache_info()
+        assert (info.misses, info.hits) == (3, 3 * 8 - 3)
 
 
 class TestGoldenTerms:

@@ -79,6 +79,8 @@ class TestQuadraticNumber:
         assert quad(2, 0, 7) == quad(2)
         assert quad(0, Fraction(1, 2), 8) == quad(0, 1, 2)  # sqrt(8)/2 = sqrt(2)
         assert quad(1, 1, 2).radicand == 2
+        assert quad(1, 1, 0) == 1 and quad(0, 5, 0).is_zero()  # sqrt(0) = 0
+        assert quad(0, 1, 0) * quad(1, 1, 3) == 0
 
     def test_parts_are_fractions(self):
         # ints and floats are converted; Fractions are kept as given
@@ -115,13 +117,13 @@ class TestQuadraticNumber:
 
     def test_conjugate_division(self):
         # 1/(2 - sqrt(2)) = 1 + sqrt(2)/2; brute-force check by expansion
-        value = 1 / quad(2, -1, 2)
+        value = quad(2, -1, 2).inverse()
         assert value == quad(1, Fraction(1, 2), 2)
         assert quad(2, -1, 2) * quad(1, Fraction(1, 2), 2) == quad(1)
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            quad(1) / quad(0)
+            quad(0).inverse()
 
     def test_mixed_radicands_rejected(self):
         with pytest.raises(AlgebraDomainError):
