@@ -11,10 +11,10 @@ Each c_k is a dense polynomial over Q(sqrt(d)) in the logistic variable
 sigma = E^2/(E^2 + 1), E = exp(kappa*(x + x0)) (1/(E^2 + 1) on the lower
 branch), so d/dx P(sigma) = +/-2*kappa*delta(P) with the integer map
 delta(P) = sigma*(1 - sigma)*P'(sigma): derivatives need no denominators.
-The Taylor coefficients of u^2..u^(2n+1) gain one term per order (Griewank &
-Walther, Evaluating Derivatives, ch. 13), u^2's by symmetry, and c_k is one
-linear combination, so order k costs 2n + 1 sums of O(k) products of
-polynomials of degree O(k): O(k^3) integer multiplications.
+The Taylor coefficients of u^2..u^(2n+1) are formed on demand (Griewank &
+Walther, Evaluating Derivatives, ch. 13): the step to c_k adds their t^(k-1)
+terms, u^2's by symmetry, and c_k is one linear combination: order k costs
+2n + 1 sums of O(k) products of degree-O(k) polynomials, O(k^3) multiplications.
 
 Such a polynomial is held as an integer triple (A, B, D), coefficient i
 being (A[i] + B[i]*sqrt(d))/D for the problem's radicand d, so the step runs
@@ -22,8 +22,8 @@ on Python ints, skips every product with an all-zero sqrt(d) half (all of
 presets 1 and 2) and reduces each result by one gcd.  ``QuadraticNumber``
 stays at the boundaries: the problem's constants are lifted to integers
 once per problem (``_lattice``), so a series builds no ``QuadraticNumber``
-or ``Fraction``, and a ``SeriesTerm``'s coefficients come out (``_coeffs``)
-to print as the closed form N(E^2)/(E^2 + 1)^deg.  Numbers come from
+or ``Fraction``, and a ``SeriesTerm`` prints its triple as the closed form
+N(E^2)/(E^2 + 1)^deg by Horner's rule on A and B.  Numbers come from
 ``profiles_at`` alone: it rounds sigma = 1/(1 + exp(-/+2*kappa*(x + x0)))
 once per point to a binary value and runs Horner's rule on A and B there.
 The published closed forms serve as test oracles.
@@ -131,11 +131,11 @@ def _delta(p: Poly) -> Poly:
               if any(c) else [0] * (len(c) + 1) for c in halves], den)
 
 
-def _extended(powers: tuple[Series, ...], c: Poly, d: int) -> tuple[Series, ...]:
-    """Append c_m to the series of u, then (u^j)_m = sum_i (u^(j-1))_i * c_(m-i)
-    to the series of u^2, u^3, ... in turn; (u^2)_m = 2*sum_(i<m-i) u_i*u_(m-i)
+def _extended(powers: tuple[Series, ...], d: int) -> tuple[Series, ...]:
+    """Append (u^j)_m = sum_i (u^(j-1))_i * u_(m-i), m = len(u) - 1, to the
+    series of u^2, u^3, ... in turn; (u^2)_m = 2*sum_(i<m-i) u_i*u_(m-i)
     + u_(m/2)^2 by symmetry."""
-    u = powers[0] + (c,)
+    u = powers[0]
     h = len(u) // 2
     # weight 2 for the h pairs i < m - i; zip drops the final 1 when m is odd
     square = _sum_products(d, zip(u[:h + len(u) % 2], reversed(u)), weights=[2] * h + [1])
@@ -145,22 +145,22 @@ def _extended(powers: tuple[Series, ...], c: Poly, d: int) -> tuple[Series, ...]
     return tuple(extended)
 
 
-def _closed_form(p: tuple[QuadraticNumber, ...],
-                 sign: int) -> tuple[list[QuadraticNumber], list[int]]:
+def _closed_form(p: Poly, d: int, sign: int) -> tuple[tuple[QuadraticNumber, ...], list[int]]:
     """Coefficients of N and D, in powers of E^2, with P(sigma) = N/D and
-    D = (E^2 + 1)^deg(P), for a nonzero P.
+    D = (E^2 + 1)^deg(P), for a nonzero P over radicand d.
 
-    Horner's rule on sigma = S/(E^2 + 1), S = E^2 on the upper branch and 1
-    on the lower: c + sigma*N/D = (c*D*(E^2 + 1) + S*N)/(D*(E^2 + 1)).  At
-    E^2 = -1 only the leading coefficient survives, N(-1) = (-1)^deg*p_deg
+    Horner's rule on A and B for sigma = S/(E^2 + 1), S = E^2 on the upper
+    branch and 1 on the lower: c + sigma*N/D = (c*D*(E^2 + 1) + S*N)/(D*(E^2 + 1)).
+    At E^2 = -1 only the leading coefficient survives, N(-1) = (-1)^deg*p_deg
     (upper) or p_deg (lower), so N/D is in lowest terms.
     """
-    num, den = [p[-1]], [1]
-    for c in reversed(p[:-1]):
-        den = [a + b for a, b in zip(den + [0], [0] + den)]
-        lifted = [ZERO] + num if sign > 0 else num + [ZERO]
-        num = [c * d + s for d, s in zip(den, lifted)]
-    return num, den
+    a, b, den = p
+    num, binom = ([a[-1]], [b[-1]]), [1]
+    for x, y in zip(reversed(a[:-1]), reversed(b[:-1])):
+        binom = [i + j for i, j in zip(binom + [0], [0] + binom)]
+        num = tuple([c * k + s for k, s in zip(binom, [0] + h if sign > 0 else h + [0])]
+                    for c, h in zip((x, y), num))
+    return _coeffs((*num, den), d), binom
 
 
 def _e2_str(coeffs: list) -> str:
@@ -202,38 +202,37 @@ def _value_at(p: Poly, m: int, s: int, d: int) -> mpf:
 class SeriesTerm:
     """The series term v_k = c_k(x)*t^k of order k = ``order``, in closed form.
 
-    ``coeffs`` are the sigma-coefficients of c_k, lowest power first and
-    trailing zeros trimmed; ``sign`` (+1 upper branch, -1 lower) fixes
-    sigma = E^2/(E^2 + 1) or 1/(E^2 + 1), E = exp(kappa*(x + x0)).  Its
-    values come from ``HPMExpansion.profiles_at``.
+    ``poly`` is c_k as a sigma-polynomial over radicand ``d``, ``coeffs`` its
+    exact sigma-coefficients, lowest power first; ``sign`` (+1 upper branch,
+    -1 lower) fixes sigma = E^2/(E^2 + 1) or 1/(E^2 + 1), E = exp(kappa*(x + x0)).
+    Its values come from ``HPMExpansion.profiles_at``.
     """
 
-    def __init__(self, coeffs: tuple[QuadraticNumber, ...], order: int, sign: int) -> None:
-        self.coeffs = coeffs
-        self.order = order
-        self.sign = sign
+    def __init__(self, poly: Poly, d: int, order: int, sign: int) -> None:
+        self.poly, self.d, self.order, self.sign = poly, d, order, sign
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.coeffs, self.order, self.sign) == (other.coeffs, other.order, other.sign)
+        return vars(self) == vars(other)
+
+    @property
+    def coeffs(self) -> tuple[QuadraticNumber, ...]:
+        return _coeffs(self.poly, self.d)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.poly[0]
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if self.is_zero:
             return "0"
-        num, den = _closed_form(self.coeffs, self.sign)
+        num, den = _closed_form(self.poly, self.d, self.sign)
         profile = f"({_e2_str(num)})"
         if len(den) > 1:
             profile += f"/({_e2_str(den)})"
-        if self.order == 0:
-            return profile
-        if self.order == 1:
-            return f"{profile} * t"
-        return f"{profile} * t^{self.order}"
+        power = "" if self.order == 0 else " * t" if self.order == 1 else f" * t^{self.order}"
+        return profile + power
 
 
 @lru_cache(maxsize=8)
@@ -270,19 +269,17 @@ def _front(problem: BHProblem) -> Poly:
 
 class HPMExpansion:
     """The series through order K for one problem, held as ``powers``: the
-    Taylor coefficients in t of u, u^2, .., u^(2n+1) through t^K.  The
-    series of u is (c_0, .., c_K), from which ``terms`` are read and which
-    ``profiles_at`` evaluates."""
+    Taylor coefficients in t of u through t^K and of u^2, .., u^(2n+1) through
+    t^(K-1), all that c_0..c_K read.  The series of u is (c_0, .., c_K), from
+    which ``terms`` are read and which ``profiles_at`` evaluates."""
 
     def __init__(self, problem: BHProblem, powers: tuple[Series, ...]) -> None:
-        self.problem = problem
-        self.powers = powers
+        self.problem, self.powers = problem, powers
 
     @classmethod
     def start(cls, problem: BHProblem) -> HPMExpansion:
         """Start from the front gamma*sigma, i.e. the exact wave at t = 0."""
-        return cls(problem, _extended(((),) * (2 * problem.n + 1), _front(problem),
-                                      problem.radicand))
+        return cls(problem, ((_front(problem),),) + ((),) * (2 * problem.n))
 
     @property
     def order(self) -> int:
@@ -292,18 +289,18 @@ class HPMExpansion:
     def terms(self) -> tuple[SeriesTerm, ...]:
         """v_0..v_K."""
         sign, d = self.problem.sign, self.problem.radicand
-        return tuple(SeriesTerm(_coeffs(c, d), k, sign) for k, c in enumerate(self.powers[0]))
+        return tuple(SeriesTerm(c, d, k, sign) for k, c in enumerate(self.powers[0]))
 
     def advanced(self) -> HPMExpansion:
-        """Expansion with the next term appended: c_k = N_(k-1)/k, one sum of
-        products with u_xx = rate^2*delta(delta(u)) and
-        u^n*u_x = rate*delta(u^(n+1))/(n+1)."""
+        """Expansion with the next term appended: the t^K coefficients of
+        u^2..u^(2n+1), then c_(K+1) = N_K/(K + 1), one sum of products with
+        u_xx = rate^2*delta(delta(u)) and u^n*u_x = rate*delta(u^(n+1))/(n+1)."""
         n, d = self.problem.n, self.problem.radicand
-        factors = _operator_factors(self.problem)
-        u, u_n1, u_2n1 = (self.powers[j][-1] for j in (0, n, 2 * n))
+        powers = _extended(self.powers, d)
+        u, u_n1, u_2n1 = (powers[j][-1] for j in (0, n, 2 * n))
         terms = (_delta(_delta(u)), _delta(u_n1), u_n1, u, u_2n1)  # in the order of factors
-        return HPMExpansion(self.problem, _extended(
-            self.powers, _sum_products(d, zip(factors, terms), self.order + 1), d))
+        c = _sum_products(d, zip(_operator_factors(self.problem), terms), self.order + 1)
+        return HPMExpansion(self.problem, (powers[0] + (c,), *powers[1:]))
 
     def profiles_at(self, x, digits: int = DEFAULT_DIGITS) -> list[mpf]:
         """c_0(x)..c_K(x), each exact at one binary value sigma = m/2^s of

@@ -84,6 +84,7 @@ class BHProblem:
         self.kappa = kappa
         self.speed = speed
         self.amplitude = amplitude
+        self._hash: int | None = None  # set on first use: the cache key of every series step
 
     def _key(self) -> tuple:
         return self.alpha, self.beta, self.gamma, self.n, self.branch, self.x0
@@ -94,7 +95,9 @@ class BHProblem:
         return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        if self._hash is None:
+            self._hash = hash(self._key())
+        return self._hash
 
     @property
     def sign(self) -> int:

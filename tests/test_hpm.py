@@ -10,7 +10,9 @@ from mpmath import mpf
 
 from bhhpm import BHProblem, case_preset, deng_wave, max_taylor_deviation, run_hpm, working_dps
 from bhhpm.errors import ContractViolation, ProblemDomainError, UnsupportedProblemError
-from bhhpm.hpm import HPMExpansion, SeriesTerm, _closed_form, _lattice, _operator_factors
+from bhhpm.hpm import (
+    HPMExpansion, SeriesTerm, _closed_form, _lattice, _operator_factors, _sum_products,
+)
 from bhhpm.scalars import QuadraticNumber
 
 from conftest import matches_reference, quad, reference_terms
@@ -24,21 +26,21 @@ class TestInitialGuess:
     def test_case1_front(self):
         p = case_preset(1)
         u0 = initial_term(p)
-        assert u0 == SeriesTerm((quad(0), quad(1)), 0, 1)
+        assert u0 == SeriesTerm(_lattice([0, 1], 2), 2, 0, 1)
         assert str(u0) == "(E^2)/(E^2 + 1)"
         assert p.kappa == quad(0, Fraction(1, 4), 2)
 
     def test_case2_front(self):
         p = case_preset(2)
         u0 = initial_term(p)
-        assert u0 == SeriesTerm((quad(0), quad(1)), 0, -1)
+        assert u0 == SeriesTerm(_lattice([0, 1], 1), 1, 0, -1)
         assert str(u0) == "(1)/(E^2 + 1)"
         assert p.kappa == Fraction(1, 4)
 
     def test_case3_front(self):
         p = case_preset(3)
         u0 = initial_term(p)
-        assert u0 == SeriesTerm((quad(0), quad(3)), 0, -1)
+        assert u0 == SeriesTerm(_lattice([0, 3], 3), 3, 0, -1)
         assert str(u0) == "(3)/(E^2 + 1)"
         assert p.kappa == quad(Fraction(-3, 4), Fraction(3, 4), 3)
         assert p.radicand == 3
@@ -138,6 +140,37 @@ class TestIntegerLift:
         assert (info.misses, info.hits) == (3, 3 * 8 - 3)
 
 
+class TestLazyPowers:
+    """powers[0] runs through t^K and the series of u^2, u^3 through t^(K-1):
+    a series forms no power coefficient that only the next order reads."""
+
+    @pytest.mark.parametrize("front", FRONTS)
+    def test_powers_stop_one_order_below_u(self, front):
+        p = FRONTS[front]
+        for order in (1, 5):
+            u, square, cube = run_hpm(p, order).powers
+            assert [len(u), len(square), len(cube)] == [order + 1, order, order]
+            for m in range(order):  # the kept terms are those of u^2 and u^3
+                head = u[:m + 1]
+                assert square[m] == _sum_products(p.radicand, zip(head, reversed(head)))
+                assert cube[m] == _sum_products(p.radicand, zip(square[:m + 1], reversed(head)))
+
+    @pytest.mark.parametrize("front", FRONTS)
+    def test_step_continues_the_series(self, front):
+        p = FRONTS[front]
+        for order in (1, 5):
+            assert run_hpm(p, order).advanced().powers == run_hpm(p, order + 1).powers
+
+    @pytest.mark.parametrize("front", FRONTS)
+    def test_start_forms_no_product(self, front, monkeypatch):
+        p, calls = FRONTS[front], []
+        counted = lambda *args, **kwargs: calls.append(args) or _sum_products(*args, **kwargs)
+        monkeypatch.setattr("bhhpm.hpm._sum_products", counted)
+        expansion = HPMExpansion.start(p)
+        assert not calls
+        assert expansion.powers == ((_lattice([0, p.gamma], p.radicand),), (), ())
+
+
 class TestGoldenTerms:
     @pytest.mark.parametrize("cid", [1, 2, 3])
     def test_first_three_terms_match_closed_forms(self, cid, expansions):
@@ -173,7 +206,7 @@ class TestTermsFixture:
             terms = run_hpm(case_preset(cid), 10).terms
             for k, term in enumerate(terms):
                 lines.append(f"case {cid} v_{k} = {term}")
-                num, _ = _closed_form(term.coeffs, term.sign)
+                num, _ = _closed_form(term.poly, term.d, term.sign)
                 assert sum((c * (-1) ** i for i, c in enumerate(num)), quad(0)) != 0
         expected = self.FIXTURE.read_text().splitlines()
         assert len(lines) == len(expected) == 33

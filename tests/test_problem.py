@@ -86,3 +86,17 @@ class TestValidation:
         p = BHProblem(alpha=0, beta=1, gamma=quad(1, 1, 2))
         assert p.radicand == 2
         assert p.kappa.radicand == 2
+
+
+class TestHashing:
+    def test_key_is_hashed_once_per_problem(self, monkeypatch):
+        # equal problems hash alike, and a second hash of a problem builds and
+        # hashes its key tuple no more (the series memo hashes it every step)
+        built = []
+        key = BHProblem._key
+        monkeypatch.setattr(BHProblem, "_key", lambda p: built.append(p) or key(p))
+        p, q = case_preset(1), BHProblem(alpha=0, beta=1, gamma=1)
+        first = hash(p)
+        assert hash(p) == hash(q) == hash(q) == first
+        assert len(built) == 2
+        assert p == q and {p: "cached"}[q] == "cached"
