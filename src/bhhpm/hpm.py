@@ -60,6 +60,9 @@ Poly = tuple[tuple[int, ...], tuple[int, ...], int]
 Series = tuple[Poly, ...]
 
 ZERO_POLY: Poly = ((), (), 1)
+#: The largest s of a point's sigma = m/2^s: Horner's rule there builds
+#: (deg*s)-bit integers.  Case 1 reaches it at |x| of about 1.03e6.
+MAX_SHIFT = 1 << 20
 
 
 def _reduced(a: list[int], b: list[int], den: int) -> Poly:
@@ -307,7 +310,7 @@ class HPMExpansion:
         sigma = 1/(1 + exp(-/+2*kappa*(x + x0))), computed once for all of them.
 
         The smaller of sigma and 1 - sigma is rounded, so either tail keeps
-        its digits.
+        its digits.  A point whose s exceeds ``MAX_SHIFT`` is rejected.
         """
         problem = self.problem
         with working_dps(digits):
@@ -315,6 +318,11 @@ class HPMExpansion:
             z = -2 * problem.sign * to_mpf(problem.kappa) * arg
             man, exp = (1 / (1 + mpmath.exp(abs(z)))).man_exp
             m, s = man, -exp
+            if s > MAX_SHIFT:
+                raise UnsupportedProblemError(
+                    f"x + x0 = {mpmath.nstr(arg, 10)} lies too far in the front's tail: "
+                    f"sigma or 1 - sigma is about 2^-{s}, past the bound 2^-{MAX_SHIFT}"
+                )
             if z < 0:
                 m = (1 << s) - m
             return [_value_at(c, m, s, problem.radicand) for c in self.powers[0]]

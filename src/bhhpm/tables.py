@@ -5,9 +5,9 @@ precision (the units the reference tables print; multiply by 100 for
 percent).  Per table, each t and its powers t^k are rounded once; per x,
 ``HPMExpansion.profiles_at`` gives c_0(x)..c_K(x); per (x, t), the wave
 gives u_exact and |u_exact|, and S_m is a running sum of c_k(x)*t^k; per
-cell, one difference and one division remain.  Cells where u_exact vanishes
-are None ("undefined"); the logistic wave keeps it nonzero on any front the
-series accepts.
+cell, one difference and one division remain.  The wave is that of the
+expansion's problem: its logistic form gamma/(1 + exp(z)) is nonzero at every
+point of a front the series accepts, so every cell is a number.
 """
 
 from __future__ import annotations
@@ -24,16 +24,12 @@ from .hpm import HPMExpansion
 from .scalars import DEFAULT_DIGITS, to_mpf, working_dps
 from .waves import TravelingWave
 
-CellKey = tuple[Fraction, int, Fraction]
-
 CSV_HEADER = "t,m,x,relative_error"
 PLOT_HEADER = "m,max_relative_error"
 
 
-def sci10(value: mpf | None) -> str:
+def sci10(value: mpf) -> str:
     """Scientific notation with 10 significant digits and a bare exponent."""
-    if value is None:
-        return "undefined"
     if value == 0:
         return "0"
     text = mpmath.nstr(
@@ -70,10 +66,11 @@ def fraction_str(value: Fraction) -> str:
 
 
 class ErrorTable:
-    """Grid of relative errors, rows keyed by (t, m), columns by x."""
+    """Grid of relative errors: ``cells[i][j][k]`` is the cell at ``ts[i]``,
+    ``orders[j]`` and ``xs[k]``."""
 
     def __init__(self, orders: tuple[int, ...], ts: tuple[Fraction, ...],
-                 xs: tuple[Fraction, ...], cells: dict[CellKey, mpf | None],
+                 xs: tuple[Fraction, ...], cells: list[list[list[mpf]]],
                  case_id: int | None = None, precision: int = DEFAULT_DIGITS) -> None:
         self.orders = orders
         self.ts = ts
@@ -82,27 +79,18 @@ class ErrorTable:
         self.case_id = case_id
         self.precision = precision
 
-    def cell(self, t: Fraction, m: int, x: Fraction) -> mpf | None:
-        return self.cells[(Fraction(t), m, Fraction(x))]
+    def cell(self, t: Fraction, m: int, x: Fraction) -> mpf:
+        i, j, k = self.ts.index(Fraction(t)), self.orders.index(m), self.xs.index(Fraction(x))
+        return self.cells[i][j][k]
 
-    def rows(self) -> Iterable[tuple[Fraction, int, tuple[mpf | None, ...]]]:
-        for t in self.ts:
-            for m in self.orders:
-                yield t, m, tuple(self.cells[(t, m, x)] for x in self.xs)
+    def rows(self) -> Iterable[tuple[Fraction, int, tuple[mpf, ...]]]:
+        for t, block in zip(self.ts, self.cells):
+            for m, row in zip(self.orders, block):
+                yield t, m, tuple(row)
 
     def max_cell(self, m: int | None = None) -> mpf:
-        """Largest defined cell, optionally restricted to one order."""
-        orders = self.orders if m is None else (m,)
-        values = [
-            self.cells[(t, mm, x)]
-            for t in self.ts
-            for mm in orders
-            for x in self.xs
-            if self.cells[(t, mm, x)] is not None
-        ]
-        if not values:
-            raise ContractViolation("table has no defined cells")
-        return max(values)
+        """Largest cell, optionally restricted to one order."""
+        return max(max(row) for _, mm, row in self.rows() if m in (None, mm))
 
 
 def build_error_table(
@@ -114,7 +102,8 @@ def build_error_table(
     digits: int = DEFAULT_DIGITS,
     case_id: int | None = None,
 ) -> ErrorTable:
-    """Evaluate every requested partial sum against the exact wave."""
+    """Evaluate every requested partial sum against the exact wave, which is
+    that of the expansion's problem."""
     orders = tuple(orders)
     ts = tuple(Fraction(t) for t in ts)
     xs = tuple(Fraction(x) for x in xs)
@@ -122,24 +111,20 @@ def build_error_table(
         raise ContractViolation(
             f"table needs partial sums {orders}; expansion has {expansion.order + 1} terms"
         )
-    cells: dict[CellKey, mpf | None] = {}
+    cells: list[list[list[mpf]]] = [[[] for _ in orders] for _ in ts]
     with working_dps(digits):
-        powers = {t: [time**k for k in range(max(orders, default=0))]
-                  for t in ts for time in [to_mpf(t)]}
+        powers = [[time**k for k in range(max(orders, default=0))] for time in map(to_mpf, ts)]
         for x in xs:
             profiles = expansion.profiles_at(x, digits)
-            for t in ts:
+            for t, t_powers, block in zip(ts, powers, cells):
                 exact = wave.eval_at(x, t, digits)
-                if exact == 0:
-                    cells.update({(t, m, x): None for m in orders})
-                    continue
                 # S_1, S_2, ..: the running sum of c_k(x)*t^k
                 scale, total, sums = abs(exact), mpf(0), []
-                for c, power in zip(profiles, powers[t]):
+                for c, power in zip(profiles, t_powers):
                     total += c * power
                     sums.append(total)
-                for m in orders:
-                    cells[(t, m, x)] = abs(sums[m - 1] - exact) / scale
+                for m, row in zip(orders, block):
+                    row.append(abs(sums[m - 1] - exact) / scale)
     return ErrorTable(
         orders=orders, ts=ts, xs=xs, cells=cells, case_id=case_id, precision=digits
     )
@@ -234,11 +219,7 @@ def golden_compare(table: ErrorTable, case_id: int) -> GoldenComparison:
             for m in orders:
                 for x in golden.GRID_X:
                     ref = mpf(reference[(t, m, x)])
-                    comp = table.cells[(t, m, x)]
-                    if comp is None:
-                        raise ContractViolation(
-                            f"undefined cell at t={t}, m={m}, x={x}"
-                        )
+                    comp = table.cell(t, m, x)
                     deviation = abs(comp - ref) / abs(ref)
                     ratio = comp / ref
                     if ref >= SMALL_CELL:

@@ -22,6 +22,18 @@ STEEP_BETA = Fraction(1000000007, 8)
 
 DATA = Path(__file__).parent / "data"
 
+#: Far-tail grid points and shifts, signed: 10^6 lies inside the bound on a
+#: point's sigma for slow fronts, 10^12 and 10^30 past it for every front.
+TAILS = [sign * 10**e for e in (6, 12, 30) for sign in (1, -1)]
+
+#: Configs whose one grid point lies past that bound.
+FAR_TAILS = {
+    "case1-x-1e12": "case = case1\ngrid_x = 1000000000000\n",
+    "case1-x-1e30": f"case = case1\ngrid_x = {10**30}\n",
+    "case1-x-minus-1e30": f"case = case1\ngrid_x = {-10**30}\n",
+    "x0-1e12": "alpha = 0\nbeta = 1\ngamma = 1\nx0 = 1000000000000\n",
+}
+
 
 class TestRun:
     def test_preset_csv_to_stdout(self):
@@ -48,6 +60,16 @@ class TestRun:
         assert out.read_text().startswith("t,m,x,")
         plot = tmp_path / "table.csv.plot.csv"
         assert plot.read_text().startswith("m,max_relative_error")
+
+    @pytest.mark.parametrize("text", FAR_TAILS.values(), ids=FAR_TAILS)
+    def test_far_tail_point_is_a_config_error(self, text, tmp_path):
+        config = tmp_path / "tail.conf"
+        config.write_text(text)
+        result = run_cli(["run", "--config", str(config)])
+        assert result.exit_code == 2
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith("configuration error: x + x0 = ")
+        assert "Traceback" not in result.output
 
     def test_sqrt_zero_alpha_is_zero_alpha(self, tmp_path):
         outputs = []
@@ -300,10 +322,12 @@ class TestOutputFixtures:
 
     @pytest.mark.parametrize(
         "args,fixture,exit_code",
-        [(["golden"], "golden.txt", 1)]
+        [(["golden"], "golden.txt", 1),
+         (["golden", "--verbose"], "golden_verbose.txt", 1),
+         (["run", "--case", "2", "--format", "md"], "run_case2.md", 0)]
         + [(["run", "--case", str(c), "--format", "csv"], f"run_case{c}.csv", 0)
            for c in (1, 2, 3)],
-        ids=["golden", "run-case1", "run-case2", "run-case3"],
+        ids=["golden", "golden-verbose", "run-case2-md", "run-case1", "run-case2", "run-case3"],
     )
     def test_stdout_matches_fixture(self, args, fixture, exit_code):
         result = run_cli(args)
@@ -327,15 +351,17 @@ def _rationals(low, high, denominator=4):
 
 @st.composite
 def run_configs(draw) -> str:
-    """Small random explicit configs, including the steep front's beta; n,
-    branch and the shift x0 are each set or left to their defaults."""
+    """Small random explicit configs, including the steep front's beta and
+    far-tail grid points and shifts; n, branch and the shift x0 are each set
+    or left to their defaults."""
     values = {
         "alpha": draw(_rationals(-3, 3)),
         "beta": draw(st.one_of(_rationals(0, 3), st.just(STEEP_BETA))),
         "gamma": draw(_rationals(-2, 3)),
         "orders": draw(st.integers(1, 3)),
         "grid_x": ", ".join(str(x) for x in draw(
-            st.lists(_rationals(-3, 3), min_size=1, max_size=3, unique=True))),
+            st.lists(st.one_of(_rationals(-3, 3), st.sampled_from(TAILS)),
+                     min_size=1, max_size=3, unique=True))),
         "grid_t": str(draw(_rationals(0, Fraction(2, 5), 10))),
     }
     if draw(st.booleans()):
@@ -343,7 +369,7 @@ def run_configs(draw) -> str:
     if draw(st.booleans()):
         values["branch"] = draw(st.sampled_from(["upper", "lower"]))
     if draw(st.booleans()):
-        values["x0"] = draw(_rationals(-2, 2))
+        values["x0"] = draw(st.one_of(_rationals(-2, 2), st.sampled_from(TAILS)))
     if draw(st.booleans()):
         values["report_orders"] = ", ".join(str(m) for m in draw(
             st.lists(st.integers(1, values["orders"] + 1), min_size=1, max_size=3, unique=True)))

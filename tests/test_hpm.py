@@ -11,7 +11,7 @@ from mpmath import mpf
 from bhhpm import BHProblem, case_preset, deng_wave, max_taylor_deviation, run_hpm, working_dps
 from bhhpm.errors import ContractViolation, ProblemDomainError, UnsupportedProblemError
 from bhhpm.hpm import (
-    HPMExpansion, SeriesTerm, _closed_form, _lattice, _operator_factors, _sum_products,
+    MAX_SHIFT, HPMExpansion, SeriesTerm, _closed_form, _lattice, _operator_factors, _sum_products,
 )
 from bhhpm.scalars import QuadraticNumber
 
@@ -289,6 +289,14 @@ class TestPartialSums:
         value = expansions[1].partial_sum_at(2, 0, Fraction(1, 10), 30)
         with working_dps(30):
             assert mpmath.almosteq(value, mpf("0.4875"), rel_eps=mpf("1e-35"))
+
+    def test_tail_bound(self, expansions):
+        # case 1 evaluates out to x = -10^6; a little farther out sigma
+        # needs more than MAX_SHIFT bits
+        assert len(expansions[1].profiles_at(-10**6, 30)) == expansions[1].order + 1
+        message = f"x \\+ x0 = -1030000.0 .* 2\\^-{MAX_SHIFT}$"
+        with pytest.raises(UnsupportedProblemError, match=message):
+            expansions[1].profiles_at(-1030000, 30)
 
     def test_out_of_range_m(self, expansions):
         with pytest.raises(ContractViolation):

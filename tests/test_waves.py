@@ -7,10 +7,21 @@ from mpmath import mpf
 
 from bhhpm import BHProblem, HPMExpansion, case_preset, deng_wave, pde_residual, working_dps
 from bhhpm.errors import EvaluationError, UnsupportedProblemError
+from bhhpm.hpm import MAX_SHIFT
 from bhhpm.scalars import to_mpf
 from conftest import quad
 
 GRID = [(Fraction(x), Fraction(t, 10)) for x in (1, 2, 3) for t in (1, 3, 4)]
+
+#: Fronts the series accepts: the presets, a slow and a steep one, gamma < 0,
+#: and the lower branch shifted by x0.
+ACCEPTED_FRONTS = {
+    "case1": case_preset(1), "case2": case_preset(2), "case3": case_preset(3),
+    "slow": BHProblem(31622, Fraction(7, 8), 1),
+    "steep": BHProblem(0, Fraction(1000000007, 8), 1),
+    "negative-gamma": BHProblem(0, 1, Fraction(-1, 2)),
+    "lower-x0": BHProblem(-1, Fraction(3, 2), Fraction(2, 3), branch="lower", x0=Fraction(7, 3)),
+}
 
 
 class TestWaveParameters:
@@ -96,6 +107,23 @@ class TestEvaluation:
             a = w.eval_at(1, Fraction(1, 10), 30)
             b = w0.eval_at(3, Fraction(1, 10), 30)
             assert mpmath.almosteq(a, b, rel_eps=mpf("1e-26"))
+
+    @pytest.mark.parametrize("front", ACCEPTED_FRONTS)
+    def test_nonzero_out_to_the_tail_bound(self, front):
+        # a table divides each cell by the wave; |u| is monotone in the
+        # phase, and at each t the phase is farthest out at the edge where
+        # profiles_at's bound on sigma = m/2^s begins rejecting points
+        p = ACCEPTED_FRONTS[front]
+        expansion = HPMExpansion.start(p)
+        wave = deng_wave(p)
+        with working_dps(30):
+            edge = MAX_SHIFT * mpmath.ln2 / (2 * abs(to_mpf(p.kappa)))
+            for side in (-1, 1):
+                with pytest.raises(UnsupportedProblemError, match="x \\+ x0 = "):
+                    expansion.profiles_at(side * edge - to_mpf(p.x0))
+                for t in (0, Fraction(1, 10), Fraction(3, 10), Fraction(2, 5)):
+                    x = side * (edge + abs(to_mpf(p.speed)) * to_mpf(t)) - to_mpf(p.x0)
+                    assert wave.eval_at(x, t, 30) != 0
 
     def test_fractional_root_wave(self):
         p = BHProblem(alpha=1, beta=1, gamma=Fraction(1, 2), n=2)
