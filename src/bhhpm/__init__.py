@@ -20,7 +20,6 @@ from .errors import (
 )
 from .hpm import (
     HPMExpansion,
-    SeriesTerm,
     max_taylor_deviation,
     run_hpm,
 )
@@ -39,7 +38,7 @@ from .tables import (
     emit_table,
     golden_compare,
 )
-from .waves import TravelingWave, deng_wave, pde_residual
+from .waves import TravelingWave, deng_wave
 
 __version__ = "0.1.0"
 
@@ -60,7 +59,6 @@ __all__ = [
     "ProblemDomainError",
     "QuadraticNumber",
     "RunConfig",
-    "SeriesTerm",
     "TravelingWave",
     "UnsupportedProblemError",
     "build_error_table",
@@ -70,7 +68,6 @@ __all__ = [
     "golden_compare",
     "max_taylor_deviation",
     "parse_config",
-    "pde_residual",
     "render_config",
     "run_hpm",
     "sqrt_rational",

@@ -22,7 +22,7 @@ import mpmath
 from . import golden as golden_data
 from . import tables
 from .config import ConfigError, parse_config
-from .errors import ContractViolation, ProblemDomainError, UnsupportedProblemError
+from .errors import BHError, ContractViolation
 from .hpm import max_taylor_deviation, run_hpm
 from .problem import case_preset
 from .scalars import DEFAULT_DIGITS, to_mpf, working_dps
@@ -225,12 +225,12 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_STDOUT_CLOSED
-    except (ConfigError, ProblemDomainError, UnsupportedProblemError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ContractViolation as exc:
         print(f"internal contract violation: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
+    except BHError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -22,10 +22,11 @@ on Python ints, skips every product with an all-zero sqrt(d) half (all of
 presets 1 and 2) and reduces each result by one gcd.  ``QuadraticNumber``
 stays at the boundaries: the problem's constants are lifted to integers
 once per problem (``_lattice``), so a series builds no ``QuadraticNumber``
-or ``Fraction``, and a ``SeriesTerm`` prints its triple as the closed form
-N(E^2)/(E^2 + 1)^deg by Horner's rule on A and B.  Numbers come from
-``profiles_at`` alone: it rounds sigma = 1/(1 + exp(-/+2*kappa*(x + x0)))
-once per point to a binary value and runs Horner's rule on A and B there.
+or ``Fraction``.  A term is only ever printed: ``terms`` is the text of each
+triple as the closed form N(E^2)/(E^2 + 1)^deg, by Horner's rule on A and B
+(``_term_text``).  Numbers come from ``profiles_at`` alone: it rounds
+sigma = 1/(1 + exp(-/+2*kappa*(x + x0))) once per point to a binary value
+and runs Horner's rule on A and B there.
 The published closed forms serve as test oracles.
 """
 
@@ -184,6 +185,19 @@ def _e2_str(coeffs: list) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
+def _term_text(p: Poly, d: int, order: int, sign: int) -> str:
+    """The series term v_k = c_k(x)*t^k of order k = ``order`` in closed form:
+    c_k = P(sigma) over radicand d, sigma = E^2/(E^2 + 1) (``sign`` +1, the
+    upper branch) or 1/(E^2 + 1) (-1), printed as N(E^2)/(E^2 + 1)^deg."""
+    if not p[0]:
+        return "0"
+    num, den = _closed_form(p, d, sign)
+    profile = f"({_e2_str(num)})"
+    if len(den) > 1:
+        profile += f"/({_e2_str(den)})"
+    return profile + ("" if order == 0 else " * t" if order == 1 else f" * t^{order}")
+
+
 def _value_at(p: Poly, m: int, s: int, d: int) -> mpf:
     """P(m/2^s) at the working precision, exact up to its final rounding.
 
@@ -200,42 +214,6 @@ def _value_at(p: Poly, m: int, s: int, d: int) -> mpf:
         u = u * m + (a[i] << s * (top - i))
         v = v * m + (b[i] << s * (top - i))
     return mpmath.ldexp(surd_to_mpf(u, v, d) / den, -s * top)
-
-
-class SeriesTerm:
-    """The series term v_k = c_k(x)*t^k of order k = ``order``, in closed form.
-
-    ``poly`` is c_k as a sigma-polynomial over radicand ``d``, ``coeffs`` its
-    exact sigma-coefficients, lowest power first; ``sign`` (+1 upper branch,
-    -1 lower) fixes sigma = E^2/(E^2 + 1) or 1/(E^2 + 1), E = exp(kappa*(x + x0)).
-    Its values come from ``HPMExpansion.profiles_at``.
-    """
-
-    def __init__(self, poly: Poly, d: int, order: int, sign: int) -> None:
-        self.poly, self.d, self.order, self.sign = poly, d, order, sign
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    @property
-    def coeffs(self) -> tuple[QuadraticNumber, ...]:
-        return _coeffs(self.poly, self.d)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.poly[0]
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        num, den = _closed_form(self.poly, self.d, self.sign)
-        profile = f"({_e2_str(num)})"
-        if len(den) > 1:
-            profile += f"/({_e2_str(den)})"
-        power = "" if self.order == 0 else " * t" if self.order == 1 else f" * t^{self.order}"
-        return profile + power
 
 
 @lru_cache(maxsize=8)
@@ -289,10 +267,10 @@ class HPMExpansion:
         return len(self.powers[0]) - 1
 
     @property
-    def terms(self) -> tuple[SeriesTerm, ...]:
-        """v_0..v_K."""
+    def terms(self) -> tuple[str, ...]:
+        """v_0..v_K in closed form, as text."""
         sign, d = self.problem.sign, self.problem.radicand
-        return tuple(SeriesTerm(c, d, k, sign) for k, c in enumerate(self.powers[0]))
+        return tuple(_term_text(c, d, k, sign) for k, c in enumerate(self.powers[0]))
 
     def advanced(self) -> HPMExpansion:
         """Expansion with the next term appended: the t^K coefficients of

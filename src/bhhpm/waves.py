@@ -1,5 +1,5 @@
-"""Exact traveling-wave solutions (Deng's two-branch family), a time-Taylor
-oracle, and a finite-difference PDE residual checker.
+"""Exact traveling-wave solutions (Deng's two-branch family) and a
+time-Taylor oracle.
 
 The wave of a problem is  u(x,t) = [A + s*A*tanh(kappa*phi)]^(1/n),
 phi = x - c*t + x0, with amplitude A = gamma/2, branch sign s, steepness
@@ -14,22 +14,18 @@ independent of the symbolic engine and anchors its correctness tests.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import mpmath
 from mpmath import mpf
 
 from .errors import EvaluationError, UnsupportedProblemError
 from .problem import BHProblem
-from .scalars import DEFAULT_DIGITS, GUARD_DIGITS, to_mpf, working_dps
-
-#: Pointwise-evaluable space-time function: f(x, t, digits) -> mpf.
-PointFunction = Callable[[mpf, mpf, int], mpf]
+from .scalars import DEFAULT_DIGITS, to_mpf, working_dps
 
 
 class TravelingWave:
-    """The exact front of ``problem``; a bound ``eval_at`` is a PointFunction."""
+    """The exact front of ``problem``."""
 
     def __init__(self, problem: BHProblem) -> None:
         self.problem = problem
@@ -84,49 +80,3 @@ class TravelingWave:
 def deng_wave(problem: BHProblem) -> TravelingWave:
     """Exact wave for the problem's branch."""
     return TravelingWave(problem)
-
-
-def pde_residual(
-    u: PointFunction,
-    problem: BHProblem,
-    x,
-    t,
-    step: Fraction = Fraction(1, 10**8),
-    digits: int = DEFAULT_DIGITS,
-) -> mpf:
-    """|u_t - u_xx + alpha*u^n*u_x - beta*u*(1-u^n)*(u^n-gamma)| at (x, t).
-
-    Derivatives use 5-point central stencils with the given step; the stencil
-    evaluations run with enough extra digits to absorb the cancellation of
-    nearly equal values, so the result is truncation-limited at O(step^4).
-    """
-    step = Fraction(step)
-    if step <= 0:
-        raise ValueError("step must be positive")
-    # dividing O(step)-cancelling differences by step^2 costs about
-    # 2*log10(1/step) digits; work with that margin on top of the target
-    cancel = 2 * len(str(step.denominator))
-    inner = digits + cancel
-    with working_dps(inner + GUARD_DIGITS):
-        xv, tv, h = to_mpf(x), to_mpf(t), to_mpf(step)
-
-        def f(xx: mpf, tt: mpf) -> mpf:
-            return u(xx, tt, inner)
-
-        ut = (-f(xv, tv + 2 * h) + 8 * f(xv, tv + h) - 8 * f(xv, tv - h) + f(xv, tv - 2 * h)) / (12 * h)
-        fp2, fp1, f0, fm1, fm2 = (
-            f(xv + 2 * h, tv),
-            f(xv + h, tv),
-            f(xv, tv),
-            f(xv - h, tv),
-            f(xv - 2 * h, tv),
-        )
-        ux = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * h)
-        uxx = (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * h * h)
-
-        alpha = to_mpf(problem.alpha)
-        beta = to_mpf(problem.beta)
-        gamma = to_mpf(problem.gamma)
-        un = f0**problem.n
-        residual = ut - uxx + alpha * un * ux - beta * f0 * (1 - un) * (un - gamma)
-        return +abs(residual)

@@ -4,18 +4,31 @@ import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import pytest
 from mpmath import mpf
 
-from bhhpm import BHProblem, HPMExpansion, QuadraticNumber, SeriesTerm, case_preset, run_hpm
+from bhhpm import BHProblem, HPMExpansion, QuadraticNumber, case_preset, run_hpm
 from bhhpm.cli import main
-from bhhpm.hpm import Poly, _lattice, _sum_products
+from bhhpm.hpm import Poly, _coeffs, _lattice, _sum_products
+from bhhpm.scalars import DEFAULT_DIGITS, GUARD_DIGITS, to_mpf, working_dps
 
 
 def quad(a, b=0, d=0) -> QuadraticNumber:
     return QuadraticNumber(Fraction(a), Fraction(b), d)
+
+
+#: Fronts the series accepts: the presets, a slow front, the lower branch
+#: shifted by x0, and a front whose beta carries a sqrt(2) half (radicand 2,
+#: kappa = (-1 + sqrt(2))/4, c = (3 + 3*sqrt(2))/2).
+FRONTS = {
+    "case1": case_preset(1), "case2": case_preset(2), "case3": case_preset(3),
+    "slow": BHProblem(31622, Fraction(7, 8), 1),
+    "lower-x0": BHProblem(-1, Fraction(3, 2), Fraction(2, 3), branch="lower", x0=Fraction(7, 3)),
+    "surd-beta": BHProblem(QuadraticNumber(2, 1, 2),
+                           QuadraticNumber(Fraction(3, 2), Fraction(-1, 2), 2), 1),
+}
 
 
 def random_quad(rng: random.Random, d: int = 2) -> QuadraticNumber:
@@ -86,8 +99,15 @@ def reference_terms(case_id: int) -> list[tuple[QuadraticNumber, dict[int, int],
             (Fraction(27, 16) * quad(388, -225, 3), HUMP, 4)]
 
 
-def matches_reference(term: SeriesTerm, form: tuple[QuadraticNumber, dict[int, int], int]) -> bool:
-    """Exact identity of c_k with the published closed form, in Q(sqrt(d)).
+def t_power(k: int) -> str:
+    """The text a printed term v_k ends in: its factor t^k."""
+    return "" if k == 0 else " * t" if k == 1 else f" * t^{k}"
+
+
+def matches_reference(expansion: HPMExpansion, k: int,
+                      form: tuple[QuadraticNumber, dict[int, int], int]) -> bool:
+    """Exact identity of the expansion's c_k with the published closed form,
+    in Q(sqrt(d)).
 
     At E = s, sigma = s^2/(s^2 + 1) (1/(s^2 + 1) on the lower branch).
     Times s^2*(s^2 + 1)^M, M = max(deg c_k, power), both sides are
@@ -95,16 +115,67 @@ def matches_reference(term: SeriesTerm, form: tuple[QuadraticNumber, dict[int, i
     s than that proves the identity.
     """
     factor, numerator, power = form
-    points = 2 * max(len(term.coeffs) - 1, power) + 5
+    coeffs = _coeffs(expansion.powers[0][k], expansion.problem.radicand)
+    points = 2 * max(len(coeffs) - 1, power) + 5
     for s in (Fraction(j) for j in range(1, points + 1)):
-        sigma = s * s / (s * s + 1) if term.sign > 0 else 1 / (s * s + 1)
+        sigma = s * s / (s * s + 1) if expansion.problem.sign > 0 else 1 / (s * s + 1)
         computed = quad(0)
-        for c in reversed(term.coeffs):
+        for c in reversed(coeffs):
             computed = computed * sigma + c
         published = factor * sum(c * s**e for e, c in numerator.items()) * (s + 1 / s) ** -power
         if computed != published:
             return False
     return True
+
+
+#: Pointwise-evaluable space-time function: f(x, t, digits) -> mpf.
+PointFunction = Callable[[mpf, mpf, int], mpf]
+
+
+def pde_residual(
+    u: PointFunction,
+    problem: BHProblem,
+    x,
+    t,
+    step: Fraction = Fraction(1, 10**8),
+    digits: int = DEFAULT_DIGITS,
+) -> mpf:
+    """|u_t - u_xx + alpha*u^n*u_x - beta*u*(1-u^n)*(u^n-gamma)| at (x, t).
+
+    Derivatives use 5-point central stencils with the given step; the stencil
+    evaluations run with enough extra digits to absorb the cancellation of
+    nearly equal values, so the result is truncation-limited at O(step^4).
+    """
+    step = Fraction(step)
+    if step <= 0:
+        raise ValueError("step must be positive")
+    # dividing O(step)-cancelling differences by step^2 costs about
+    # 2*log10(1/step) digits; work with that margin on top of the target
+    cancel = 2 * len(str(step.denominator))
+    inner = digits + cancel
+    with working_dps(inner + GUARD_DIGITS):
+        xv, tv, h = to_mpf(x), to_mpf(t), to_mpf(step)
+
+        def f(xx: mpf, tt: mpf) -> mpf:
+            return u(xx, tt, inner)
+
+        ut = (-f(xv, tv + 2 * h) + 8 * f(xv, tv + h) - 8 * f(xv, tv - h) + f(xv, tv - 2 * h)) / (12 * h)
+        fp2, fp1, f0, fm1, fm2 = (
+            f(xv + 2 * h, tv),
+            f(xv + h, tv),
+            f(xv, tv),
+            f(xv - h, tv),
+            f(xv - 2 * h, tv),
+        )
+        ux = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * h)
+        uxx = (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * h * h)
+
+        alpha = to_mpf(problem.alpha)
+        beta = to_mpf(problem.beta)
+        gamma = to_mpf(problem.gamma)
+        un = f0**problem.n
+        residual = ut - uxx + alpha * un * ux - beta * f0 * (1 - un) * (un - gamma)
+        return +abs(residual)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bhhpm.cli import main
@@ -33,6 +33,10 @@ FAR_TAILS = {
     "case1-x-minus-1e30": f"case = case1\ngrid_x = {-10**30}\n",
     "x0-1e12": "alpha = 0\nbeta = 1\ngamma = 1\nx0 = 1000000000000\n",
 }
+
+#: A config whose alpha and beta carry different square roots: the
+#: discriminant alpha^2 + 4*(n + 1)*beta mixes sqrt(2) and sqrt(3).
+MIXED_RADICANDS = "alpha = 1+sqrt(2)\nbeta = 1+sqrt(3)\ngamma = 1\n"
 
 
 class TestRun:
@@ -70,6 +74,14 @@ class TestRun:
         assert result.stderr.count("\n") == 1
         assert result.stderr.startswith("configuration error: x + x0 = ")
         assert "Traceback" not in result.output
+
+    def test_mixed_radicands_are_a_config_error(self, tmp_path):
+        config = tmp_path / "mixed.conf"
+        config.write_text(MIXED_RADICANDS)
+        result = run_cli(["run", "--config", str(config)])
+        assert result.exit_code == 2
+        assert result.exception is None
+        assert result.stderr == "configuration error: mixed radicands sqrt(2) and sqrt(3)\n"
 
     def test_sqrt_zero_alpha_is_zero_alpha(self, tmp_path):
         outputs = []
@@ -349,15 +361,24 @@ def _rationals(low, high, denominator=4):
     return st.fractions(min_value=low, max_value=high, max_denominator=denominator)
 
 
+def _numbers(rationals):
+    """A literal from ``rationals`` or a + b*sqrt(r) with a from ``rationals``
+    and r in {2, 3, 5}, drawn anew for each key, so that two keys may carry
+    different square roots."""
+    surds = st.builds(lambda a, b, r: f"{a}{'-' if b < 0 else '+'}{abs(b)}*sqrt({r})",
+                      rationals, _rationals(-2, 2), st.sampled_from([2, 3, 5]))
+    return st.one_of(rationals.map(str), surds)
+
+
 @st.composite
 def run_configs(draw) -> str:
-    """Small random explicit configs, including the steep front's beta and
-    far-tail grid points and shifts; n, branch and the shift x0 are each set
-    or left to their defaults."""
+    """Small random explicit configs, including the steep front's beta,
+    quadratic alpha, beta, gamma and x0, and far-tail grid points and shifts;
+    n, branch and the shift x0 are each set or left to their defaults."""
     values = {
-        "alpha": draw(_rationals(-3, 3)),
-        "beta": draw(st.one_of(_rationals(0, 3), st.just(STEEP_BETA))),
-        "gamma": draw(_rationals(-2, 3)),
+        "alpha": draw(_numbers(_rationals(-3, 3))),
+        "beta": draw(st.one_of(_numbers(_rationals(0, 3)), st.just(STEEP_BETA))),
+        "gamma": draw(_numbers(_rationals(-2, 3))),
         "orders": draw(st.integers(1, 3)),
         "grid_x": ", ".join(str(x) for x in draw(
             st.lists(st.one_of(_rationals(-3, 3), st.sampled_from(TAILS)),
@@ -369,7 +390,7 @@ def run_configs(draw) -> str:
     if draw(st.booleans()):
         values["branch"] = draw(st.sampled_from(["upper", "lower"]))
     if draw(st.booleans()):
-        values["x0"] = draw(st.one_of(_rationals(-2, 2), st.sampled_from(TAILS)))
+        values["x0"] = draw(st.one_of(_numbers(_rationals(-2, 2)), st.sampled_from(TAILS)))
     if draw(st.booleans()):
         values["report_orders"] = ", ".join(str(m) for m in draw(
             st.lists(st.integers(1, values["orders"] + 1), min_size=1, max_size=3, unique=True)))
@@ -414,6 +435,7 @@ def overrides(draw) -> list[str]:
 class TestExitCodes:
     @settings(max_examples=30, deadline=None)
     @given(text=run_configs(), args=overrides())
+    @example(text=MIXED_RADICANDS, args=[])
     def test_any_config_exits_0_1_or_2_with_one_line(self, text, args):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "run.conf")

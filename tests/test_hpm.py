@@ -11,37 +11,33 @@ from mpmath import mpf
 from bhhpm import BHProblem, case_preset, deng_wave, max_taylor_deviation, run_hpm, working_dps
 from bhhpm.errors import ContractViolation, ProblemDomainError, UnsupportedProblemError
 from bhhpm.hpm import (
-    MAX_SHIFT, HPMExpansion, SeriesTerm, _closed_form, _lattice, _operator_factors, _sum_products,
+    MAX_SHIFT, HPMExpansion, _closed_form, _coeffs, _lattice, _operator_factors, _sum_products,
 )
 from bhhpm.scalars import QuadraticNumber
 
-from conftest import matches_reference, quad, reference_terms
-
-
-def initial_term(problem: BHProblem) -> SeriesTerm:
-    return HPMExpansion.start(problem).terms[0]
+from conftest import FRONTS, matches_reference, pde_residual, quad, reference_terms, t_power
 
 
 class TestInitialGuess:
     def test_case1_front(self):
         p = case_preset(1)
-        u0 = initial_term(p)
-        assert u0 == SeriesTerm(_lattice([0, 1], 2), 2, 0, 1)
-        assert str(u0) == "(E^2)/(E^2 + 1)"
+        u0 = HPMExpansion.start(p)
+        assert u0.powers[0] == (_lattice([0, 1], 2),) and (p.radicand, p.sign) == (2, 1)
+        assert u0.terms == ("(E^2)/(E^2 + 1)",)
         assert p.kappa == quad(0, Fraction(1, 4), 2)
 
     def test_case2_front(self):
         p = case_preset(2)
-        u0 = initial_term(p)
-        assert u0 == SeriesTerm(_lattice([0, 1], 1), 1, 0, -1)
-        assert str(u0) == "(1)/(E^2 + 1)"
+        u0 = HPMExpansion.start(p)
+        assert u0.powers[0] == (_lattice([0, 1], 1),) and (p.radicand, p.sign) == (1, -1)
+        assert u0.terms == ("(1)/(E^2 + 1)",)
         assert p.kappa == Fraction(1, 4)
 
     def test_case3_front(self):
         p = case_preset(3)
-        u0 = initial_term(p)
-        assert u0 == SeriesTerm(_lattice([0, 3], 3), 3, 0, -1)
-        assert str(u0) == "(3)/(E^2 + 1)"
+        u0 = HPMExpansion.start(p)
+        assert u0.powers[0] == (_lattice([0, 3], 3),) and (p.radicand, p.sign) == (3, -1)
+        assert u0.terms == ("(3)/(E^2 + 1)",)
         assert p.kappa == quad(Fraction(-3, 4), Fraction(3, 4), 3)
         assert p.radicand == 3
 
@@ -90,13 +86,6 @@ class TestRecursion:
     def test_run_hpm_validates_order(self):
         with pytest.raises(ContractViolation):
             run_hpm(case_preset(1), 0)
-
-
-FRONTS = {
-    "case1": case_preset(1), "case2": case_preset(2), "case3": case_preset(3),
-    "slow": BHProblem(31622, Fraction(7, 8), 1),
-    "lower-x0": BHProblem(-1, Fraction(3, 2), Fraction(2, 3), branch="lower", x0=Fraction(7, 3)),
-}
 
 
 class TestIntegerLift:
@@ -177,14 +166,15 @@ class TestGoldenTerms:
         expansion = expansions[cid]
         expected = reference_terms(cid)
         for k in (1, 2, 3):
-            term = expansion.terms[k]
-            assert term.order == k and term.sign == case_preset(cid).sign
-            assert matches_reference(term, expected[k - 1]), f"case {cid}, term {k}"
+            assert expansion.terms[k].endswith(t_power(k))
+            assert expansion.problem.sign == case_preset(cid).sign
+            assert matches_reference(expansion, k, expected[k - 1]), f"case {cid}, term {k}"
 
     @pytest.mark.parametrize("cid", [1, 2, 3])
     def test_terms_are_t_monomials(self, cid, expansions):
-        for k, term in enumerate(expansions[cid].terms):
-            assert term.order == k and not term.is_zero
+        expansion = expansions[cid]
+        for k, (term, c) in enumerate(zip(expansion.terms, expansion.powers[0])):
+            assert term.endswith(t_power(k)) and c[0]  # c_k is not the zero polynomial
 
     @pytest.mark.parametrize("cid", [1, 2, 3])
     def test_terms_vanish_at_time_zero(self, cid, expansions):
@@ -203,10 +193,11 @@ class TestTermsFixture:
     def test_terms_match_recorded_closed_forms(self):
         lines = []
         for cid in (1, 2, 3):
-            terms = run_hpm(case_preset(cid), 10).terms
-            for k, term in enumerate(terms):
+            p = case_preset(cid)
+            expansion = run_hpm(p, 10)
+            for k, (term, poly) in enumerate(zip(expansion.terms, expansion.powers[0])):
                 lines.append(f"case {cid} v_{k} = {term}")
-                num, _ = _closed_form(term.poly, term.d, term.sign)
+                num, _ = _closed_form(poly, p.radicand, p.sign)
                 assert sum((c * (-1) ** i for i, c in enumerate(num)), quad(0)) != 0
         expected = self.FIXTURE.read_text().splitlines()
         assert len(lines) == len(expected) == 33
@@ -242,11 +233,11 @@ def stirling_coefficients(problem: BHProblem, order: int) -> list[list]:
 
 
 def assert_stirling_form(problem: BHProblem, order: int) -> None:
-    terms = run_hpm(problem, order).terms
+    series = run_hpm(problem, order).powers[0]
     expected = stirling_coefficients(problem, order)
-    for k, (term, want) in enumerate(zip(terms, expected)):
-        assert list(term.coeffs) == want, f"c_{k} of {problem}"
-    assert len(terms) == len(expected) == order + 1
+    for k, (c, want) in enumerate(zip(series, expected)):
+        assert list(_coeffs(c, problem.radicand)) == want, f"c_{k} of {problem}"
+    assert len(series) == len(expected) == order + 1
 
 
 class TestStirlingClosedForm:
@@ -322,6 +313,12 @@ class TestTaylorMatching:
                     else:
                         assert abs(sym - oracle[k]) / abs(oracle[k]) < mpf("1e-25")
 
+    @pytest.mark.parametrize("front", FRONTS)
+    def test_fronts_match_oracle_through_order_10(self, front):
+        p = FRONTS[front]
+        worst = max_taylor_deviation(run_hpm(p, 10), deng_wave(p), (-2, -1, 0, 1, 3), digits=30)
+        assert worst < mpf("1e-30")
+
     def test_slow_front_keeps_its_digits(self):
         # kappa = (sqrt(999950891) - 31622)/8: every sigma-coefficient is
         # a + b*sqrt(d) with a, b up to 1e32 times the coefficient's value
@@ -331,8 +328,6 @@ class TestTaylorMatching:
 
     def test_residual_decreases_with_order(self, expansions):
         # numeric PDE residual of S_m at (1, 1/10) drops monotonically
-        from bhhpm import pde_residual
-
         for cid in (1, 2, 3):
             expansion = expansions[cid]
             problem = case_preset(cid)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mpf
 
-from bhhpm import BHProblem, case_preset, deng_wave, run_hpm, working_dps
+from bhhpm import case_preset, deng_wave, run_hpm, working_dps
 from bhhpm.cli import _write
 from bhhpm.config import ConfigError
 from bhhpm.errors import ContractViolation
@@ -22,6 +22,8 @@ from bhhpm.tables import (
     render_plot_data,
     sci10,
 )
+
+from conftest import FRONTS
 
 
 @pytest.fixture(scope="module")
@@ -132,14 +134,10 @@ class TestCellBits:
     powers per table, the |u| per (x, t)); every cell keeps the plain loop's
     bits."""
 
-    @pytest.mark.parametrize("front", ["case1", "case2", "case3", "slow", "lower-x0"])
+    @pytest.mark.parametrize("front", FRONTS)
     def test_cells_equal_plain_loop(self, front, expansions):
-        if front.startswith("case"):
-            problem, expansion = case_preset(int(front[-1])), expansions[int(front[-1])]
-        else:
-            problem = (BHProblem(31622, Fraction(7, 8), 1) if front == "slow" else
-                       BHProblem(-1, Fraction(3, 2), Fraction(2, 3), branch="lower", x0=Fraction(7, 3)))
-            expansion = run_hpm(problem, 4)
+        problem = FRONTS[front]
+        expansion = expansions[int(front[-1])] if front.startswith("case") else run_hpm(problem, 4)
         rng = random.Random(13)
         xs = [Fraction(-24), Fraction(24)] + [Fraction(rng.randint(-2400, 2400), 100) for _ in range(8)]
         ts = [Fraction(rng.randint(1, 400), 1000) for _ in range(3)]

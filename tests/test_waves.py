@@ -5,22 +5,19 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from bhhpm import BHProblem, HPMExpansion, case_preset, deng_wave, pde_residual, working_dps
+from bhhpm import BHProblem, HPMExpansion, case_preset, deng_wave, working_dps
 from bhhpm.errors import EvaluationError, UnsupportedProblemError
 from bhhpm.hpm import MAX_SHIFT
 from bhhpm.scalars import to_mpf
-from conftest import quad
+from conftest import FRONTS, pde_residual, quad
 
 GRID = [(Fraction(x), Fraction(t, 10)) for x in (1, 2, 3) for t in (1, 3, 4)]
 
-#: Fronts the series accepts: the presets, a slow and a steep one, gamma < 0,
-#: and the lower branch shifted by x0.
+#: Fronts the series accepts: ``FRONTS``, a steep one and gamma < 0.
 ACCEPTED_FRONTS = {
-    "case1": case_preset(1), "case2": case_preset(2), "case3": case_preset(3),
-    "slow": BHProblem(31622, Fraction(7, 8), 1),
+    **FRONTS,
     "steep": BHProblem(0, Fraction(1000000007, 8), 1),
     "negative-gamma": BHProblem(0, 1, Fraction(-1, 2)),
-    "lower-x0": BHProblem(-1, Fraction(3, 2), Fraction(2, 3), branch="lower", x0=Fraction(7, 3)),
 }
 
 
