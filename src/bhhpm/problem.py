@@ -46,6 +46,16 @@ class BHProblem:
         if self.beta.sign() < 0:
             raise ProblemDomainError("beta must be nonnegative")
 
+        # the keys carry one square root at most, or the discriminant mixes two
+        surds = [(name, getattr(self, name).radicand) for name in ("alpha", "beta", "gamma", "x0")
+                 if getattr(self, name).radicand]
+        first, root = surds[0] if surds else ("", 0)
+        for name, other in surds:
+            if other != root:
+                raise ProblemDomainError(
+                    f"{name} carries sqrt({other}), but {first} carries sqrt({root})"
+                )
+
         disc = self.alpha * self.alpha + 4 * (self.n + 1) * self.beta
         if not disc.is_rational:
             raise ProblemDomainError(
@@ -60,13 +70,10 @@ class BHProblem:
             raise ProblemDomainError(f"alpha^2 + 4*beta*(n+1) = {dfrac}: {exc}") from None
         rho = sqrt_rational(dfrac)
 
-        for name in ("alpha", "beta", "gamma", "x0"):
-            value = getattr(self, name)
-            if value.radicand not in (0, d):
-                raise ProblemDomainError(
-                    f"{name} carries sqrt({value.radicand}), "
-                    f"but the problem's radicand is {d}"
-                )
+        if root not in (0, d):
+            raise ProblemDomainError(
+                f"{first} carries sqrt({root}), but the problem's radicand is {d}"
+            )
 
         sign = 1 if self.branch == "upper" else -1
         n1 = self.n + 1

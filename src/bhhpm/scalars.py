@@ -207,21 +207,11 @@ class QuadraticNumber:
 
     def sign(self) -> int:
         """Exact sign of the real value (-1, 0, or +1)."""
+        # a + b*sqrt(d) has the sign of a*|a| + b*|b|*d, which is zero only at
+        # zero: b == 0 or d is square-free
         a, b = self.rational, self.radical
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 d
-        lead = 1 if a > 0 else -1
-        diff = a**2 - b**2 * self.radicand
-        if diff == 0:
-            return 0
-        return lead if diff > 0 else -lead
+        key = a * abs(a) + b * abs(b) * self.radicand
+        return (key > 0) - (key < 0)
 
     def __str__(self) -> str:
         if self.radical == 0:

@@ -7,7 +7,8 @@ percent).  Per table, each t and its powers t^k are rounded once; per x,
 gives u_exact and |u_exact|, and S_m is a running sum of c_k(x)*t^k; per
 cell, one difference and one division remain.  The wave is that of the
 expansion's problem: its logistic form gamma/(1 + exp(z)) is nonzero at every
-point of a front the series accepts, so every cell is a number.
+point of a front the series accepts, so every cell is a number.  Against the
+reference tables, each cell's verdict is set from its two numbers alone.
 """
 
 from __future__ import annotations
@@ -32,37 +33,24 @@ def sci10(value: mpf) -> str:
     """Scientific notation with 10 significant digits and a bare exponent."""
     if value == 0:
         return "0"
-    text = mpmath.nstr(
-        mpf(value), 10, strip_zeros=False, min_fixed=1, max_fixed=0
-    )
+    text = mpmath.nstr(mpf(value), 10, strip_zeros=False, min_fixed=1, max_fixed=0)
+    # nstr writes "e+12" or "e-3", never a padded exponent, and none in [1, 10)
     mantissa, _, exponent = text.partition("e")
-    exponent = exponent.lstrip("+")
-    if exponent.startswith("-"):
-        exponent = "-" + exponent[1:].lstrip("0")
-    else:
-        exponent = exponent.lstrip("0")
-    return f"{mantissa}e{exponent or '0'}"
+    return f"{mantissa}e{exponent.lstrip('+') or '0'}"
 
 
 def fraction_str(value: Fraction) -> str:
     """Shortest exact rendering: decimal when terminating, else p/q."""
-    den = value.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
-        return f"{value.numerator}/{value.denominator}"
-    shift = max(twos, fives)
-    scaled = value.numerator * 10**shift // value.denominator
-    if shift == 0:
-        return str(scaled)
-    text = str(abs(scaled)).rjust(shift + 1, "0")
-    sign = "-" if scaled < 0 else ""
-    return f"{sign}{text[:-shift]}.{text[-shift:]}"
+    num, den = value.numerator, value.denominator
+    # a terminating p/q has a least k with q | 10^k, and that k is below q's bit length
+    k = next((k for k in range(den.bit_length()) if 10**k % den == 0), None)
+    if k is None:
+        return f"{num}/{den}"
+    if k == 0:
+        return str(num)
+    text = str(abs(num) * 10**k // den).rjust(k + 1, "0")
+    sign = "-" if num < 0 else ""
+    return f"{sign}{text[:-k]}.{text[-k:]}"
 
 
 class ErrorTable:
@@ -140,21 +128,21 @@ MAGNITUDE_BAND = (mpf("0.1"), mpf("10"))
 
 
 class CellCheck:
-    """One reference cell against the computed one.  ``rule`` is "relative"
-    or "magnitude", ``deviation`` is |computed - reference|/reference and
-    ``ratio`` is computed/reference."""
+    """One reference cell against the computed one, judged from the two
+    numbers alone: ``deviation`` is |computed - reference|/reference, ``ratio``
+    is computed/reference, and ``rule`` is "relative" or "magnitude"."""
 
-    def __init__(self, t: Fraction, m: int, x: Fraction, computed: mpf, reference: mpf,
-                 rule: str, deviation: mpf, ratio: mpf, ok: bool) -> None:
-        self.t = t
-        self.m = m
-        self.x = x
+    def __init__(self, t: Fraction, m: int, x: Fraction, computed: mpf, reference: mpf) -> None:
+        self.t, self.m, self.x = t, m, x
         self.computed = computed
         self.reference = reference
-        self.rule = rule
-        self.deviation = deviation
-        self.ratio = ratio
-        self.ok = ok
+        self.deviation = abs(computed - reference) / abs(reference)
+        self.ratio = computed / reference
+        if reference >= SMALL_CELL:
+            self.rule, self.ok = "relative", self.deviation <= RELATIVE_TOLERANCE
+        else:
+            self.rule = "magnitude"
+            self.ok = MAGNITUDE_BAND[0] <= self.ratio <= MAGNITUDE_BAND[1]
 
     @property
     def badness(self) -> mpf:
@@ -191,12 +179,11 @@ class GoldenComparison:
 
     def summary(self) -> str:
         n_ok = sum(c.ok for c in self.checks)
-        lines = [
+        return (
             f"case {self.case_id}: {'PASS' if self.passed else 'FAIL'} "
-            f"({n_ok}/{len(self.checks)} cells)",
-            f"  worst cell: {self.worst.describe()}",
-        ]
-        return "\n".join(lines)
+            f"({n_ok}/{len(self.checks)} cells)\n"
+            f"  worst cell: {self.worst.describe()}"
+        )
 
 
 def golden_compare(table: ErrorTable, case_id: int) -> GoldenComparison:
@@ -213,39 +200,21 @@ def golden_compare(table: ErrorTable, case_id: int) -> GoldenComparison:
         raise ContractViolation(
             f"reference comparison needs orders {orders}; table has {table.orders}"
         )
-    result = GoldenComparison(case_id=case_id)
     with working_dps(table.precision):
-        for t in golden.GRID_T:
-            for m in orders:
-                for x in golden.GRID_X:
-                    ref = mpf(reference[(t, m, x)])
-                    comp = table.cell(t, m, x)
-                    deviation = abs(comp - ref) / abs(ref)
-                    ratio = comp / ref
-                    if ref >= SMALL_CELL:
-                        rule = "relative"
-                        ok = deviation <= RELATIVE_TOLERANCE
-                    else:
-                        rule = "magnitude"
-                        ok = MAGNITUDE_BAND[0] <= ratio <= MAGNITUDE_BAND[1]
-                    result.checks.append(
-                        CellCheck(
-                            t=t, m=m, x=x, computed=comp, reference=ref,
-                            rule=rule, deviation=+deviation, ratio=+ratio, ok=ok,
-                        )
-                    )
-    return result
+        checks = [
+            CellCheck(t, m, x, table.cell(t, m, x), mpf(reference[(t, m, x)]))
+            for t in golden.GRID_T for m in orders for x in golden.GRID_X
+        ]
+    return GoldenComparison(case_id, checks)
 
 
 # --- emission ----------------------------------------------------------------
 
 def render_csv(table: ErrorTable) -> str:
-    lines = [CSV_HEADER]
-    for t, m, row in table.rows():
-        for x, value in zip(table.xs, row):
-            lines.append(
-                f"{fraction_str(t)},{m},{fraction_str(x)},{sci10(value)}"
-            )
+    lines = [CSV_HEADER] + [
+        f"{fraction_str(t)},{m},{fraction_str(x)},{sci10(value)}"
+        for t, m, row in table.rows() for x, value in zip(table.xs, row)
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -261,9 +230,7 @@ def render_markdown(table: ErrorTable) -> str:
 
 def render_plot_data(table: ErrorTable) -> str:
     """One ``m,max`` row per order: the largest cell over the grid."""
-    lines = [PLOT_HEADER]
-    for m in table.orders:
-        lines.append(f"{m},{sci10(table.max_cell(m))}")
+    lines = [PLOT_HEADER] + [f"{m},{sci10(table.max_cell(m))}" for m in table.orders]
     return "\n".join(lines) + "\n"
 
 

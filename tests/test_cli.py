@@ -81,7 +81,9 @@ class TestRun:
         result = run_cli(["run", "--config", str(config)])
         assert result.exit_code == 2
         assert result.exception is None
-        assert result.stderr == "configuration error: mixed radicands sqrt(2) and sqrt(3)\n"
+        assert result.stderr == (
+            "configuration error: beta carries sqrt(3), but alpha carries sqrt(2)\n"
+        )
 
     def test_sqrt_zero_alpha_is_zero_alpha(self, tmp_path):
         outputs = []
@@ -336,10 +338,13 @@ class TestOutputFixtures:
         "args,fixture,exit_code",
         [(["golden"], "golden.txt", 1),
          (["golden", "--verbose"], "golden_verbose.txt", 1),
-         (["run", "--case", "2", "--format", "md"], "run_case2.md", 0)]
+         (["taylor-check"], "taylor_check.txt", 0),
+         (["run", "--case", "2", "--format", "md"], "run_case2.md", 0),
+         (["run", "--config", str(DATA / "run_config.conf")], "run_config.md", 0)]
         + [(["run", "--case", str(c), "--format", "csv"], f"run_case{c}.csv", 0)
            for c in (1, 2, 3)],
-        ids=["golden", "golden-verbose", "run-case2-md", "run-case1", "run-case2", "run-case3"],
+        ids=["golden", "golden-verbose", "taylor-check", "run-case2-md", "run-config-md",
+             "run-case1", "run-case2", "run-case3"],
     )
     def test_stdout_matches_fixture(self, args, fixture, exit_code):
         result = run_cli(args)

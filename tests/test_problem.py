@@ -82,6 +82,13 @@ class TestValidation:
         with pytest.raises(ProblemDomainError):
             BHProblem(alpha=0, beta=1, gamma=quad(1, 1, 5))
 
+    def test_mixed_radicands_name_both_keys(self):
+        # alpha and beta carry different square roots: the error names both
+        # keys before the discriminant would mix sqrt(2) and sqrt(3)
+        with pytest.raises(ProblemDomainError,
+                           match=r"^beta carries sqrt\(3\), but alpha carries sqrt\(2\)$"):
+            BHProblem(alpha=quad(1, 1, 2), beta=quad(1, 1, 3), gamma=1)
+
     def test_matching_radical_accepted(self):
         p = BHProblem(alpha=0, beta=1, gamma=quad(1, 1, 2))
         assert p.radicand == 2

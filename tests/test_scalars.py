@@ -146,7 +146,8 @@ class TestQuadraticNumber:
         with working_dps(30):
             for _ in range(100):
                 q = quad(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                         Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 5)
+                         Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                         rng.choice([2, 3, 5, 999950891]))
                 numeric = to_mpf(q)
                 expected = 0 if numeric == 0 else (1 if numeric > 0 else -1)
                 assert q.sign() == expected

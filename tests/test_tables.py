@@ -49,6 +49,9 @@ class TestFormatting:
         assert sci10(mpf("123.456")) == "1.234560000e2"
         assert sci10(mpf("9.7448e-12")) == "9.744800000e-12"
         assert sci10(mpf(0)) == "0"
+        assert sci10(mpf("1.5")) == "1.500000000e0"
+        assert sci10(mpf("-0.0025")) == "-2.500000000e-3"
+        assert sci10(mpf("1.2345678e15")) == "1.234567800e15"
 
     def test_fraction_str(self):
         assert fraction_str(Fraction(1, 10)) == "0.1"
@@ -56,6 +59,10 @@ class TestFormatting:
         assert fraction_str(Fraction(3)) == "3"
         assert fraction_str(Fraction(-3, 2)) == "-1.5"
         assert fraction_str(Fraction(1, 3)) == "1/3"
+        assert fraction_str(Fraction(-1, 20)) == "-0.05"
+        assert fraction_str(Fraction(1, 1024)) == "0.0009765625"
+        assert fraction_str(Fraction(7, 3)) == "7/3"
+        assert fraction_str(Fraction(0)) == "0"
 
 
 class TestErrorTable:
