@@ -21,7 +21,7 @@ import mpmath
 
 from . import golden as golden_data
 from . import tables
-from .config import ConfigError, parse_config
+from .config import PARSERS, ConfigError, parse_config
 from .errors import BHError, ContractViolation
 from .hpm import max_taylor_deviation, run_hpm
 from .problem import case_preset
@@ -148,17 +148,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"usage error: {self.prog}: {message}\n")
 
 
-def _at_least(low: int):
-    """Argument type: an integer no smaller than ``low``."""
-    def parse(text: str) -> int:
+def _setting(key: str):
+    """Argument type: the value of config key ``key``, by its parser in
+    ``PARSERS``; a faulty value is a usage error."""
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
-        return value
+            return PARSERS[key](text, 0)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
+
+
+def _spellings(key: str) -> str:
+    """Metavar of an option that takes config key ``key``'s spellings."""
+    return "{" + ",".join(PARSERS[key].spellings) + "}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,16 +183,17 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kwargs in options.items():
             (source if flag in one_of else sub).add_argument(flag, **kwargs)
 
-    case = dict(type=int, choices=(1, 2, 3), metavar="{1,2,3}")
-    orders = dict(type=_at_least(1), metavar="N")
-    precision = dict(type=_at_least(DEFAULT_DIGITS), metavar="DIGITS",
+    case = dict(type=_setting("case"), metavar=_spellings("case"))
+    orders = dict(type=_setting("orders"), metavar="N")
+    precision = dict(type=_setting("precision"), metavar="DIGITS",
                      help="Significant decimal digits.")
     command("run", run_command, one_of=("--config", "--case"), **{
         "--config": dict(metavar="PATH", help="Config file (key = value lines)."),
         "--case": dict(case, help="Built-in benchmark case instead of a config file."),
         "--orders": dict(orders, help="Highest series order K."),
         "--precision": precision,
-        "--format": dict(choices=("csv", "md"), help="Table output format."),
+        "--format": dict(type=_setting("format"), metavar=_spellings("format"),
+                         help="Table output format."),
         "--out": dict(metavar="PATH", help="Output path (stdout when omitted)."),
     })
     command("golden", golden_command, **{

@@ -1,20 +1,18 @@
 """Line-oriented ``key = value`` run configuration.
 
-Accepted keys: case, alpha, beta, gamma, n, branch, x0, orders,
-report_orders, grid_x, grid_t, precision, format, out.  ``#`` starts a
-comment.  Numbers may be integers, fractions ("p/q"), terminating decimals,
-or quadratic literals ("a+b*sqrt(d)" with rational a and b).  A ``case``
-preset fixes the problem parameters; explicitly setting any of them next to
-``case`` is a conflict, as is repeating a key.  ``parse_config`` resolves all
-defaults: ``cfg.problem`` is the resolved ``BHProblem``, a preset or one built
-from the problem keys the text sets.  ``render_config`` writes that problem's
-parameters explicitly, so ``parse_config(render_config(cfg)) == cfg``.
+``PARSERS`` holds the accepted keys, each with the parser of its value.
+``#`` starts a comment.  Numbers may be integers, fractions ("p/q"),
+terminating decimals, or quadratic literals ("a+b*sqrt(d)" with rational a
+and b).  A ``case`` preset fixes the problem parameters; explicitly setting
+any of them next to ``case`` is a conflict, as is repeating a key.
+``parse_config`` resolves all defaults: ``cfg.problem`` is the resolved
+``BHProblem``, a preset or one built from the problem keys the text sets.
+``render_config`` writes that problem's parameters explicitly, so
+``parse_config(render_config(cfg)) == cfg``.
 
-Errors carry the 1-based line number and come in three classes: syntax
-(malformed lines, unknown keys, bad enumeration values), conflict (duplicate
-keys, preset overrides, inconsistent order lists, missing problem), and
-number (malformed numeric literals).  Parameters outside the problem's domain
-raise ``ProblemDomainError`` once every other key has passed its checks.
+A ``ConfigError`` carries the 1-based line number.  Parameters outside the
+problem's domain raise ``ProblemDomainError`` once every other key has passed
+its checks.
 """
 
 from __future__ import annotations
@@ -28,16 +26,6 @@ from .problem import BHProblem, BRANCHES, case_preset
 from .scalars import DEFAULT_DIGITS, QuadraticNumber
 
 PROBLEM_KEYS = ("alpha", "beta", "gamma", "n", "branch", "x0")
-KNOWN_KEYS = PROBLEM_KEYS + (
-    "case",
-    "orders",
-    "report_orders",
-    "grid_x",
-    "grid_t",
-    "precision",
-    "format",
-    "out",
-)
 
 DEFAULT_ORDERS = 5
 
@@ -52,15 +40,15 @@ class ConfigError(BHError, ValueError):
 
 
 class ConfigSyntaxError(ConfigError):
-    pass
+    """A malformed line, an unknown key or a bad enumeration value."""
 
 
 class ConfigConflictError(ConfigError):
-    pass
+    """A duplicate key, a preset override, an inconsistent order list or no problem."""
 
 
 class ConfigNumberError(ConfigError):
-    pass
+    """A malformed numeric literal, or an integer below its minimum."""
 
 
 _R = r"\d+(?:/\d+|\.\d+)?"  # an unsigned integer, fraction or terminating decimal
@@ -132,26 +120,67 @@ def default_report_orders(case: int | None, orders: int) -> tuple[int, ...]:
     return tuple(range(1, orders + 2))
 
 
-_CASE_NAMES = {"case1": 1, "case2": 2, "case3": 3, "1": 1, "2": 2, "3": 3}
-
 _LINE_RE = re.compile(r"^(?P<key>[A-Za-z_][A-Za-z0-9_]*)\s*=\s*(?P<value>.*)$")
 
 
-def _parse_int(text: str, line: int, key: str, minimum: int = 1) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ConfigNumberError(f"invalid number literal {text!r}", line)
-    if value < minimum:
-        raise ConfigNumberError(f"{key} must be at least {minimum}", line)
-    return value
+def _integer(key: str, minimum: int = 1):
+    """Parser of an integer ``key`` no smaller than ``minimum``."""
+    def parse(text: str, line: int = 0) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ConfigNumberError(f"invalid number literal {text!r}", line)
+        if value < minimum:
+            raise ConfigNumberError(f"{key} must be at least {minimum}", line)
+        return value
+    return parse
 
 
-def _parse_list(text: str, line: int) -> list[str]:
-    items = [part.strip() for part in text.split(",")]
-    if any(not part for part in items):
-        raise ConfigSyntaxError("empty list entry", line)
-    return items
+def _listed(parse):
+    """Parser of a comma-separated list of ``parse``'s values."""
+    def parse_list(text: str, line: int = 0) -> tuple:
+        items = [part.strip() for part in text.split(",")]
+        if any(not part for part in items):
+            raise ConfigSyntaxError("empty list entry", line)
+        return tuple(parse(item, line) for item in items)
+    return parse_list
+
+
+def _named(values: dict, message: str):
+    """Parser of a spelling in ``values`` to its value; ``message`` names a
+    faulty one."""
+    def parse(text: str, line: int = 0):
+        if text not in values:
+            raise ConfigSyntaxError(message.format(text), line)
+        return values[text]
+    parse.spellings = tuple(values)  # for the CLI's metavar
+    return parse
+
+
+#: Every config key with its parser ``parse(text, line)``, which holds the
+#: key's syntax, range and aliases; the CLI options of the same name parse
+#: with it too.  Faulty values are reported in this order, and
+#: ``parse_config`` checks more after three keys: the preset conflicts after
+#: 'case'; the problem's completeness after 'x0', which must follow the other
+#: literals; the range of 'report_orders' after it, which must follow 'orders'.
+PARSERS = {
+    "case": _named({name: c for c in (1, 2, 3) for name in (str(c), f"case{c}")},
+                   "unknown case {!r}"),
+    "alpha": parse_number,
+    "beta": parse_number,
+    "gamma": parse_number,
+    "x0": parse_number,
+    "n": _integer("n"),
+    "branch": _named(dict(zip(BRANCHES, BRANCHES)), "branch must be 'upper' or 'lower', got {!r}"),
+    "orders": _integer("orders"),
+    "precision": _integer("precision", DEFAULT_DIGITS),
+    "report_orders": _listed(_integer("report_orders")),
+    "grid_x": _listed(parse_rational),
+    "grid_t": _listed(parse_rational),
+    "format": _named({"csv": "csv", "md": "markdown", "markdown": "markdown"},
+                     "format must be 'csv' or 'markdown', got {!r}"),
+    "out": lambda text, line=0: text,
+}
 
 
 def parse_config(text: str, *, case: int | None = None, orders: int | None = None,
@@ -169,7 +198,7 @@ def parse_config(text: str, *, case: int | None = None, orders: int | None = Non
         if not match:
             raise ConfigSyntaxError(f"expected 'key = value', got {body!r}", lineno)
         key, value = match.group("key"), match.group("value").strip()
-        if key not in KNOWN_KEYS:
+        if key not in PARSERS:
             raise ConfigSyntaxError(f"unknown key {key!r}", lineno)
         if key in raw:
             raise ConfigConflictError(
@@ -182,93 +211,45 @@ def parse_config(text: str, *, case: int | None = None, orders: int | None = Non
                  "format": format, "out": out}
     raw.update((key, (str(value), 0)) for key, value in overrides.items() if value is not None)
 
-    case_id: int | None = None
-    # the problem keys the text sets; BHProblem supplies the others' defaults
-    params: dict[str, object] = {}
-    if "case" in raw:
-        value, lineno = raw["case"]
-        if value not in _CASE_NAMES:
-            raise ConfigSyntaxError(f"unknown case {value!r}", lineno)
-        case_id = _CASE_NAMES[value]
-        for key in PROBLEM_KEYS:
-            if key in raw:
+    values: dict[str, object] = {}
+    for key, parse in PARSERS.items():
+        if key in raw:
+            values[key] = parse(*raw[key])
+        if key == "case" and key in raw:
+            for other in PROBLEM_KEYS:
+                if other in raw:
+                    raise ConfigConflictError(f"{other!r} conflicts with preset 'case' "
+                                              f"(line {raw[key][1]})", raw[other][1])
+        elif key == "x0" and "case" not in raw:  # after the literals, each at its line
+            missing = [other for other in ("alpha", "beta", "gamma") if other not in raw]
+            if len(missing) == 3:
                 raise ConfigConflictError(
-                    f"{key!r} conflicts with preset 'case' (line {raw['case'][1]})",
-                    raw[key][1],
-                )
-    else:
-        # validate every provided literal before completeness checks, so a
-        # malformed value is reported at its own line
-        for key in ("alpha", "beta", "gamma", "x0"):
-            if key in raw:
-                params[key] = parse_number(*raw[key])
-        if not any(key in raw for key in ("alpha", "beta", "gamma")):
-            raise ConfigConflictError(
-                "config selects no problem: set 'case' or alpha/beta/gamma"
-            )
-        for key in ("alpha", "beta", "gamma"):
-            if key not in raw:
-                raise ConfigConflictError(f"explicit problem needs {key!r}")
-        if "n" in raw:
-            params["n"] = _parse_int(raw["n"][0], raw["n"][1], "n")
-        if "branch" in raw:
-            value, lineno = raw["branch"]
-            if value not in BRANCHES:
-                raise ConfigSyntaxError(
-                    f"branch must be 'upper' or 'lower', got {value!r}", lineno
-                )
-            params["branch"] = value
-
+                    "config selects no problem: set 'case' or alpha/beta/gamma")
+            if missing:
+                raise ConfigConflictError(f"explicit problem needs {missing[0]!r}")
+        elif key == "report_orders":
+            top = values.get("orders", DEFAULT_ORDERS)
+            report = values.setdefault(key, default_report_orders(values.get("case"), top))
+            bad = [m for m in report if not 1 <= m <= top + 1]
+            if bad:
+                source = " (orders from --orders)" if raw.get("orders", ("", 1))[1] == 0 else ""
+                raise ConfigConflictError(f"report_orders {bad} outside 1..orders+1 = "
+                                          f"1..{top + 1}{source}", raw.get(key, ("", 0))[1])
+    case_id = values.pop("case", None)
+    params = {key: values.pop(key) for key in PROBLEM_KEYS if key in values}
     # the problem is built last, so a faulty key elsewhere is reported first
-    cfg = RunConfig(None)  # type: ignore[arg-type]
-    if "orders" in raw:
-        cfg.orders = _parse_int(raw["orders"][0], raw["orders"][1], "orders")
-    if "precision" in raw:
-        cfg.precision = _parse_int(
-            raw["precision"][0], raw["precision"][1], "precision", minimum=DEFAULT_DIGITS
-        )
-    if "report_orders" in raw:
-        value, lineno = raw["report_orders"]
-        cfg.report_orders = tuple(
-            _parse_int(item, lineno, "report_orders") for item in _parse_list(value, lineno)
-        )
-    else:
-        cfg.report_orders = default_report_orders(case_id, cfg.orders)
-    bad = [m for m in cfg.report_orders if not 1 <= m <= cfg.orders + 1]
-    if bad:
-        source = " (orders from --orders)" if raw.get("orders", ("", 1))[1] == 0 else ""
-        raise ConfigConflictError(
-            f"report_orders {bad} outside 1..orders+1 = 1..{cfg.orders + 1}{source}",
-            raw.get("report_orders", ("", 0))[1],
-        )
-    if "grid_x" in raw:
-        value, lineno = raw["grid_x"]
-        cfg.grid_x = tuple(parse_rational(item, lineno) for item in _parse_list(value, lineno))
-    if "grid_t" in raw:
-        value, lineno = raw["grid_t"]
-        cfg.grid_t = tuple(parse_rational(item, lineno) for item in _parse_list(value, lineno))
-    if "format" in raw:
-        value, lineno = raw["format"]
-        if value not in ("csv", "md", "markdown"):
-            raise ConfigSyntaxError(
-                f"format must be 'csv' or 'markdown', got {value!r}", lineno
-            )
-        cfg.format = "markdown" if value in ("md", "markdown") else "csv"
-    if "out" in raw:
-        cfg.out = raw["out"][0]
-    cfg.problem = case_preset(case_id) if case_id else BHProblem(**params)
-    return cfg
+    return RunConfig(case_preset(case_id) if case_id else BHProblem(**params), **values)
 
 
 def render_config(cfg: RunConfig) -> str:
     """Emit a config that parses back to an equal RunConfig."""
-    lines = [f"{key} = {getattr(cfg.problem, key)}" for key in PROBLEM_KEYS]
-    lines.append(f"orders = {cfg.orders}")
-    lines.append("report_orders = " + ", ".join(str(m) for m in cfg.report_orders))
-    lines.append("grid_x = " + ", ".join(str(x) for x in cfg.grid_x))
-    lines.append("grid_t = " + ", ".join(str(t) for t in cfg.grid_t))
-    lines.append(f"precision = {cfg.precision}")
-    lines.append(f"format = {cfg.format}")
-    if cfg.out is not None:
-        lines.append(f"out = {cfg.out}")
+    lines = []
+    for key in PARSERS:
+        if key == "case":  # a preset is written as its parameters
+            continue
+        value = getattr(cfg.problem if key in PROBLEM_KEYS else cfg, key)
+        if isinstance(value, tuple):
+            value = ", ".join(str(item) for item in value)
+        if value is not None:  # an unset out is left out
+            lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

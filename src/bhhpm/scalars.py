@@ -28,9 +28,9 @@ DEFAULT_DIGITS = 30
 #: Extra working digits used internally by every evaluation routine.
 GUARD_DIGITS = 10
 
-# Trial-division bound for square-free decomposition; any cofactor below
-# _TRIAL_LIMIT**2 left after dividing out primes <= _TRIAL_LIMIT is
-# automatically square-free.
+# Trial-division bound for square-free decomposition: a cofactor left after
+# dividing out every prime below p has at most two prime factors once it is
+# below p**3, so it is square-free unless it is a perfect square.
 _TRIAL_LIMIT = 1_000_000
 
 RationalLike = Union[int, Fraction]
@@ -46,11 +46,13 @@ def working_dps(digits: int):
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write ``n = s**2 * d`` with d square-free; return ``(s, d)``.
 
-    Trial division up to ``_TRIAL_LIMIT``; a remaining cofactor is accepted
-    if it is 1, a perfect square, or small enough that square-freeness is
-    forced.  Larger undecidable cofactors raise ValueError rather than
-    silently guessing.  Results are memoised, since every arithmetic result
-    re-checks its radicand; a ValueError is not cached and recurs.
+    Trial division by 2 and each odd p stops once p**3 exceeds the remaining
+    cofactor, which then has at most two prime factors: it is 1, a perfect
+    square or square-free.  A cofactor of at least p**3 left at
+    p > ``_TRIAL_LIMIT`` (10**18 or more, with no prime factor up to 10**6)
+    that is not a perfect square raises ValueError rather than silently
+    guessing.  Results are memoised, since every arithmetic result re-checks
+    its radicand; a ValueError is not cached and recurs.
     """
     if n < 0:
         raise ValueError("radicand must be nonnegative")
@@ -58,7 +60,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         return 1, n
     s, d, rem = 1, 1, n
     p = 2
-    while p <= _TRIAL_LIMIT and p * p <= rem:
+    while p <= _TRIAL_LIMIT and p * p * p <= rem:
         if rem % p == 0:
             e = 0
             while rem % p == 0:
@@ -72,7 +74,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         r = math.isqrt(rem)
         if r * r == rem:
             s *= r
-        elif rem < _TRIAL_LIMIT * _TRIAL_LIMIT:
+        elif rem < p * p * p:
             d *= rem
         else:
             raise ValueError(f"cannot certify square-free part of {n}")

@@ -162,9 +162,9 @@ class CellCheck:
 
 
 class GoldenComparison:
-    def __init__(self, case_id: int, checks: list[CellCheck] | None = None) -> None:
+    def __init__(self, case_id: int, checks: list[CellCheck]) -> None:
         self.case_id = case_id
-        self.checks = [] if checks is None else checks
+        self.checks = checks
 
     @property
     def passed(self) -> bool:

@@ -112,6 +112,15 @@ class TestRun:
         assert by_option.exit_code == by_config.exit_code == 0
         assert by_option.stdout == by_config.stdout
 
+    def test_options_take_config_spellings_and_messages(self):
+        # the options parse with their config keys' own parsers
+        by_name = run_cli(["run", "--case", "case2", "--format", "markdown", "--orders", "3"])
+        by_number = run_cli(["run", "--case", "2", "--format", "md", "--orders", "3"])
+        assert by_name.exit_code == by_number.exit_code == 0
+        assert by_name.stdout == by_number.stdout
+        result = run_cli(["run", "--case", "1", "--precision", "29"])
+        assert result.stderr.endswith("argument --precision: precision must be at least 30\n")
+
     def test_orders_option_keeps_config_report_orders(self, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text("case = case1\nreport_orders = 1, 2\nformat = csv\n")
@@ -153,11 +162,11 @@ class TestRun:
 
     def test_uncertifiable_radicand_exits_2(self, tmp_path):
         config = tmp_path / "steep.conf"
-        config.write_text("alpha = 0\nbeta = 1000036000099/8\ngamma = 1\n")
+        config.write_text("alpha = 0\nbeta = 1000073001431003663/8\ngamma = 1\n")
         result = run_cli(["run", "--config", str(config)])
         assert result.exit_code == 2
         assert result.output.startswith("configuration error: ")
-        assert "cannot certify square-free part of 1000036000099" in result.output
+        assert "cannot certify square-free part of 1000073001431003663" in result.output
         assert result.output.count("\n") == 1
 
     def test_steep_front_has_defined_cells(self, tmp_path):

@@ -64,9 +64,9 @@ class TestValidation:
             BHProblem(alpha=0, beta=1, gamma=1, branch="sideways")
 
     def test_uncertifiable_radicand_rejected(self):
-        # 8*beta = 1000036000099 has no prime factor below 10**6
+        # 8*beta = 1000003*1000033*1000037 has no prime factor below 10**6
         with pytest.raises(ProblemDomainError, match="cannot certify"):
-            BHProblem(alpha=0, beta=Fraction(1000036000099, 8), gamma=1)
+            BHProblem(alpha=0, beta=Fraction(1000073001431003663, 8), gamma=1)
 
     def test_irrational_discriminant_rejected(self):
         with pytest.raises(ProblemDomainError):

@@ -44,7 +44,9 @@ class TestSquarefree:
     @pytest.mark.parametrize(
         "n,expected",
         [(0, (1, 0)), (1, (1, 1)), (2, (1, 2)), (8, (2, 2)), (9, (3, 1)),
-         (12, (2, 3)), (360, (6, 10)), (49, (7, 1)), (10**6 + 3, (1, 10**6 + 3))],
+         (12, (2, 3)), (360, (6, 10)), (49, (7, 1)), (10**6 + 3, (1, 10**6 + 3)),
+         # two primes above the trial bound: certified, since the cofactor is below p**3
+         (1000003 * 1000033, (1, 1000003 * 1000033))],
     )
     def test_known(self, n, expected):
         assert squarefree_decompose(n) == expected
@@ -54,8 +56,9 @@ class TestSquarefree:
         assert squarefree_decompose(p * p) == (p, 1)
 
     def test_undecidable_rejected(self):
+        # three primes above 10**6: the cofactor outgrows the trial bound
         with pytest.raises(ValueError):
-            squarefree_decompose((10**6 + 3) * (10**6 + 33))
+            squarefree_decompose((10**6 + 3) * (10**6 + 33) * (10**6 + 37))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -70,7 +73,7 @@ class TestSquarefree:
         # exceptions are not memoised
         for _ in range(2):
             with pytest.raises(ValueError):
-                squarefree_decompose(1000036000099)
+                squarefree_decompose(1000073001431003663)
 
 
 class TestQuadraticNumber:
