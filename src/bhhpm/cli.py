@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision": precision,
         "--format": dict(type=_setting("format"), metavar=_spellings("format"),
                          help="Table output format."),
-        "--out": dict(metavar="PATH", help="Output path (stdout when omitted)."),
+        "--out": dict(type=_setting("out"), metavar="PATH", help="Output path (default: stdout)."),
     })
     command("golden", golden_command, **{
         "--case": dict(case, help="Check a single case (default: all three)."),

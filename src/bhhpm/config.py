@@ -157,6 +157,14 @@ def _named(values: dict, message: str):
     return parse
 
 
+def _path(text: str, line: int = 0) -> str:
+    """An output path that a config line holds as it is."""
+    if "#" in text or len(text.splitlines()) != 1 or text != text.strip():
+        raise ConfigSyntaxError("out must be a nonempty path without '#', line breaks or "
+                                f"spaces at either end, got {text!r}", line)
+    return text
+
+
 #: Every config key with its parser ``parse(text, line)``, which holds the
 #: key's syntax, range and aliases; the CLI options of the same name parse
 #: with it too.  Faulty values are reported in this order, and
@@ -179,7 +187,7 @@ PARSERS = {
     "grid_t": _listed(parse_rational),
     "format": _named({"csv": "csv", "md": "markdown", "markdown": "markdown"},
                      "format must be 'csv' or 'markdown', got {!r}"),
-    "out": lambda text, line=0: text,
+    "out": _path,
 }
 
 

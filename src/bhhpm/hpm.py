@@ -16,17 +16,14 @@ Walther, Evaluating Derivatives, ch. 13): the step to c_k adds their t^(k-1)
 terms, u^2's by symmetry, and c_k is one linear combination: order k costs
 2n + 1 sums of O(k) products of degree-O(k) polynomials, O(k^3) multiplications.
 
-Such a polynomial is held as an integer triple (A, B, D), coefficient i
-being (A[i] + B[i]*sqrt(d))/D for the problem's radicand d, so the step runs
-on Python ints, skips every product with an all-zero sqrt(d) half (all of
-presets 1 and 2) and reduces each result by one gcd.  ``QuadraticNumber``
-stays at the boundaries: the problem's constants are lifted to integers
-once per problem (``_lattice``), so a series builds no ``QuadraticNumber``
-or ``Fraction``.  A term is only ever printed: ``terms`` is the text of each
-triple as the closed form N(E^2)/(E^2 + 1)^deg, by Horner's rule on A and B
-(``_term_text``).  Numbers come from ``profiles_at`` alone: it rounds
-sigma = 1/(1 + exp(-/+2*kappa*(x + x0))) once per point to a binary value
-and runs Horner's rule on A and B there.
+All coefficients of such a polynomial lie on one line of Q(sqrt(d)), as c_k =
+gamma*(-speed*rate)^k*delta^k(sigma)/k! shows, so it is held as (a, b, den, q):
+a content (a + b*sqrt(d))/den times an integer list q.  The step runs on Python
+ints and reduces each result by one gcd; the problem's constants are lifted once
+(``_lattice``), so a series builds no ``QuadraticNumber`` or ``Fraction``.
+``terms`` prints each c_k by Horner's rule on q (``_term_text``); ``profiles_at``,
+the only route to numbers, rounds sigma once per point to a binary value and
+runs Horner's rule on q there.
 The published closed forms serve as test oracles.
 """
 
@@ -53,31 +50,35 @@ from .scalars import (
     working_dps,
 )
 
-#: A sigma-polynomial (A, B, D), coefficient i = (A[i] + B[i]*sqrt(d))/D,
-#: lowest power first; canonical (trailing zeros trimmed, D >= 1,
-#: gcd(D, *A, *B) = 1), so equal polynomials are equal tuples.
-Poly = tuple[tuple[int, ...], tuple[int, ...], int]
+#: A sigma-polynomial (a, b, den, q), coefficient i = (a + b*sqrt(d))*q[i]/den,
+#: lowest power first; canonical (q primitive with q[-1] > 0, den >= 1,
+#: gcd(a, b, den) = 1), so equal polynomials are equal tuples.
+Poly = tuple[int, int, int, tuple[int, ...]]
 #: Taylor coefficients in t of one function, as sigma-polynomials.
 Series = tuple[Poly, ...]
 
-ZERO_POLY: Poly = ((), (), 1)
+ZERO_POLY: Poly = (0, 0, 1, ())
 #: The largest s of a point's sigma = m/2^s: Horner's rule there builds
 #: (deg*s)-bit integers.  Case 1 reaches it at |x| of about 1.03e6.
 MAX_SHIFT = 1 << 20
 
 
 def _reduced(a: list[int], b: list[int], den: int) -> Poly:
-    """The canonical form of sum_i (a[i] + b[i]*sqrt(d))/den * sigma^i."""
+    """The canonical form of sum_i (a[i] + b[i]*sqrt(d))/den * sigma^i, whose
+    coefficients must lie on one line of Q(sqrt(d)): a = x*q and b = y*q."""
     while a and not (a[-1] or b[-1]):
         a.pop()
         b.pop()
     if not a:
         return ZERO_POLY
-    g = math.gcd(den, *a, *b)
-    # Lists, not generators: CPython sizes a tuple from a generator by a guess
-    # and resizes it, and its tuple free lists then hoard the resized blocks
-    # (2.3 MB more resident memory after 100 rounds of presets 1-3 to K = 10).
-    return tuple([x // g for x in a]), tuple([y // g for y in b]), den // g
+    half = a if a[-1] else b
+    g = math.gcd(*half) if half[-1] > 0 else -math.gcd(*half)
+    q = [c // g for c in half]
+    x, y = a[-1] // q[-1], b[-1] // q[-1]
+    if [x * c for c in q] != a or [y * c for c in q] != b:
+        raise ContractViolation("a sum of sigma-polynomials leaves its line in Q(sqrt(d))")
+    h = math.gcd(x, y, den)
+    return x // h, y // h, den // h, tuple(q)
 
 
 def _lattice(coeffs: Iterable[ScalarLike], d: int) -> Poly:
@@ -93,46 +94,38 @@ def _lattice(coeffs: Iterable[ScalarLike], d: int) -> Poly:
 
 def _coeffs(p: Poly, d: int) -> tuple[QuadraticNumber, ...]:
     """The exact coefficients of P, lowest power first."""
-    a, b, den = p
-    return tuple(QuadraticNumber(Fraction(x, den), Fraction(y, den), d) for x, y in zip(a, b))
+    a, b, den, q = p
+    return tuple(QuadraticNumber(Fraction(a * c, den), Fraction(b * c, den), d) for c in q)
 
 
 def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]], den: int = 1,
                   weights: Iterable[int] = repeat(1)) -> Poly:
-    """sum(w * P * Q)/den over the pairs (integer weight w, 1 by default) on
-    their common denominator, with (x + y*sqrt(d))(u + v*sqrt(d)) = xu + yv*d
-    + (xv + yu)*sqrt(d), skipping zero x, y and an all-zero B of Q.  One pair
-    gives the product; pairs (f, P) with f of degree 0, a linear combination."""
-    kept, common, size = [], 1, 0
-    for (p, q), w in zip(pairs, weights):
-        if p[0] and q[0]:
-            kept.append((p, q, w))
-            common = math.lcm(common, p[2] * q[2])
-            size = max(size, len(p[0]) + len(q[0]) - 1)
+    """sum(w * P * Q)/den over the pairs (integer weight w, 1 by default): each pair's
+    product of integer lists goes to the rational and sqrt(d) sums, scaled over the common
+    denominator by the contents' product unless that is 0; degree-0 P's: a linear combination."""
+    kept = [(p, q, w) for (p, q), w in zip(pairs, weights) if p[3] and q[3]]
+    common = math.lcm(*[p[2] * q[2] for p, q, _ in kept])
+    size = max([len(p[3]) + len(q[3]) - 1 for p, q, _ in kept], default=0)
     a, b = [0] * size, [0] * size
-    for (pa, pb, pd), (qa, qb, qd), w in kept:
+    for (x, y, pd, pq), (u, v, qd, qq), w in kept:
         s = common // (pd * qd) * w
-        # x*u to A and y*u to B; then, unless Q's B is all zero, x*v to B and y*v*d to A
-        for q, x_to, y_to, y_scale in [(qa, a, b, s), (qb, b, a, s * d)][:1 + any(qb)]:
-            for i, (x, y) in enumerate(zip(pa, pb)):
-                if x:
-                    x *= s
-                    for j, u in enumerate(q, i):
-                        x_to[j] += x * u
-                if y:
-                    y *= y_scale
-                    for j, u in enumerate(q, i):
-                        y_to[j] += y * u
+        product = [0] * (len(pq) + len(qq) - 1)
+        for i, c in enumerate(pq):
+            if c:
+                for j, e in enumerate(qq, i):
+                    product[j] += c * e
+        for total, scale in ((a, (x * u + y * v * d) * s), (b, (x * v + y * u) * s)):
+            if scale:
+                for j, c in enumerate(product):
+                    total[j] += scale * c
     return _reduced(a, b, common * den)
 
 
 def _delta(p: Poly) -> Poly:
-    """sigma*(1 - sigma)*P'(sigma) = sum_i (i*p_i - (i-1)*p_(i-1)) sigma^i, unreduced
-    (a factor for _sum_products), so d/dx P(sigma) = rate*delta(P); an all-zero
-    half stays all zero."""
-    *halves, den = p
-    return (*[[i * x - (i - 1) * y for i, (x, y) in enumerate(zip([*c, 0], [0, *c]))]
-              if any(c) else [0] * (len(c) + 1) for c in halves], den)
+    """sigma*(1 - sigma)*P'(sigma): P's content times sum_i (i*q_i - (i-1)*q_(i-1)) sigma^i,
+    unreduced (a factor for _sum_products), so d/dx P(sigma) = rate*delta(P)."""
+    *content, q = p
+    return (*content, [i * x - (i - 1) * y for i, (x, y) in enumerate(zip([*q, 0], [0, *q]))])
 
 
 def _extended(powers: tuple[Series, ...], d: int) -> tuple[Series, ...]:
@@ -153,18 +146,17 @@ def _closed_form(p: Poly, d: int, sign: int) -> tuple[tuple[QuadraticNumber, ...
     """Coefficients of N and D, in powers of E^2, with P(sigma) = N/D and
     D = (E^2 + 1)^deg(P), for a nonzero P over radicand d.
 
-    Horner's rule on A and B for sigma = S/(E^2 + 1), S = E^2 on the upper
+    Horner's rule on q for sigma = S/(E^2 + 1), S = E^2 on the upper
     branch and 1 on the lower: c + sigma*N/D = (c*D*(E^2 + 1) + S*N)/(D*(E^2 + 1)).
     At E^2 = -1 only the leading coefficient survives, N(-1) = (-1)^deg*p_deg
     (upper) or p_deg (lower), so N/D is in lowest terms.
     """
-    a, b, den = p
-    num, binom = ([a[-1]], [b[-1]]), [1]
-    for x, y in zip(reversed(a[:-1]), reversed(b[:-1])):
+    *content, q = p
+    num, binom = [q[-1]], [1]
+    for c in reversed(q[:-1]):
         binom = [i + j for i, j in zip(binom + [0], [0] + binom)]
-        num = tuple([c * k + s for k, s in zip(binom, [0] + h if sign > 0 else h + [0])]
-                    for c, h in zip((x, y), num))
-    return _coeffs((*num, den), d), binom
+        num = [c * k + s for k, s in zip(binom, [0] + num if sign > 0 else num + [0])]
+    return _coeffs((*content, num), d), binom
 
 
 def _e2_str(coeffs: list) -> str:
@@ -189,7 +181,7 @@ def _term_text(p: Poly, d: int, order: int, sign: int) -> str:
     """The series term v_k = c_k(x)*t^k of order k = ``order`` in closed form:
     c_k = P(sigma) over radicand d, sigma = E^2/(E^2 + 1) (``sign`` +1, the
     upper branch) or 1/(E^2 + 1) (-1), printed as N(E^2)/(E^2 + 1)^deg."""
-    if not p[0]:
+    if not p[3]:
         return "0"
     num, den = _closed_form(p, d, sign)
     profile = f"({_e2_str(num)})"
@@ -201,19 +193,18 @@ def _term_text(p: Poly, d: int, order: int, sign: int) -> str:
 def _value_at(p: Poly, m: int, s: int, d: int) -> mpf:
     """P(m/2^s) at the working precision, exact up to its final rounding.
 
-    Horner's rule runs in integers on A and on B, giving
-    P = (U + V*sqrt(d))/(D*2^(s*deg)).  ``surd_to_mpf`` takes U + V*sqrt(d)
-    through the conjugate where the parts would cancel, so coefficients far
-    larger than the value (a slow front's, say) cost no digits.
+    Horner's rule runs in integers on q, giving P = (a + b*sqrt(d))*U/(den*2^(s*deg)).
+    ``surd_to_mpf`` takes a*U + b*U*sqrt(d) through the conjugate where the parts
+    would cancel, so coefficients far larger than the value (a slow front's, say)
+    cost no digits.
     """
-    a, b, den = p
-    top = len(a) - 1
-    u = v = 0
-    # sum_i c_i*(m/2^s)^i = (sum_i c_i*m^i*2^(s*(top - i)))/2^(s*top)
+    a, b, den, q = p
+    top = len(q) - 1
+    u = 0
+    # sum_i q_i*(m/2^s)^i = (sum_i q_i*m^i*2^(s*(top - i)))/2^(s*top)
     for i in range(top, -1, -1):
-        u = u * m + (a[i] << s * (top - i))
-        v = v * m + (b[i] << s * (top - i))
-    return mpmath.ldexp(surd_to_mpf(u, v, d) / den, -s * top)
+        u = u * m + (q[i] << s * (top - i))
+    return mpmath.ldexp(surd_to_mpf(a * u, b * u, d) / den, -s * top)
 
 
 @lru_cache(maxsize=8)
@@ -223,7 +214,7 @@ def _operator_factors(problem: BHProblem) -> tuple[Poly, ...]:
     rate = 2*sign*kappa is the d(sigma)/dx = rate*sigma*(1 - sigma) of the front,
     as degree-0 products of the lifted kappa, alpha, beta and gamma; formed once
     per problem, not once per step."""
-    d, one = problem.radicand, ((1,), (0,), 1)
+    d, one = problem.radicand, (1, 0, 1, (1,))
     kappa, alpha, beta, gamma = (_lattice([c], d) for c in (
         problem.kappa, problem.alpha, problem.beta, problem.gamma))
     rate = _sum_products(d, [(one, kappa)], weights=[2 * problem.sign])

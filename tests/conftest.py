@@ -1,18 +1,20 @@
 from __future__ import annotations
 
 import io
+import math
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+import mpmath
 import pytest
 from mpmath import mpf
 
 from bhhpm import BHProblem, HPMExpansion, QuadraticNumber, case_preset, run_hpm
 from bhhpm.cli import main
 from bhhpm.hpm import Poly, _coeffs, _lattice, _sum_products
-from bhhpm.scalars import DEFAULT_DIGITS, GUARD_DIGITS, to_mpf, working_dps
+from bhhpm.scalars import DEFAULT_DIGITS, GUARD_DIGITS, surd_to_mpf, to_mpf, working_dps
 
 
 def quad(a, b=0, d=0) -> QuadraticNumber:
@@ -39,23 +41,28 @@ def random_quad(rng: random.Random, d: int = 2) -> QuadraticNumber:
     )
 
 
-def random_coeffs(rng: random.Random, degree: int = 3, nonzero: bool = False,
-                  d: int = 2) -> tuple[QuadraticNumber, ...]:
+def random_coeffs(rng: random.Random, degree: int = 3, nonzero: bool = False, d: int = 2,
+                  line: QuadraticNumber | None = None) -> tuple[QuadraticNumber, ...]:
     """Coefficients of a random sigma-polynomial of degree at most ``degree``,
-    about half of them zero, trailing zeros trimmed; with ``nonzero``, never
-    the zero polynomial."""
-    coeffs = [random_quad(rng, d) if rng.random() < 0.5 else quad(0)
-              for _ in range(degree + 1)]
+    rational multiples of ``line`` (a random nonzero value of Q(sqrt(d)) when
+    None), so all on the one line of Q(sqrt(d)) that the series engine
+    holds; about half of them zero, trailing zeros trimmed; with ``nonzero``,
+    never the zero polynomial."""
+    line = (random_quad(rng, d) or quad(1, 1, d)) if line is None else line
+    coeffs = [line * Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.5
+              else quad(0) for _ in range(degree + 1)]
     while coeffs and coeffs[-1].is_zero():
         coeffs.pop()
     if nonzero and not coeffs:
-        return (quad(0),) * rng.randint(0, degree) + (quad(1, 1, d),)
+        return (quad(0),) * rng.randint(0, degree) + (line,)
     return tuple(coeffs)
 
 
-def random_poly(rng: random.Random, degree: int = 3, nonzero: bool = False, d: int = 2) -> Poly:
-    """``random_coeffs`` as the engine's integer triple over radicand d."""
-    return _lattice(random_coeffs(rng, degree, nonzero, d), d)
+def random_poly(rng: random.Random, degree: int = 3, nonzero: bool = False, d: int = 2,
+                line: QuadraticNumber | None = None) -> Poly:
+    """``random_coeffs`` as the engine's polynomial over radicand d: a content
+    on the line of ``line`` times an integer list."""
+    return _lattice(random_coeffs(rng, degree, nonzero, d, line), d)
 
 
 def add(a: Poly, b: Poly, d: int) -> Poly:
@@ -73,6 +80,24 @@ def sigma_value(p: Poly, problem: BHProblem, x, digits: int = 30) -> mpf:
     """P(sigma(x)) on the front of ``problem`` (P over its radicand), through
     the engine's one evaluation route, ``HPMExpansion.profiles_at``."""
     return HPMExpansion(problem, ((p,),)).profiles_at(x, digits)[0]
+
+
+def two_half_value_at(p: Poly, m: int, s: int, d: int) -> mpf:
+    """P(m/2^s) by Horner's rule on two integer lists A and B, P's coefficients
+    being (A[i] + B[i]*sqrt(d))/D over their least common denominator D: the
+    evaluation of a polynomial held without a common content, a reference for
+    the bits of ``profiles_at``."""
+    coeffs = _coeffs(p, d)
+    den = math.lcm(*[f.denominator for c in coeffs for f in (c.rational, c.radical)])
+    a = [int(c.rational * den) for c in coeffs]
+    b = [int(c.radical * den) for c in coeffs]
+    top = len(coeffs) - 1
+    u = v = 0
+    # sum_i c_i*(m/2^s)^i = (sum_i c_i*m^i*2^(s*(top - i)))/2^(s*top)
+    for i in range(top, -1, -1):
+        u = u * m + (a[i] << s * (top - i))
+        v = v * m + (b[i] << s * (top - i))
+    return mpmath.ldexp(surd_to_mpf(u, v, d) / den, -s * top)
 
 
 #: Numerators of the published closed forms, as {exponent of E: coefficient}.

@@ -316,9 +316,10 @@ class TestCriterion8:
         start = time.monotonic()
 
         # ring axioms on the sigma-polynomial add, scale and product of the
-        # series engine: 60 triples x 5
+        # series engine: 60 triples x 5, each triple on one line of Q(sqrt(3))
         for _ in range(60):
-            a, b, c = (random_poly(rng, 2, d=3) for _ in range(3))
+            line = random_quad(rng, 3)
+            a, b, c = (random_poly(rng, 2, d=3, line=line) for _ in range(3))
             f = _lattice([random_quad(rng, 3)], 3)
             assert add(a, b, 3) == add(b, a, 3)
             assert mul(a, b, 3) == mul(b, a, 3)

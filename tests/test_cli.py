@@ -205,6 +205,16 @@ class TestRun:
         assert result.stderr.startswith(f"configuration error: cannot write table to '{out}': ")
         assert result.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("out", ["r#1.csv", " x.csv", "x.csv ", "a\nb.csv", ""])
+    def test_out_no_config_line_holds_exits_2(self, out):
+        # '#' starts a comment, a line break ends the line and edge spaces are
+        # stripped, so render_config could not write such a path back
+        result = run_cli(["run", "--case", "1", f"--out={out}"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage error: bhhpm run: argument --out: out must be ")
+        assert result.stderr.count("\n") == 1
+
     def test_unwritable_plot_path_exits_2(self, tmp_path):
         out = tmp_path / "x.csv"
         (tmp_path / "x.csv.plot.csv").mkdir()

@@ -1,7 +1,11 @@
+import io
 import random
+from contextlib import redirect_stderr
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bhhpm import (
     ConfigConflictError,
@@ -11,9 +15,11 @@ from bhhpm import (
     parse_config,
     render_config,
 )
-from bhhpm.config import default_report_orders, parse_number
+from bhhpm.cli import build_parser
+from bhhpm.config import PARSERS, ConfigError, default_report_orders, parse_number
 from bhhpm.errors import ProblemDomainError
 from bhhpm.problem import BHProblem, case_preset
+from bhhpm.scalars import DEFAULT_DIGITS
 
 from conftest import quad
 
@@ -223,6 +229,19 @@ def random_config(rng: random.Random) -> RunConfig:
     return cfg
 
 
+@st.composite
+def run_settings(draw) -> dict[str, str]:
+    """The text of each setting that both a config line and a ``run`` option
+    set, from the domain of its parser in ``PARSERS``; ``out`` is any text."""
+    return {
+        "case": draw(st.sampled_from(PARSERS["case"].spellings)),
+        "orders": str(draw(st.integers(1, 12))),
+        "precision": str(draw(st.integers(DEFAULT_DIGITS, 80))),
+        "format": draw(st.sampled_from(PARSERS["format"].spellings)),
+        "out": draw(st.text()),
+    }
+
+
 class TestRoundTrip:
     def test_presets_round_trip(self):
         for cid in (1, 2, 3):
@@ -236,3 +255,32 @@ class TestRoundTrip:
             cfg = random_config(rng)
             again = parse_config(render_config(cfg))
             assert again == cfg
+
+    @pytest.mark.parametrize("out", ["run#2.csv", " x.csv"])
+    def test_out_no_config_line_holds_is_rejected(self, out):
+        # a config line would read these back as 'run' and 'x.csv'
+        with pytest.raises(ConfigSyntaxError, match="out must be"):
+            parse_config("case = 1", out=out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=run_settings())
+    @example(values={"case": "1", "orders": "5", "precision": "30", "format": "csv",
+                     "out": "run#2.csv"})
+    @example(values={"case": "1", "orders": "5", "precision": "30", "format": "csv",
+                     "out": " x.csv"})
+    def test_options_either_fail_or_give_a_config_that_round_trips(self, values):
+        argv = ["run", *[f"--{key}={value}" for key, value in values.items()]]
+        try:
+            with redirect_stderr(io.StringIO()) as err:
+                args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # only out can lie outside its parser's domain: one usage line, exit 2
+            assert exc.code == 2 and err.getvalue().count("\n") == 1
+            with pytest.raises(ConfigError):
+                PARSERS["out"](values["out"])
+            return
+        cfg = parse_config("", case=args.case, orders=args.orders, precision=args.precision,
+                           format=args.format, out=args.out)
+        assert parse_config(render_config(cfg)) == cfg
+        # the same settings as config lines give the same config
+        assert parse_config("".join(f"{key} = {value}\n" for key, value in values.items())) == cfg

@@ -1,25 +1,29 @@
 """The profile algebra of the series engine: polynomials over Q(sqrt(d)) in
 the logistic variable sigma of E = exp(kappa*x), as ``bhhpm.hpm`` adds,
 scales, multiplies, differentiates, evaluates and prints them.  The engine
-holds each one as an integer triple (A, B, D); ``_lattice`` and ``_coeffs``
-convert from and to exact coefficients."""
+holds each one as a content in Q(sqrt(d)) times an integer list, (a, b, den, q),
+so every coefficient lies on one line of Q(sqrt(d)), and a sum that leaves it
+is a contract violation; ``_lattice`` and ``_coeffs`` convert from and to
+exact coefficients."""
 
 import math
 import random
 from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
 from bhhpm import BHProblem, case_preset, run_hpm, working_dps
+from bhhpm.errors import ContractViolation
 from bhhpm.hpm import (
     ZERO_POLY, _closed_form, _coeffs, _delta, _extended, _lattice, _reduced, _sum_products,
     _term_text,
 )
 
-from conftest import add, mul, quad, random_coeffs, random_poly, sigma_value
+from conftest import add, mul, quad, random_coeffs, random_poly, random_quad, sigma_value
 
 D = 2                               # the radicand of both fronts below
 KAPPA = quad(0, Fraction(1, 4), D)  # sqrt(2)/4, the steepest benchmark rate
@@ -48,9 +52,16 @@ def value(p, x, sign: int = 1, digits: int = 30):
 
 class TestSigmaPoly:
     def test_zero_coefficients_dropped(self):
-        assert _reduced([3, 0, 0], [0, 0, 0], 1) == ((3,), (0,), 1)
+        assert _reduced([3, 0, 0], [0, 0, 0], 1) == (3, 0, 1, (1,))
         assert _lattice([quad(3), quad(0), quad(0)], D) == _lattice([quad(3)], D)
         assert _sum_products(D, [(const(1), FRONT), (const(-1), FRONT)]) == ZERO_POLY
+
+    def test_sum_off_one_line_is_a_contract_violation(self):
+        # 1 + sqrt(2)*sigma: no one content carries both coefficients
+        with pytest.raises(ContractViolation):
+            add(const(1), mul(const(quad(0, 1, D)), FRONT, D), D)
+        with pytest.raises(ContractViolation):
+            _lattice([1, quad(0, 1, D)], D)
 
     def test_arithmetic(self):
         assert add(FRONT, ONE_MINUS, D) == _lattice([1], D)
@@ -70,16 +81,33 @@ class TestSigmaPoly:
 
 
 def canonical(p) -> bool:
-    """D >= 1, gcd(D, *A, *B) = 1, last coefficient nonzero, |A| = |B|."""
-    a, b, den = p
-    return (den >= 1 and math.gcd(den, *a, *b) == 1 and len(a) == len(b)
-            and (not a or a[-1] != 0 or b[-1] != 0))
+    """q a primitive integer tuple with q[-1] > 0, den >= 1 and gcd(a, b, den) = 1
+    for a nonzero content a + b*sqrt(d); the zero polynomial is (0, 0, 1, ())."""
+    a, b, den, q = p
+    if not q:
+        return p == ZERO_POLY
+    return (isinstance(q, tuple) and math.gcd(*q) == 1 and q[-1] > 0 and den >= 1
+            and math.gcd(a, b, den) == 1 and (a != 0 or b != 0))
 
 
-def scalars(d: int):
-    """Small values in Q(sqrt(d)); d = 0 gives rationals only."""
-    part = st.fractions(-9, 9, max_denominator=12)
-    return st.tuples(part, part if d else st.just(0)).map(lambda ab: quad(*ab, d))
+def lines(d: int):
+    """Nonzero values of Q(sqrt(d)): rational, a rational multiple of sqrt(d) or
+    both at once, so the product of two has a zero rational or sqrt(d) part at
+    times; d = 0 gives rationals only."""
+    part = st.fractions(-9, 9, max_denominator=12).filter(bool)
+    if not d:
+        return part.map(quad)
+    return st.one_of(part.map(quad), part.map(lambda b: quad(0, b, d)),
+                     st.tuples(part, part).map(lambda ab: quad(*ab, d)))
+
+
+def on_line(line, d: int, max_size: int = 5):
+    """Polynomials over radicand d as a content on the line of ``line`` (a
+    rational multiple of it) times a random integer list of at most
+    ``max_size`` entries."""
+    return st.tuples(st.fractions(-9, 9, max_denominator=12),
+                     st.lists(st.integers(-20, 20), max_size=max_size)).map(
+        lambda content: _lattice([line * content[0] * k for k in content[1]], d))
 
 
 def schoolbook(pairs, d: int, weights=None) -> tuple:
@@ -104,10 +132,11 @@ class TestLatticeInvariant:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), d=st.sampled_from([0, 2, 3]))
     def test_results_are_canonical(self, data, d):
-        polys = st.lists(scalars(d), max_size=5).map(lambda cs: _lattice(cs, d))
-        p, q, r = (data.draw(polys) for _ in range(3))
-        f, g = (_lattice([data.draw(scalars(d))], d) for _ in range(2))
-        assert all(canonical(x) for x in (p, q, r))
+        # p, q, r on one line omega and f, g on one line phi, so every sum stays on one
+        omega, phi = (data.draw(lines(d)) for _ in range(2))
+        p, q, r = (data.draw(on_line(omega, d)) for _ in range(3))
+        f, g = (data.draw(on_line(phi, d, max_size=1)) for _ in range(2))
+        assert all(canonical(x) for x in (p, q, r, f, g))
         # linear combinations (degree-0 factors), products, derivatives
         assert canonical(_sum_products(d, [(f, p), (g, q), (f, r)]))
         assert canonical(_sum_products(d, [(_lattice([1], d), p), (_lattice([-1], d), p)]))
@@ -117,15 +146,17 @@ class TestLatticeInvariant:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), d=st.sampled_from([2, 3]))
     def test_values_match_schoolbook(self, data, d):
-        # each factor is drawn with an all-zero sqrt(d) half or a general one,
-        # so every skip of the kernel meets every other case
-        polys = st.lists(st.booleans().flatmap(lambda surd: scalars(d if surd else 0)),
-                         max_size=5).map(lambda cs: _lattice(cs, d))
+        # each line is rational, a multiple of sqrt(d) or general, so every skip
+        # of a zero scale in the kernel meets every other case
+        omega, phi = (data.draw(lines(d)) for _ in range(2))
+        polys = on_line(omega, d)
         p, q, r = (data.draw(polys) for _ in range(3))
         u = tuple(data.draw(polys) for _ in range(data.draw(st.integers(1, 5))))
-        f, g = (_lattice([data.draw(scalars(d))], d) for _ in range(2))
+        f, g = (data.draw(on_line(phi, d, max_size=1)) for _ in range(2))
         weights = data.draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
-        for pairs in ([(p, q)], [(f, p), (g, q), (f, r)], [(p, q), (q, r), (r, p)]):
+        pairs_drawn = [[(p, q)], [(f, p), (g, q), (f, r)], [(p, q), (q, r), (r, p)]]
+        pairs_drawn.append([(data.draw(on_line(data.draw(lines(d)), d)), p)])  # any two lines
+        for pairs in pairs_drawn:
             assert _coeffs(_sum_products(d, pairs), d) == schoolbook(pairs, d)
             assert (_coeffs(_sum_products(d, pairs, weights=weights), d)
                     == schoolbook(pairs, d, weights))
@@ -188,9 +219,11 @@ class TestArithmetic:
                 assert mpmath.almosteq(lhs, rhs, rel_eps=mpf("1e-25"), abs_eps=mpf("1e-25"))
 
     def test_ring_axioms_random(self):
+        # a, b and c on one line of Q(sqrt(2)), so that their sums are polynomials
         rng = random.Random(29)
         for _ in range(15):
-            a, b, c = (random_poly(rng, 2) for _ in range(3))
+            line = random_quad(rng)
+            a, b, c = (random_poly(rng, 2, line=line) for _ in range(3))
             assert add(a, b, D) == add(b, a, D)
             assert mul(a, b, D) == mul(b, a, D)
             assert add(add(a, b, D), c, D) == add(a, add(b, c, D), D)
@@ -201,15 +234,6 @@ class TestArithmetic:
 class TestDifferentiation:
     def test_constant_derivative_is_zero(self):
         assert dx(_lattice([Fraction(1, 2)], D)) == ZERO_POLY
-
-    def test_delta_with_an_all_zero_half(self):
-        # sigma*(1 - sigma)*(-2 + 3*sigma) = -2*sigma + 5*sigma^2 - 3*sigma^3, and
-        # sigma*(1 - sigma)*sqrt(3) = sqrt(3)*sigma - sqrt(3)*sigma^2: the zero half
-        # stays zero at the length of the other
-        rational = _lattice([1, -2, Fraction(3, 2)], 3)
-        assert rational[1] == (0, 0, 0)
-        assert _delta(rational) == ([0, -4, 10, -6], [0, 0, 0, 0], 2)
-        assert _delta(_lattice([0, quad(0, 1, 3)], 3)) == ([0, 0, 0], [0, 1, -1], 1)
 
     def test_logistic_identity_exact(self):
         # u0' = 2*kappa*s*u0*(1 - u0) for u0 = sigma on branch s = +1 or -1

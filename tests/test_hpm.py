@@ -15,7 +15,9 @@ from bhhpm.hpm import (
 )
 from bhhpm.scalars import QuadraticNumber
 
-from conftest import FRONTS, matches_reference, pde_residual, quad, reference_terms, t_power
+from conftest import (
+    FRONTS, matches_reference, pde_residual, quad, reference_terms, t_power, two_half_value_at,
+)
 
 
 class TestInitialGuess:
@@ -318,6 +320,20 @@ class TestTaylorMatching:
         p = FRONTS[front]
         worst = max_taylor_deviation(run_hpm(p, 10), deng_wave(p), (-2, -1, 0, 1, 3), digits=30)
         assert worst < mpf("1e-30")
+
+    @pytest.mark.parametrize("front", FRONTS)
+    def test_profiles_keep_the_bits_of_two_half_horner(self, front, monkeypatch):
+        # a content times one integer list evaluates to the very bits of Horner's
+        # rule on the rational and sqrt(d) halves, on both tails and far out
+        expansion = run_hpm(FRONTS[front], 12)
+        xs = [Fraction(k, 7) for k in range(-200, 201, 3)] + [5000, -5000, 90000, -90000]
+        for digits in (30, 45):
+            for x in xs:
+                got = expansion.profiles_at(x, digits)
+                with monkeypatch.context() as patch:
+                    patch.setattr("bhhpm.hpm._value_at", two_half_value_at)
+                    want = expansion.profiles_at(x, digits)
+                assert [v.man_exp for v in got] == [v.man_exp for v in want], (x, digits)
 
     def test_slow_front_keeps_its_digits(self):
         # kappa = (sqrt(999950891) - 31622)/8: every sigma-coefficient is
