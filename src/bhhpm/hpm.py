@@ -21,9 +21,10 @@ gamma*(-speed*rate)^k*delta^k(sigma)/k! shows, so it is held as (a, b, den, q):
 a content (a + b*sqrt(d))/den times an integer list q.  The step runs on Python
 ints and reduces each result by one gcd; the problem's constants are lifted once
 (``_lattice``), so a series builds no ``QuadraticNumber`` or ``Fraction``.
-``terms`` prints each c_k by Horner's rule on q (``_term_text``); ``profiles_at``,
-the only route to numbers, rounds sigma once per point to a binary value and
-runs Horner's rule on q there.
+``terms`` prints each c_k by Horner's rule on q (``_term_text``); ``_values_at``,
+the only route to numbers, rounds sigma once per point to a binary value, runs
+Horner's rule on q there and returns raw libmp values, which ``profiles_at``
+makes mpf objects and ``build_error_table`` reads raw.
 The published closed forms serve as test oracles.
 """
 
@@ -37,16 +38,13 @@ from typing import Iterable
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import fone, mpf_abs, mpf_add, mpf_exp, mpf_mul, mpf_mul_int, mpf_rdiv_int
+from mpmath.libmp import mpf_shift, mpf_sign
 
 from .errors import AlgebraDomainError, ContractViolation, UnsupportedProblemError
 from .problem import BHProblem
 from .scalars import (
-    DEFAULT_DIGITS,
-    ZERO,
-    QuadraticNumber,
-    ScalarLike,
-    surd_to_mpf,
-    to_mpf,
+    DEFAULT_DIGITS, RND, ZERO, QuadraticNumber, ScalarLike, surd_value, to_mpf, to_value,
     working_dps,
 )
 
@@ -190,11 +188,11 @@ def _term_text(p: Poly, d: int, order: int, sign: int) -> str:
     return profile + ("" if order == 0 else " * t" if order == 1 else f" * t^{order}")
 
 
-def _value_at(p: Poly, m: int, s: int, d: int) -> mpf:
-    """P(m/2^s) at the working precision, exact up to its final rounding.
+def _value_at(p: Poly, m: int, s: int, d: int) -> tuple:
+    """P(m/2^s) as a raw value at the working precision, exact up to its final rounding.
 
     Horner's rule runs in integers on q, giving P = (a + b*sqrt(d))*U/(den*2^(s*deg)).
-    ``surd_to_mpf`` takes a*U + b*U*sqrt(d) through the conjugate where the parts
+    ``surd_value`` takes a*U + b*U*sqrt(d) through the conjugate where the parts
     would cancel, so coefficients far larger than the value (a slow front's, say)
     cost no digits.
     """
@@ -204,7 +202,7 @@ def _value_at(p: Poly, m: int, s: int, d: int) -> mpf:
     # sum_i q_i*(m/2^s)^i = (sum_i q_i*m^i*2^(s*(top - i)))/2^(s*top)
     for i in range(top, -1, -1):
         u = u * m + (q[i] << s * (top - i))
-    return mpmath.ldexp(surd_to_mpf(a * u, b * u, d) / den, -s * top)
+    return mpf_shift(surd_value(a * u, b * u, d, den), -s * top)
 
 
 @lru_cache(maxsize=8)
@@ -281,20 +279,25 @@ class HPMExpansion:
         The smaller of sigma and 1 - sigma is rounded, so either tail keeps
         its digits.  A point whose s exceeds ``MAX_SHIFT`` is rejected.
         """
-        problem = self.problem
         with working_dps(digits):
-            arg = to_mpf(x) + to_mpf(problem.x0) if problem.x0 else to_mpf(x)  # no surd at x0 = 0
-            z = -2 * problem.sign * to_mpf(problem.kappa) * arg
-            man, exp = (1 / (1 + mpmath.exp(abs(z)))).man_exp
-            m, s = man, -exp
-            if s > MAX_SHIFT:
-                raise UnsupportedProblemError(
-                    f"x + x0 = {mpmath.nstr(arg, 10)} lies too far in the front's tail: "
-                    f"sigma or 1 - sigma is about 2^-{s}, past the bound 2^-{MAX_SHIFT}"
-                )
-            if z < 0:
-                m = (1 << s) - m
-            return [_value_at(c, m, s, problem.radicand) for c in self.powers[0]]
+            return [mpmath.mp.make_mpf(v) for v in self._values_at(to_value(x))]
+
+    def _values_at(self, x: tuple) -> list[tuple]:
+        """``profiles_at`` as raw values at the working precision, for x as a raw value."""
+        p, prec = self.problem, mpmath.mp.prec
+        arg = mpf_add(x, to_value(p.x0), prec, RND) if p.x0 else x  # no surd at x0 = 0
+        z = mpf_mul(mpf_mul_int(to_value(p.kappa), -2 * p.sign, prec, RND), arg, prec, RND)
+        growth = mpf_exp(mpf_abs(z, prec, RND), prec, RND)
+        _, man, exp, _ = mpf_rdiv_int(1, mpf_add(growth, fone, prec, RND), prec, RND)
+        m, s = man, -exp
+        if s > MAX_SHIFT:
+            raise UnsupportedProblemError(
+                f"x + x0 = {mpmath.nstr(mpmath.mp.make_mpf(arg), 10)} lies too far in the "
+                f"front's tail: sigma or 1 - sigma is about 2^-{s}, past the bound 2^-{MAX_SHIFT}"
+            )
+        if mpf_sign(z) < 0:
+            m = (1 << s) - m
+        return [_value_at(c, m, s, p.radicand) for c in self.powers[0]]
 
     def partial_sum_at(self, m: int, x, t, digits: int = DEFAULT_DIGITS) -> mpf:
         """S_m(x, t) = c_0(x) + c_1(x)*t + .. + c_(m-1)(x)*t^(m-1)."""

@@ -1,11 +1,12 @@
 """Exact scalars: the quadratic field Q(sqrt(d)) over ``fractions.Fraction``,
-and the one route from an exact value to an mpf.
+and the one route from an exact value to a binary one.
 
 ``QuadraticNumber`` represents ``a + b*sqrt(d)`` with rational a, b and a
 fixed square-free radicand d; values with b == 0 are normalized to radicand 0
-so that rationals from different contexts compare equal.  ``to_mpf`` turns an
-int, Fraction or QuadraticNumber into an mpf at the current working precision
-(``working_dps`` adds guard digits on top of the requested precision); where
+so that rationals from different contexts compare equal.  ``to_value`` turns an
+int, Fraction or QuadraticNumber into a raw ``mpmath.libmp`` value at
+``mpmath.mp.prec``, rounded to nearest (``RND``) as mpf operators round, and
+``to_mpf`` into an mpf object; no other module rounds an exact value.  Where
 a and b*sqrt(d) cancel it goes through the conjugate, so no digits are lost.
 sqrt(d) and each QuadraticNumber are rounded once per working precision.
 """
@@ -19,6 +20,8 @@ from typing import Union
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_mul_int, mpf_rdiv_int, mpf_sub
+from mpmath.libmp import round_nearest as RND  # the rounding of every mpf operator
 
 from .errors import AlgebraDomainError
 
@@ -231,41 +234,49 @@ class QuadraticNumber:
 
 
 ZERO = QuadraticNumber()
-#: sqrt(d) at the working precision, memoised per (d, ``mpmath.mp.prec``).
-_sqrt = lru_cache(maxsize=64)(lambda d, prec: mpmath.sqrt(d))
+#: sqrt(d) at the working precision as a raw value, memoised per (d, ``mpmath.mp.prec``).
+_sqrt = lru_cache(maxsize=64)(lambda d, prec: mpmath.sqrt(d)._mpf_)
 
 
-def surd_to_mpf(u: int, v: int, d: int) -> mpf:
-    """u + v*sqrt(d) for integers u, v, d, at the current working precision.
+def surd_value(u: int, v: int, d: int, den: int = 1) -> tuple:
+    """(u + v*sqrt(d))/den for integers u, v, d, den as a raw value at the
+    working precision, each step by the libmp call of the mpf operator.
 
-    Where the parts have opposite signs it takes (u^2 - v^2*d)/(u - v*sqrt(d)):
+    Where the signs of u and v differ it takes (u^2 - v^2*d)/(u - v*sqrt(d)):
     the numerator is exact and the denominator cannot cancel, so the relative
-    error stays at a few units of the last digit however close u is to
-    -v*sqrt(d).
+    error stays at a few units of the last digit however close u is to -v*sqrt(d).
     """
+    prec = mpmath.mp.prec
     if not v:
-        return mpf(u)
-    root = v * _sqrt(d, mpmath.mp.prec)
-    if u * v >= 0:
-        return u + root
-    return (u * u - v * v * d) / (u - root)
+        value = from_int(u, prec, RND)
+    elif u == 0 or (u > 0) == (v > 0):
+        value = mpf_add(mpf_mul_int(_sqrt(d, prec), v, prec, RND), from_int(u), prec, RND)
+    else:
+        below = mpf_sub(from_int(u), mpf_mul_int(_sqrt(d, prec), v, prec, RND), prec, RND)
+        value = mpf_rdiv_int(u * u - v * v * d, below, prec, RND)
+    return mpf_div(value, from_int(den), prec, RND)
 
 
 @lru_cache(maxsize=64)
-def _quadratic_to_mpf(value: QuadraticNumber, prec: int) -> mpf:
+def _quadratic_value(value: QuadraticNumber, prec: int) -> tuple:
     w = math.lcm(value.rational.denominator, value.radical.denominator)
-    return surd_to_mpf(int(value.rational * w), int(value.radical * w), value.radicand) / w
+    return surd_value(int(value.rational * w), int(value.radical * w), value.radicand, w)
 
 
-def to_mpf(value) -> mpf:
-    """An int, Fraction, QuadraticNumber or mpf as an mpf at the current
+def to_value(value) -> tuple:
+    """An int, Fraction, QuadraticNumber or mpf as a raw value at the current
     working precision; a + b*sqrt(d) goes over one denominator first, once
     per value and precision (``mpmath.mp.prec``)."""
     if isinstance(value, QuadraticNumber):
-        return _quadratic_to_mpf(value, mpmath.mp.prec)
+        return _quadratic_value(value, mpmath.mp.prec)
     if isinstance(value, Fraction):
-        return mpf(value.numerator) / value.denominator
-    return mpf(value)
+        return surd_value(value.numerator, 0, 0, value.denominator)
+    return mpf(value)._mpf_
+
+
+def to_mpf(value) -> mpf:
+    """``to_value`` as an mpf object."""
+    return mpmath.mp.make_mpf(to_value(value))
 
 
 def sqrt_rational(value: RationalLike) -> QuadraticNumber:

@@ -3,10 +3,10 @@ time-Taylor oracle.
 
 The wave of a problem is  u(x,t) = [A + s*A*tanh(kappa*phi)]^(1/n),
 phi = x - c*t + x0, with amplitude A = gamma/2, branch sign s, steepness
-kappa and speed c, all exact values of the problem that ``to_mpf`` evaluates
-at the working precision.  It is evaluated in the equal logistic form
-[gamma/(1 + exp(-2*s*kappa*phi))]^(1/n), which keeps its digits in the far
-tail where 1 + s*tanh cancels to 0.  The Taylor oracle expands u(x, .) about t = 0 by power-series
+kappa and speed c.  ``_value_at`` evaluates it on raw libmp values in the
+equal logistic form [gamma/(1 + exp(-2*s*kappa*phi))]^(1/n), which keeps its
+digits in the far tail where 1 + s*tanh cancels to 0; ``eval_at`` makes the
+mpf object.  The Taylor oracle expands u(x, .) about t = 0 by power-series
 recursion on tanh's ODE (w' = -kappa*c*(1 - w^2)) instead of repeated numeric
 differentiation, which would lose digits past order 3.  It is fully
 independent of the symbolic engine and anchors its correctness tests.
@@ -18,10 +18,11 @@ from typing import Sequence
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import fone, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_mul_int, mpf_sign, mpf_sub
 
 from .errors import EvaluationError, UnsupportedProblemError
 from .problem import BHProblem
-from .scalars import DEFAULT_DIGITS, to_mpf, working_dps
+from .scalars import DEFAULT_DIGITS, RND, to_mpf, to_value, working_dps
 
 
 class TravelingWave:
@@ -32,15 +33,22 @@ class TravelingWave:
 
     def eval_at(self, x, t, digits: int = DEFAULT_DIGITS) -> mpf:
         """Wave value, relative error below ``10**(-digits + 4)``."""
-        p = self.problem
         with working_dps(digits):
-            phase = to_mpf(p.kappa) * (to_mpf(x) - to_mpf(p.speed) * to_mpf(t) + to_mpf(p.x0))
-            base = to_mpf(p.gamma) / (1 + mpmath.exp(-2 * p.sign * phase))
-            if p.n == 1:
-                return +base
-            if base < 0:
-                raise EvaluationError(f"negative base {base} under 1/{p.n} root")
-            return +mpmath.root(base, p.n)
+            speed_t = mpf_mul(to_value(self.problem.speed), to_value(t), mpmath.mp.prec, RND)
+            return mpmath.mp.make_mpf(self._value_at(to_value(x), speed_t))
+
+    def _value_at(self, x: tuple, speed_t: tuple) -> tuple:
+        """u at the raw values x and speed*t, as a raw value at the working precision."""
+        p, prec = self.problem, mpmath.mp.prec
+        phase = mpf_add(mpf_sub(x, speed_t, prec, RND), to_value(p.x0), prec, RND)
+        phase = mpf_mul(to_value(p.kappa), phase, prec, RND)
+        growth = mpf_exp(mpf_mul_int(phase, -2 * p.sign, prec, RND), prec, RND)
+        base = mpf_div(to_value(p.gamma), mpf_add(growth, fone, prec, RND), prec, RND)
+        if p.n == 1:
+            return base
+        if mpf_sign(base) < 0:
+            raise EvaluationError(f"negative base {mpmath.mp.make_mpf(base)} under 1/{p.n} root")
+        return mpmath.root(mpmath.mp.make_mpf(base), p.n)._mpf_
 
     def time_taylor_coefficients(
         self, x, order: int, digits: int = DEFAULT_DIGITS

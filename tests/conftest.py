@@ -14,7 +14,7 @@ from mpmath import mpf
 from bhhpm import BHProblem, HPMExpansion, QuadraticNumber, case_preset, run_hpm
 from bhhpm.cli import main
 from bhhpm.hpm import Poly, _coeffs, _lattice, _sum_products
-from bhhpm.scalars import DEFAULT_DIGITS, GUARD_DIGITS, surd_to_mpf, to_mpf, working_dps
+from bhhpm.scalars import DEFAULT_DIGITS, GUARD_DIGITS, to_mpf, working_dps
 
 
 def quad(a, b=0, d=0) -> QuadraticNumber:
@@ -82,6 +82,42 @@ def sigma_value(p: Poly, problem: BHProblem, x, digits: int = 30) -> mpf:
     return HPMExpansion(problem, ((p,),)).profiles_at(x, digits)[0]
 
 
+# --- plain-mpf references ----------------------------------------------------
+# Copies of the engine's evaluation route written with mpf operators and no
+# call into bhhpm's numeric code: the engine runs the same operations on raw
+# libmp values, and every result must keep these bits.
+
+def plain_surd(u: int, v: int, d: int) -> mpf:
+    """u + v*sqrt(d), through the conjugate (u^2 - v^2*d)/(u - v*sqrt(d))
+    where the parts have opposite signs."""
+    if not v:
+        return mpf(u)
+    root = v * mpmath.sqrt(d)
+    if u == 0 or (u > 0) == (v > 0):
+        return u + root
+    return (u * u - v * v * d) / (u - root)
+
+
+def plain_to_mpf(value) -> mpf:
+    """An int, Fraction, QuadraticNumber or mpf at the working precision."""
+    if isinstance(value, QuadraticNumber):
+        w = math.lcm(value.rational.denominator, value.radical.denominator)
+        return plain_surd(int(value.rational * w), int(value.radical * w), value.radicand) / w
+    if isinstance(value, Fraction):
+        return mpf(value.numerator) / value.denominator
+    return mpf(value)
+
+
+def plain_value_at(p: Poly, m: int, s: int, d: int) -> mpf:
+    """P(m/2^s) by Horner's rule in integers on P's list q, times its content."""
+    a, b, den, q = p
+    top = len(q) - 1
+    u = 0
+    for i in range(top, -1, -1):
+        u = u * m + (q[i] << s * (top - i))
+    return mpmath.ldexp(plain_surd(a * u, b * u, d) / den, -s * top)
+
+
 def two_half_value_at(p: Poly, m: int, s: int, d: int) -> mpf:
     """P(m/2^s) by Horner's rule on two integer lists A and B, P's coefficients
     being (A[i] + B[i]*sqrt(d))/D over their least common denominator D: the
@@ -97,7 +133,31 @@ def two_half_value_at(p: Poly, m: int, s: int, d: int) -> mpf:
     for i in range(top, -1, -1):
         u = u * m + (a[i] << s * (top - i))
         v = v * m + (b[i] << s * (top - i))
-    return mpmath.ldexp(surd_to_mpf(u, v, d) / den, -s * top)
+    return mpmath.ldexp(plain_surd(u, v, d) / den, -s * top)
+
+
+def plain_profiles_at(expansion: HPMExpansion, x, digits: int = DEFAULT_DIGITS,
+                      value_at: Callable[[Poly, int, int, int], mpf] = plain_value_at) -> list[mpf]:
+    """c_0(x)..c_K(x) at sigma = m/2^s, the smaller of sigma and 1 - sigma
+    rounded once, each coefficient by ``value_at``."""
+    problem = expansion.problem
+    with working_dps(digits):
+        arg = plain_to_mpf(x) + plain_to_mpf(problem.x0) if problem.x0 else plain_to_mpf(x)
+        z = -2 * problem.sign * plain_to_mpf(problem.kappa) * arg
+        man, exp = (1 / (1 + mpmath.exp(abs(z)))).man_exp
+        m, s = man, -exp
+        if z < 0:
+            m = (1 << s) - m
+        return [value_at(c, m, s, problem.radicand) for c in expansion.powers[0]]
+
+
+def plain_wave_base(problem: BHProblem, x, t, digits: int = DEFAULT_DIGITS) -> mpf:
+    """gamma/(1 + exp(-2*s*kappa*(x - c*t + x0))): the wave at n = 1, the base
+    of its n-th root at n >= 2."""
+    with working_dps(digits):
+        speed_t = plain_to_mpf(problem.speed) * plain_to_mpf(t)
+        phase = plain_to_mpf(problem.kappa) * (plain_to_mpf(x) - speed_t + plain_to_mpf(problem.x0))
+        return +(plain_to_mpf(problem.gamma) / (1 + mpmath.exp(-2 * problem.sign * phase)))
 
 
 #: Numerators of the published closed forms, as {exponent of E: coefficient}.

@@ -16,7 +16,8 @@ from bhhpm.hpm import (
 from bhhpm.scalars import QuadraticNumber
 
 from conftest import (
-    FRONTS, matches_reference, pde_residual, quad, reference_terms, t_power, two_half_value_at,
+    FRONTS, matches_reference, pde_residual, plain_profiles_at, quad, reference_terms, t_power,
+    two_half_value_at,
 )
 
 
@@ -322,18 +323,17 @@ class TestTaylorMatching:
         assert worst < mpf("1e-30")
 
     @pytest.mark.parametrize("front", FRONTS)
-    def test_profiles_keep_the_bits_of_two_half_horner(self, front, monkeypatch):
-        # a content times one integer list evaluates to the very bits of Horner's
-        # rule on the rational and sqrt(d) halves, on both tails and far out
+    def test_profiles_keep_the_bits_of_two_half_horner(self, front):
+        # a content times one integer list evaluates, on raw libmp values, to the
+        # very bits of mpf-operator Horner's rule on the rational and sqrt(d)
+        # halves, on both tails and far out
         expansion = run_hpm(FRONTS[front], 12)
         xs = [Fraction(k, 7) for k in range(-200, 201, 3)] + [5000, -5000, 90000, -90000]
         for digits in (30, 45):
             for x in xs:
                 got = expansion.profiles_at(x, digits)
-                with monkeypatch.context() as patch:
-                    patch.setattr("bhhpm.hpm._value_at", two_half_value_at)
-                    want = expansion.profiles_at(x, digits)
-                assert [v.man_exp for v in got] == [v.man_exp for v in want], (x, digits)
+                want = plain_profiles_at(expansion, x, digits, two_half_value_at)
+                assert [v._mpf_ for v in got] == [v._mpf_ for v in want], (x, digits)
 
     def test_slow_front_keeps_its_digits(self):
         # kappa = (sqrt(999950891) - 31622)/8: every sigma-coefficient is

@@ -15,7 +15,7 @@ from bhhpm import (
     working_dps,
 )
 from bhhpm.errors import AlgebraDomainError
-from bhhpm.scalars import surd_to_mpf, to_mpf
+from bhhpm.scalars import surd_value, to_mpf
 
 
 def quad(a, b=0, d=0):
@@ -182,6 +182,15 @@ class TestFieldAxioms:
                 assert a * a.inverse() == quad(1)
 
 
+def fresh_surd(u: int, v: int, d: int = 3) -> mpf:
+    """u + v*sqrt(d) by mpf operators, sqrt(d) computed anew: the sum where
+    u*v >= 0, else the conjugate (u^2 - v^2*d)/(u - v*sqrt(d))."""
+    if not v:
+        return mpf(u)
+    root = v * mpmath.sqrt(d)
+    return u + root if u * v >= 0 else (u * u - v * v * d) / (u - root)
+
+
 class TestEvalf:
     """``to_mpf`` of exact values under ``working_dps``."""
 
@@ -241,19 +250,28 @@ class TestEvalf:
         w = math.lcm(kappa.rational.denominator, kappa.radical.denominator)
         u, v = int(kappa.rational * w), int(kappa.radical * w)
 
-        def fresh(u, v):  # surd_to_mpf's two routes, sqrt(3) computed anew
-            root = v * mpmath.sqrt(3)
-            return u + root if u * v >= 0 else (u * u - v * v * 3) / (u - root)
-
         for digits in (30, 80, 30):
             with working_dps(digits):
-                assert to_mpf(kappa) == fresh(u, v) / w
-                assert surd_to_mpf(u, v, 3) == fresh(u, v)
-                assert surd_to_mpf(-u, v, 3) == fresh(-u, v)
+                assert to_mpf(kappa) == fresh_surd(u, v) / w
+                assert surd_value(u, v, 3) == fresh_surd(u, v)._mpf_
+                assert surd_value(-u, v, 3) == fresh_surd(-u, v)._mpf_
         with working_dps(80):
             value = to_mpf(kappa)
         with mpmath.workdps(200):
-            assert abs(value - fresh(u, v) / w) / value < mpf("1e-78")
+            assert abs(value - fresh_surd(u, v) / w) / value < mpf("1e-78")
+
+    @pytest.mark.parametrize("u,v", [
+        (0, 7), (0, -7), (10**40 + 1, 3 * 10**38 + 7), (-(10**40 + 1), -(3 * 10**38 + 7)),
+        (math.isqrt(3 * 10**80), -10**40), (-math.isqrt(3 * 10**80), 10**40),
+        (10**40 + 1, -(3 * 10**38 + 7)), (-(10**40 + 1), 3 * 10**38 + 7), (5, 0), (-5, 0),
+    ])
+    def test_route_read_from_signs(self, u, v):
+        # surd_value picks its route from the signs of u and v; the bits are those
+        # of the route picked by the sign of u*v, with opposite signs (near
+        # cancellation included) through the conjugate
+        for digits in (30, 45):
+            with working_dps(digits):
+                assert surd_value(u, v, 3) == fresh_surd(u, v)._mpf_, (u, v, digits)
 
 
 class TestSqrtRational:

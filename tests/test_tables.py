@@ -10,7 +10,6 @@ from bhhpm.cli import _write
 from bhhpm.config import ConfigError
 from bhhpm.errors import ContractViolation
 from bhhpm.golden import DISPLAY_ORDERS, GRID_T, GRID_X, REFERENCE_ORDERS, REFERENCE_TABLES
-from bhhpm.scalars import to_mpf
 from bhhpm.tables import (
     ErrorTable,
     build_error_table,
@@ -23,7 +22,7 @@ from bhhpm.tables import (
     sci10,
 )
 
-from conftest import FRONTS
+from conftest import FRONTS, plain_profiles_at, plain_to_mpf, plain_wave_base
 
 
 @pytest.fixture(scope="module")
@@ -118,16 +117,16 @@ class TestErrorTable:
 
 
 def plain_cells(expansion, wave, orders, ts, xs, digits=30):
-    """Every cell by the plain loop: c_k(x) from ``profiles_at`` per x, u from
-    ``eval_at`` per (x, t), then per order S_m = sum_k c_k*time**k and
+    """Every cell by the plain mpf-operator loop: c_k(x) per x and u per (x, t)
+    from the plain references, then per order S_m = sum_k c_k*time**k and
     abs(S_m - u)/abs(u)."""
     cells = {}
     with working_dps(digits):
         for x in xs:
-            profiles = expansion.profiles_at(x, digits)
+            profiles = plain_profiles_at(expansion, x, digits)
             for t in ts:
-                exact = wave.eval_at(x, t, digits)
-                time = to_mpf(t)
+                exact = plain_wave_base(wave.problem, x, t, digits)
+                time = plain_to_mpf(t)
                 for m in orders:
                     total = mpf(0)
                     for k, c in enumerate(profiles[:m]):
@@ -137,22 +136,44 @@ def plain_cells(expansion, wave, orders, ts, xs, digits=30):
 
 
 class TestCellBits:
-    """``build_error_table`` hoists work out of the cell loop (each t and its
-    powers per table, the |u| per (x, t)); every cell keeps the plain loop's
-    bits."""
+    """``build_error_table`` runs on raw libmp values and hoists work out of
+    the cell loop (each t, its powers and speed*t per table, x per point, the
+    |u| per (x, t)); every cell keeps the plain loop's bits."""
+
+    @staticmethod
+    def grid(seed: int) -> tuple[list[Fraction], list[Fraction]]:
+        rng = random.Random(seed)
+        xs = [Fraction(-24), Fraction(24), Fraction(5000), Fraction(-5000)]
+        xs += [Fraction(rng.randint(-2400, 2400), 100) for _ in range(8)]
+        return xs, [Fraction(rng.randint(1, 400), 1000) for _ in range(3)]
 
     @pytest.mark.parametrize("front", FRONTS)
     def test_cells_equal_plain_loop(self, front, expansions):
         problem = FRONTS[front]
         expansion = expansions[int(front[-1])] if front.startswith("case") else run_hpm(problem, 4)
-        rng = random.Random(13)
-        xs = [Fraction(-24), Fraction(24)] + [Fraction(rng.randint(-2400, 2400), 100) for _ in range(8)]
-        ts = [Fraction(rng.randint(1, 400), 1000) for _ in range(3)]
+        xs, ts = self.grid(13)
         orders = range(1, expansion.order + 2)
         wave = deng_wave(problem)
-        table = build_error_table(expansion, wave, orders=orders, ts=ts, xs=xs)
-        plain = plain_cells(expansion, wave, orders, ts, xs)
-        assert {key: table.cell(*key) for key in plain} == plain
+        for digits in (30, 45):
+            table = build_error_table(expansion, wave, orders=orders, ts=ts, xs=xs, digits=digits)
+            plain = plain_cells(expansion, wave, orders, ts, xs, digits)
+            got = {key: table.cell(*key)._mpf_ for key in plain}
+            assert got == {key: value._mpf_ for key, value in plain.items()}, digits
+
+    @pytest.mark.parametrize("front", ["case3", "lower-x0"])
+    def test_points_leave_no_state_behind(self, front, expansions):
+        # a table over all its x at once is, cell for cell, the tables of each x alone
+        problem = FRONTS[front]
+        expansion = expansions[3] if front == "case3" else run_hpm(problem, 4)
+        xs, ts = self.grid(29)
+        orders = range(1, expansion.order + 2)
+        wave = deng_wave(problem)
+        whole = build_error_table(expansion, wave, orders=orders, ts=ts, xs=xs)
+        for x in xs:
+            alone = build_error_table(expansion, wave, orders=orders, ts=ts, xs=[x])
+            for t in ts:
+                for m in orders:
+                    assert whole.cell(t, m, x)._mpf_ == alone.cell(t, m, x)._mpf_, (t, m, x)
 
 
 class TestGoldenCompare:

@@ -9,7 +9,7 @@ from bhhpm import BHProblem, HPMExpansion, case_preset, deng_wave, working_dps
 from bhhpm.errors import EvaluationError, UnsupportedProblemError
 from bhhpm.hpm import MAX_SHIFT
 from bhhpm.scalars import to_mpf
-from conftest import FRONTS, pde_residual, quad
+from conftest import FRONTS, pde_residual, plain_wave_base, quad
 
 GRID = [(Fraction(x), Fraction(t, 10)) for x in (1, 2, 3) for t in (1, 3, 4)]
 
@@ -148,6 +148,37 @@ class TestEvaluation:
                 phase = to_mpf(p.kappa) * (x - to_mpf(p.speed) * to_mpf(t))
                 exact = to_mpf(p.amplitude) * (1 + p.sign * mpmath.tanh(phase))
                 assert abs(value - exact) <= mpf("1e-35") * exact
+
+
+class TestEvalBits:
+    """``eval_at`` runs on raw libmp values; every value keeps the bits of
+    the plain mpf-operator route."""
+
+    @staticmethod
+    def points(seed: int) -> list[tuple[Fraction, Fraction]]:
+        rng = random.Random(seed)
+        return [(Fraction(rng.randint(-2400, 2400), 100), Fraction(rng.randint(0, 400), 1000))
+                for _ in range(20)] + [(Fraction(5000), Fraction(1, 10)), (Fraction(-5000), Fraction(2, 5))]
+
+    @pytest.mark.parametrize("front", FRONTS)
+    def test_equals_plain_route(self, front):
+        p = FRONTS[front]
+        wave = deng_wave(p)
+        for digits in (30, 45):
+            for x, t in self.points(17):
+                want = plain_wave_base(p, x, t, digits)
+                assert wave.eval_at(x, t, digits)._mpf_ == want._mpf_, (x, t, digits)
+
+    @pytest.mark.parametrize("branch", ["upper", "lower"])
+    def test_root_of_plain_base(self, branch):
+        # n >= 2 takes mpmath.root of the same base
+        p = BHProblem(alpha=1, beta=1, gamma=Fraction(1, 2), n=2, branch=branch, x0=quad(2))
+        wave = deng_wave(p)
+        for digits in (30, 45):
+            for x, t in self.points(19):
+                with working_dps(digits):
+                    want = mpmath.root(plain_wave_base(p, x, t, digits), 2)
+                assert wave.eval_at(x, t, digits)._mpf_ == want._mpf_, (x, t, digits)
 
 
 class TestTaylorOracle:
