@@ -10,9 +10,11 @@ any of them next to ``case`` is a conflict, as is repeating a key.
 ``render_config`` writes that problem's parameters explicitly, so
 ``parse_config(render_config(cfg)) == cfg``.
 
-A ``ConfigError`` carries the 1-based line number.  Parameters outside the
-problem's domain raise ``ProblemDomainError`` once every other key has passed
-its checks.
+A ``ConfigError`` carries the 1-based line number.  Every value is parsed
+before the rules across keys apply (the preset conflict, a complete problem,
+``report_orders`` in 1..orders+1), so a faulty value is reported first.
+Parameters outside the problem's domain raise ``ProblemDomainError`` once
+every other key has passed its checks.
 """
 
 from __future__ import annotations
@@ -167,10 +169,7 @@ def _path(text: str, line: int = 0) -> str:
 
 #: Every config key with its parser ``parse(text, line)``, which holds the
 #: key's syntax, range and aliases; the CLI options of the same name parse
-#: with it too.  Faulty values are reported in this order, and
-#: ``parse_config`` checks more after three keys: the preset conflicts after
-#: 'case'; the problem's completeness after 'x0', which must follow the other
-#: literals; the range of 'report_orders' after it, which must follow 'orders'.
+#: with it too.  Faulty values are reported in this order.
 PARSERS = {
     "case": _named({name: c for c in (1, 2, 3) for name in (str(c), f"case{c}")},
                    "unknown case {!r}"),
@@ -219,30 +218,25 @@ def parse_config(text: str, *, case: int | None = None, orders: int | None = Non
                  "format": format, "out": out}
     raw.update((key, (str(value), 0)) for key, value in overrides.items() if value is not None)
 
-    values: dict[str, object] = {}
-    for key, parse in PARSERS.items():
-        if key in raw:
-            values[key] = parse(*raw[key])
-        if key == "case" and key in raw:
-            for other in PROBLEM_KEYS:
-                if other in raw:
-                    raise ConfigConflictError(f"{other!r} conflicts with preset 'case' "
-                                              f"(line {raw[key][1]})", raw[other][1])
-        elif key == "x0" and "case" not in raw:  # after the literals, each at its line
-            missing = [other for other in ("alpha", "beta", "gamma") if other not in raw]
-            if len(missing) == 3:
-                raise ConfigConflictError(
-                    "config selects no problem: set 'case' or alpha/beta/gamma")
-            if missing:
-                raise ConfigConflictError(f"explicit problem needs {missing[0]!r}")
-        elif key == "report_orders":
-            top = values.get("orders", DEFAULT_ORDERS)
-            report = values.setdefault(key, default_report_orders(values.get("case"), top))
-            bad = [m for m in report if not 1 <= m <= top + 1]
-            if bad:
-                source = " (orders from --orders)" if raw.get("orders", ("", 1))[1] == 0 else ""
-                raise ConfigConflictError(f"report_orders {bad} outside 1..orders+1 = "
-                                          f"1..{top + 1}{source}", raw.get(key, ("", 0))[1])
+    values = {key: parse(*raw[key]) for key, parse in PARSERS.items() if key in raw}
+    if "case" in raw:
+        for other in PROBLEM_KEYS:
+            if other in raw:
+                raise ConfigConflictError(f"{other!r} conflicts with preset 'case' "
+                                          f"(line {raw['case'][1]})", raw[other][1])
+    else:
+        missing = [other for other in ("alpha", "beta", "gamma") if other not in raw]
+        if len(missing) == 3:
+            raise ConfigConflictError("config selects no problem: set 'case' or alpha/beta/gamma")
+        if missing:
+            raise ConfigConflictError(f"explicit problem needs {missing[0]!r}")
+    top = values.get("orders", DEFAULT_ORDERS)
+    report = values.setdefault("report_orders", default_report_orders(values.get("case"), top))
+    bad = [m for m in report if not 1 <= m <= top + 1]
+    if bad:
+        source = " (orders from --orders)" if raw.get("orders", ("", 1))[1] == 0 else ""
+        raise ConfigConflictError(f"report_orders {bad} outside 1..orders+1 = "
+                                  f"1..{top + 1}{source}", raw.get("report_orders", ("", 0))[1])
     case_id = values.pop("case", None)
     params = {key: values.pop(key) for key in PROBLEM_KEYS if key in values}
     # the problem is built last, so a faulty key elsewhere is reported first

@@ -3,7 +3,7 @@ class BHError(Exception):
 
 
 class AlgebraDomainError(BHError, ValueError):
-    """Operands live in incompatible domains (different radicands or rates)."""
+    """Operands live in incompatible domains (different radicands)."""
 
 
 class EvaluationError(BHError, ArithmeticError):

@@ -61,8 +61,6 @@ class BHProblem:
             raise ProblemDomainError(
                 "alpha^2 + 4*beta*(n+1) must be rational to define the radicand"
             )
-        if disc.rational < 0:
-            raise ProblemDomainError("alpha^2 + 4*beta*(n+1) must be nonnegative")
         dfrac = disc.rational
         try:
             _, d = squarefree_decompose(dfrac.numerator * dfrac.denominator)

@@ -187,10 +187,8 @@ class QuadraticNumber:
 
     def __mul__(self, other: ScalarLike) -> QuadraticNumber:
         if isinstance(other, (int, Fraction)):
-            return QuadraticNumber(
-                self.rational * other, self.radical * other, self.radicand
-            )
-        if not isinstance(other, QuadraticNumber):
+            other = QuadraticNumber.from_rational(other)
+        elif not isinstance(other, QuadraticNumber):
             return NotImplemented
         d = self._join_radicand(other)
         rational = self.rational * other.rational + self.radical * other.radical * d

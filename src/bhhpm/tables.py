@@ -92,8 +92,8 @@ def build_error_table(
     digits: int = DEFAULT_DIGITS,
     case_id: int | None = None,
 ) -> ErrorTable:
-    """Evaluate every requested partial sum against the exact wave, which is
-    that of the expansion's problem."""
+    """Evaluate every requested partial sum against the exact wave, which
+    must be that of the expansion's problem."""
     orders = tuple(orders)
     ts = tuple(Fraction(t) for t in ts)
     xs = tuple(Fraction(x) for x in xs)
@@ -101,6 +101,8 @@ def build_error_table(
         raise ContractViolation(
             f"table needs partial sums {orders}; expansion has {expansion.order + 1} terms"
         )
+    if wave.problem != expansion.problem:
+        raise ContractViolation("table needs the wave of the expansion's problem")
     cells: list[list[list[mpf]]] = [[[] for _ in orders] for _ in ts]
     with working_dps(digits):
         prec, times = mpmath.mp.prec, [to_value(t) for t in ts]

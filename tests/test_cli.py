@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bhhpm.cli import main
+from bhhpm.errors import ContractViolation
 
 from conftest import run_cli
 
@@ -457,6 +458,16 @@ def overrides(draw) -> list[str]:
 
 
 class TestExitCodes:
+    def test_contract_violation_exits_3_with_one_line(self, monkeypatch):
+        def broken(problem, order):
+            raise ContractViolation("broken engine")
+        monkeypatch.setattr("bhhpm.cli.run_hpm", broken)
+        result = run_cli(["run", "--case", "1"])
+        assert result.exception is None
+        assert result.exit_code == 3
+        assert result.stderr == "internal contract violation: broken engine\n"
+        assert result.stdout == ""
+
     @settings(max_examples=30, deadline=None)
     @given(text=run_configs(), args=overrides())
     @example(text=MIXED_RADICANDS, args=[])

@@ -195,6 +195,74 @@ class TestParseErrors:
         with pytest.raises(ConfigSyntaxError, match="format.*line 4"):
             parse_config("alpha = 0\nbeta = -1\ngamma = 1\nformat = xml")
 
+    def test_uncertifiable_literal(self):
+        text = "alpha = sqrt(1000073001431003663)\nbeta = 1\ngamma = 1"
+        with pytest.raises(ConfigNumberError) as info:
+            parse_config(text)
+        assert str(info.value) == ("invalid number literal 'sqrt(1000073001431003663)': "
+                                   "cannot certify square-free part of 1000073001431003663 "
+                                   "at line 1")
+
+
+#: A faulty value for every key in ``PARSERS``.  No config line holds a
+#: faulty ``out`` (a line is cut at '#' and stripped), so it comes as an option.
+FAULTY = {
+    "case": "case9", "alpha": "1/0", "beta": "1/0", "gamma": "1/0", "x0": "1/0", "n": "0",
+    "branch": "up", "orders": "0", "precision": "10", "report_orders": "99, 0",
+    "grid_x": "1, oops", "grid_t": "0.1, oops", "format": "xml", "out": " table.csv",
+}
+
+#: Configs whose only fault is a rule across keys.
+CROSS_KEY_FAULTS = {
+    "preset-conflict": {"case": "case1", "alpha": "3"},
+    "missing-beta": {"alpha": "1"},
+    "report-orders-above-orders": {"case": "case1", "report_orders": "1, 99"},
+}
+
+
+def config_text(entries: dict[str, str]) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in entries.items())
+
+
+class TestPrecedence:
+    """With several faults, a faulty value is reported before a fault across
+    keys, whatever its place in ``PARSERS``."""
+
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            ("alpha = 1\norders = 0", ConfigNumberError, "orders must be at least 1 at line 2"),
+            ("case = 1\nalpha = 1\nformat = xml", ConfigSyntaxError,
+             "format must be 'csv' or 'markdown', got 'xml' at line 3"),
+            ("case = 2\nreport_orders = 1, 99\ngrid_t = 0.1, oops", ConfigNumberError,
+             "invalid number literal 'oops' at line 3"),
+        ],
+    )
+    def test_faulty_value_outranks_cross_key_fault(self, text, error, message):
+        with pytest.raises(error) as info:
+            parse_config(text)
+        assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("fault", CROSS_KEY_FAULTS)
+    @pytest.mark.parametrize("key", PARSERS)
+    def test_every_faulty_value_outranks_each_cross_key_fault(self, key, fault):
+        entries = dict(CROSS_KEY_FAULTS[fault])
+        with pytest.raises(ConfigConflictError):
+            parse_config(config_text(entries))
+        options = {}
+        if key == "out":
+            line, options["out"] = 0, FAULTY[key]
+        else:
+            entries[key] = FAULTY[key]  # in place of the key's own line, or last
+            line = list(entries).index(key) + 1
+        with pytest.raises(ConfigError) as expected:
+            PARSERS[key](FAULTY[key], line)
+        with pytest.raises(ConfigError) as info:
+            parse_config(config_text(entries), **options)
+        assert type(info.value) is type(expected.value)
+        assert str(info.value) == str(expected.value)
+        assert info.value.line == line
+
 
 def random_config(rng: random.Random) -> RunConfig:
     orders = rng.randint(2, 7)

@@ -138,6 +138,24 @@ class TestQuadraticNumber:
         assert quad(2) * quad(0, 1, 3) == quad(0, 2, 3)
         assert quad(1, 1, 2) + quad(3) == quad(4, 1, 2)
 
+    def test_rational_factor_multiplies_as_a_field_element(self):
+        # an int or Fraction factor, on either side, gives the parts of the
+        # product with that factor as a QuadraticNumber
+        rng = random.Random(5)
+        for _ in range(200):
+            q = quad(Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
+                     Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
+                     rng.choice([0, 2, 3, 5, 999950891]))
+            for r in (rng.randint(-9, 9), Fraction(rng.randint(-99, 99), rng.randint(1, 99))):
+                expected = q * quad(r)
+                for product in (q * r, r * q):
+                    assert (product.rational, product.radical, product.radicand) == (
+                        expected.rational, expected.radical, expected.radicand)
+
+    def test_coerce_rejects_text(self):
+        with pytest.raises(TypeError):
+            QuadraticNumber.coerce("1")
+
     def test_sign(self):
         assert quad(0).sign() == 0
         assert quad(-3).sign() == -1

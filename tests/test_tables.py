@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mpf
 
-from bhhpm import case_preset, deng_wave, run_hpm, working_dps
+from bhhpm import BHProblem, case_preset, deng_wave, run_hpm, working_dps
 from bhhpm.cli import _write
 from bhhpm.config import ConfigError
 from bhhpm.errors import ContractViolation
@@ -109,6 +109,20 @@ class TestErrorTable:
                 ts=GRID_T,
                 xs=GRID_X,
             )
+
+    def test_wave_of_another_problem_rejected(self, expansions):
+        with pytest.raises(ContractViolation, match="wave"):
+            build_error_table(expansions[3], deng_wave(case_preset(1)),
+                              orders=(6,), ts=GRID_T, xs=GRID_X)
+
+    def test_wave_of_an_equal_problem_accepted(self, expansions, tables):
+        problem = expansions[3].problem
+        equal = BHProblem(problem.alpha, problem.beta, problem.gamma, problem.n,
+                          problem.branch, problem.x0)
+        assert equal == problem and equal is not problem
+        table = build_error_table(expansions[3], deng_wave(equal), orders=tables[3].orders,
+                                  ts=GRID_T, xs=GRID_X, digits=30, case_id=3)
+        assert table.cells == tables[3].cells
 
     def test_max_cell(self, tables):
         table = tables[1]

@@ -207,6 +207,10 @@ class TestTaylorOracle:
                 total = sum(c * t**k for k, c in enumerate(coeffs))
                 assert mpmath.almosteq(total, w.eval_at(x, t, 40), rel_eps=mpf("1e-22"))
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            deng_wave(case_preset(1)).time_taylor_coefficients(0, -1, 30)
+
     def test_root_index_above_one_rejected(self):
         p = BHProblem(alpha=1, beta=1, gamma=Fraction(1, 2), n=2)
         with pytest.raises(UnsupportedProblemError):
