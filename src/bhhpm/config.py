@@ -220,10 +220,11 @@ def parse_config(text: str, *, case: int | None = None, orders: int | None = Non
 
     values = {key: parse(*raw[key]) for key, parse in PARSERS.items() if key in raw}
     if "case" in raw:
+        source = f"line {raw['case'][1]}" if raw["case"][1] else "the case argument"
         for other in PROBLEM_KEYS:
             if other in raw:
-                raise ConfigConflictError(f"{other!r} conflicts with preset 'case' "
-                                          f"(line {raw['case'][1]})", raw[other][1])
+                raise ConfigConflictError(f"{other!r} conflicts with preset 'case' ({source})",
+                                          raw[other][1])
     else:
         missing = [other for other in ("alpha", "beta", "gamma") if other not in raw]
         if len(missing) == 3:

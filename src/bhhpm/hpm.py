@@ -19,7 +19,9 @@ terms, u^2's by symmetry, and c_k is one linear combination: order k costs
 All coefficients of such a polynomial lie on one line of Q(sqrt(d)), as c_k =
 gamma*(-speed*rate)^k*delta^k(sigma)/k! shows, so it is held as (a, b, den, q):
 a content (a + b*sqrt(d))/den times an integer list q.  The step runs on Python
-ints and reduces each result by one gcd; the problem's constants are lifted once
+ints and reduces each result by one gcd; a product that feeds only the rational or
+only the sqrt(d) sum (every one on presets 1 and 2) is convolved, each row scaled
+once, straight into it.  The problem's constants are lifted once
 (``_lattice``), so a series builds no ``QuadraticNumber`` or ``Fraction``.
 ``terms`` prints each c_k by Horner's rule on q (``_term_text``); ``_values_at``,
 the only route to numbers, rounds sigma once per point to a binary value, runs
@@ -98,24 +100,39 @@ def _coeffs(p: Poly, d: int) -> tuple[QuadraticNumber, ...]:
 
 def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]], den: int = 1,
                   weights: Iterable[int] = repeat(1)) -> Poly:
-    """sum(w * P * Q)/den over the pairs (integer weight w, 1 by default): each pair's
-    product of integer lists goes to the rational and sqrt(d) sums, scaled over the common
-    denominator by the contents' product unless that is 0; degree-0 P's: a linear combination."""
-    kept = [(p, q, w) for (p, q), w in zip(pairs, weights) if p[3] and q[3]]
-    common = math.lcm(*[p[2] * q[2] for p, q, _ in kept])
-    size = max([len(p[3]) + len(q[3]) - 1 for p, q, _ in kept], default=0)
+    """sum(w * P * Q)/den over the pairs (integer weight w, 1 by default), over the common
+    denominator.  A pair whose content product scales only one of the rational and sqrt(d)
+    sums convolves each row of P, scaled once, straight into that sum; one that scales both
+    adds one integer product to both in one pass (Q's list itself when P has degree 0, its
+    list being (1,)); one that scales neither is skipped.  Degree-0 P's: a linear combination."""
+    kept, common, size = [], 1, 0
+    for (p, q), w in zip(pairs, weights):
+        if p[3] and q[3]:
+            kept.append((p, q, w))
+            common = math.lcm(common, p[2] * q[2])
+            size = max(size, len(p[3]) + len(q[3]) - 1)
     a, b = [0] * size, [0] * size
     for (x, y, pd, pq), (u, v, qd, qq), w in kept:
         s = common // (pd * qd) * w
-        product = [0] * (len(pq) + len(qq) - 1)
-        for i, c in enumerate(pq):
-            if c:
-                for j, e in enumerate(qq, i):
-                    product[j] += c * e
-        for total, scale in ((a, (x * u + y * v * d) * s), (b, (x * v + y * u) * s)):
-            if scale:
-                for j, c in enumerate(product):
-                    total[j] += scale * c
+        sa, sb = (x * u + y * v * d) * s, (x * v + y * u) * s
+        if sa and sb:
+            product = qq
+            if len(pq) > 1:
+                product = [0] * (len(pq) + len(qq) - 1)
+                for i, c in enumerate(pq):
+                    if c:
+                        for j, e in enumerate(qq, i):
+                            product[j] += c * e
+            for j, c in enumerate(product):
+                a[j] += sa * c
+                b[j] += sb * c
+        elif sa or sb:
+            total, scale = (a, sa) if sa else (b, sb)
+            for i, c in enumerate(pq):
+                if c:
+                    c *= scale
+                    for j, e in enumerate(qq, i):
+                        total[j] += c * e
     return _reduced(a, b, common * den)
 
 

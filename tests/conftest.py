@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -9,12 +10,26 @@ from typing import Callable, NamedTuple
 
 import mpmath
 import pytest
+from hypothesis import settings
+from hypothesis.errors import InvalidArgument
 from mpmath import mpf
 
 from bhhpm import BHProblem, HPMExpansion, QuadraticNumber, case_preset, run_hpm
 from bhhpm.cli import main
 from bhhpm.hpm import Poly, _coeffs, _lattice, _sum_products
 from bhhpm.scalars import DEFAULT_DIGITS, GUARD_DIGITS, to_mpf, working_dps
+
+# On CI a failing example prints the @reproduce_failure blob that replays it.  The
+# profile extends hypothesis's own "ci" profile where it has one, so deadlines and
+# example counts stay; it is loaded here, before any test module, so every test's own
+# @settings inherits it.
+try:
+    _ci = settings.get_profile("ci")
+except InvalidArgument:
+    _ci = None
+settings.register_profile("ci", _ci, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def quad(a, b=0, d=0) -> QuadraticNumber:

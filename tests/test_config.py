@@ -155,6 +155,15 @@ class TestParseErrors:
         with pytest.raises(ConfigConflictError, match="conflicts with preset"):
             parse_config("case = case1\nalpha = 3")
 
+    def test_preset_conflict_names_its_source(self):
+        with pytest.raises(ConfigConflictError) as line:
+            parse_config("case = case1\nalpha = 3")
+        assert str(line.value) == "'alpha' conflicts with preset 'case' (line 1) at line 2"
+        with pytest.raises(ConfigConflictError) as argument:
+            parse_config("alpha = 1", case=1)
+        assert str(argument.value) == ("'alpha' conflicts with preset 'case' "
+                                       "(the case argument) at line 1")
+
     def test_no_problem(self):
         with pytest.raises(ConfigConflictError, match="selects no problem"):
             parse_config("orders = 5")

@@ -156,6 +156,18 @@ class TestLatticeInvariant:
         weights = data.draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
         pairs_drawn = [[(p, q)], [(f, p), (g, q), (f, r)], [(p, q), (q, r), (r, p)]]
         pairs_drawn.append([(data.draw(on_line(data.draw(lines(d)), d)), p)])  # any two lines
+        # one sum of pairs on different lines: a rational, a sqrt(d) and a general
+        # content product, each a multiple of the one rational F*G, and a degree-0
+        # factor, so every pair's route through the kernel (a zero weight skips it)
+        # meets the others in one call and the sum stays on one line
+        big_f, big_g = (data.draw(on_line(quad(1), d)) for _ in range(2))
+        a, b, x, y = (data.draw(st.fractions(-9, 9, max_denominator=12).filter(bool))
+                      for _ in range(4))
+        times = lambda c, h: _lattice([c * k for k in _coeffs(h, d)], d)
+        pairs_drawn.append([(times(quad(a), big_f), big_g), (big_f, times(quad(0, b, d), big_g)),
+                            (times(quad(x, y, d), big_f), big_g),
+                            (_lattice([data.draw(lines(d))], d), mul(big_f, big_g, d))])
+        weights.append(data.draw(st.integers(-3, 3)))
         for pairs in pairs_drawn:
             assert _coeffs(_sum_products(d, pairs), d) == schoolbook(pairs, d)
             assert (_coeffs(_sum_products(d, pairs, weights=weights), d)

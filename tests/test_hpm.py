@@ -250,6 +250,12 @@ class TestStirlingClosedForm:
     def test_presets_through_order_30(self, cid):
         assert_stirling_form(case_preset(cid), 30)
 
+    @pytest.mark.parametrize("name", [name for name in FRONTS if not name.startswith("case")])
+    def test_other_fronts_through_order_30(self, name):
+        # the slow, shifted lower-branch and surd-beta fronts: their last sums
+        # mix pairs on different lines of Q(sqrt(d))
+        assert_stirling_form(FRONTS[name], 30)
+
     @settings(max_examples=15, deadline=None)
     @given(
         alpha=st.fractions(-3, 3, max_denominator=4),
