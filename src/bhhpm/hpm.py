@@ -11,10 +11,11 @@ Each c_k is a dense polynomial over Q(sqrt(d)) in the logistic variable
 sigma = E^2/(E^2 + 1), E = exp(kappa*(x + x0)) (1/(E^2 + 1) on the lower
 branch), so d/dx P(sigma) = +/-2*kappa*delta(P) with the integer map
 delta(P) = sigma*(1 - sigma)*P'(sigma): derivatives need no denominators.
-The Taylor coefficients of u^2..u^(2n+1) are formed on demand (Griewank &
+The Taylor coefficients of u^2..u^(2n) are formed on demand (Griewank &
 Walther, Evaluating Derivatives, ch. 13): the step to c_k adds their t^(k-1)
-terms, u^2's by symmetry, and c_k is one linear combination: order k costs
-2n + 1 sums of O(k) products of degree-O(k) polynomials, O(k^3) multiplications.
+terms, u^2's by symmetry, and c_k is one sum of products that takes those of
+(u^(2n+1))_(k-1) unreduced: order k costs 2n sums of O(k) products of degree-O(k)
+polynomials, O(k^3) multiplications.
 
 All coefficients of such a polynomial lie on one line of Q(sqrt(d)), as c_k =
 gamma*(-speed*rate)^k*delta^k(sigma)/k! shows, so it is held as (a, b, den, q):
@@ -71,12 +72,13 @@ def _reduced(a: list[int], b: list[int], den: int) -> Poly:
         b.pop()
     if not a:
         return ZERO_POLY
-    half = a if a[-1] else b
+    half, other = (a, b) if a[-1] else (b, a)
     g = math.gcd(*half) if half[-1] > 0 else -math.gcd(*half)
-    q = [c // g for c in half]
-    x, y = a[-1] // q[-1], b[-1] // q[-1]
-    if [x * c for c in q] != a or [y * c for c in q] != b:
+    q = [c // g for c in half]  # half = g*q by construction: only the other half is checked
+    z = other[-1] // q[-1]
+    if [z * c for c in q] != other if z else any(other):
         raise ContractViolation("a sum of sigma-polynomials leaves its line in Q(sqrt(d))")
+    x, y = (g, z) if half is a else (z, g)
     h = math.gcd(x, y, den)
     return x // h, y // h, den // h, tuple(q)
 
@@ -113,6 +115,8 @@ def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]], den: int = 1,
             size = max(size, len(p[3]) + len(q[3]) - 1)
     a, b = [0] * size, [0] * size
     for (x, y, pd, pq), (u, v, qd, qq), w in kept:
+        if len(pq) > len(qq):  # the shorter list gives the rows; the contents commute
+            pq, qq = qq, pq
         s = common // (pd * qd) * w
         sa, sb = (x * u + y * v * d) * s, (x * v + y * u) * s
         if sa and sb:
@@ -145,7 +149,7 @@ def _delta(p: Poly) -> Poly:
 
 def _extended(powers: tuple[Series, ...], d: int) -> tuple[Series, ...]:
     """Append (u^j)_m = sum_i (u^(j-1))_i * u_(m-i), m = len(u) - 1, to the
-    series of u^2, u^3, ... in turn; (u^2)_m = 2*sum_(i<m-i) u_i*u_(m-i)
+    series of u^2, .., u^(2n) in turn; (u^2)_m = 2*sum_(i<m-i) u_i*u_(m-i)
     + u_(m/2)^2 by symmetry."""
     u = powers[0]
     h = len(u) // 2
@@ -209,9 +213,9 @@ def _value_at(p: Poly, m: int, s: int, d: int) -> tuple:
     """P(m/2^s) as a raw value at the working precision, exact up to its final rounding.
 
     Horner's rule runs in integers on q, giving P = (a + b*sqrt(d))*U/(den*2^(s*deg)).
-    ``surd_value`` takes a*U + b*U*sqrt(d) through the conjugate where the parts
-    would cancel, so coefficients far larger than the value (a slow front's, say)
-    cost no digits.
+    ``surd_value`` takes (a + b*sqrt(d))*U through the conjugate where the parts
+    would cancel, squaring U once, so coefficients far larger than the value (a
+    slow front's, say) cost no digits.
     """
     a, b, den, q = p
     top = len(q) - 1
@@ -219,7 +223,7 @@ def _value_at(p: Poly, m: int, s: int, d: int) -> tuple:
     # sum_i q_i*(m/2^s)^i = (sum_i q_i*m^i*2^(s*(top - i)))/2^(s*top)
     for i in range(top, -1, -1):
         u = u * m + (q[i] << s * (top - i))
-    return mpf_shift(surd_value(a * u, b * u, d, den), -s * top)
+    return mpf_shift(surd_value(a, b, d, den, u), -s * top)
 
 
 @lru_cache(maxsize=8)
@@ -256,7 +260,7 @@ def _front(problem: BHProblem) -> Poly:
 
 class HPMExpansion:
     """The series through order K for one problem, held as ``powers``: the
-    Taylor coefficients in t of u through t^K and of u^2, .., u^(2n+1) through
+    Taylor coefficients in t of u through t^K and of u^2, .., u^(2n) through
     t^(K-1), all that c_0..c_K read.  The series of u is (c_0, .., c_K), from
     which ``terms`` are read and which ``profiles_at`` evaluates."""
 
@@ -266,7 +270,7 @@ class HPMExpansion:
     @classmethod
     def start(cls, problem: BHProblem) -> HPMExpansion:
         """Start from the front gamma*sigma, i.e. the exact wave at t = 0."""
-        return cls(problem, ((_front(problem),),) + ((),) * (2 * problem.n))
+        return cls(problem, ((_front(problem),),) + ((),) * (2 * problem.n - 1))
 
     @property
     def order(self) -> int:
@@ -280,13 +284,17 @@ class HPMExpansion:
 
     def advanced(self) -> HPMExpansion:
         """Expansion with the next term appended: the t^K coefficients of
-        u^2..u^(2n+1), then c_(K+1) = N_K/(K + 1), one sum of products with
-        u_xx = rate^2*delta(delta(u)) and u^n*u_x = rate*delta(u^(n+1))/(n+1)."""
+        u^2..u^(2n), then c_(K+1) = N_K/(K + 1), one sum of products with
+        u_xx = rate^2*delta(delta(u)) and u^n*u_x = rate*delta(u^(n+1))/(n+1),
+        in which -beta*(u^(2n+1))_K enters as the pairs (-beta*(u^(2n))_i, u_(K-i))."""
         n, d = self.problem.n, self.problem.radicand
         powers = _extended(self.powers, d)
-        u, u_n1, u_2n1 = (powers[j][-1] for j in (0, n, 2 * n))
-        terms = (_delta(_delta(u)), _delta(u_n1), u_n1, u, u_2n1)  # in the order of factors
-        c = _sum_products(d, zip(_operator_factors(self.problem), terms), self.order + 1)
+        u, u_n1 = powers[0][-1], powers[n][-1]
+        *factors, (x, y, z, _) = _operator_factors(self.problem)
+        top = [(x * a + y * b * d, x * b + y * a, z * e, q) for a, b, e, q in powers[2 * n - 1]]
+        terms = (_delta(_delta(u)), _delta(u_n1), u_n1, u)  # in the order of factors
+        pairs = [*zip(factors, terms), *zip(top, reversed(powers[0]))]
+        c = _sum_products(d, pairs, self.order + 1)
         return HPMExpansion(self.problem, (powers[0] + (c,), *powers[1:]))
 
     def profiles_at(self, x, digits: int = DEFAULT_DIGITS) -> list[mpf]:

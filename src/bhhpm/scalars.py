@@ -236,22 +236,23 @@ ZERO = QuadraticNumber()
 _sqrt = lru_cache(maxsize=64)(lambda d, prec: mpmath.sqrt(d)._mpf_)
 
 
-def surd_value(u: int, v: int, d: int, den: int = 1) -> tuple:
-    """(u + v*sqrt(d))/den for integers u, v, d, den as a raw value at the
-    working precision, each step by the libmp call of the mpf operator.
+def surd_value(u: int, v: int, d: int, den: int = 1, scale: int = 1) -> tuple:
+    """(u + v*sqrt(d))*scale/den for integers u, v, d, den, scale as a raw value
+    at the working precision, each step by the libmp call of the mpf operator.
 
-    Where the signs of u and v differ it takes (u^2 - v^2*d)/(u - v*sqrt(d)):
-    the numerator is exact and the denominator cannot cancel, so the relative
-    error stays at a few units of the last digit however close u is to -v*sqrt(d).
+    Where the signs of u and v differ it takes (u^2 - v^2*d)*scale^2/(u*scale -
+    v*scale*sqrt(d)): the numerator is exact, with one square of a large scale,
+    and the denominator cannot cancel, so the relative error stays at a few units
+    of the last digit however close u is to -v*sqrt(d).
     """
-    prec = mpmath.mp.prec
-    if not v:
-        value = from_int(u, prec, RND)
+    prec, su, sv = mpmath.mp.prec, u * scale, v * scale
+    if not sv:
+        value = from_int(su, prec, RND)
     elif u == 0 or (u > 0) == (v > 0):
-        value = mpf_add(mpf_mul_int(_sqrt(d, prec), v, prec, RND), from_int(u), prec, RND)
+        value = mpf_add(mpf_mul_int(_sqrt(d, prec), sv, prec, RND), from_int(su), prec, RND)
     else:
-        below = mpf_sub(from_int(u), mpf_mul_int(_sqrt(d, prec), v, prec, RND), prec, RND)
-        value = mpf_rdiv_int(u * u - v * v * d, below, prec, RND)
+        below = mpf_sub(from_int(su), mpf_mul_int(_sqrt(d, prec), sv, prec, RND), prec, RND)
+        value = mpf_rdiv_int((u * u - v * v * d) * (scale * scale), below, prec, RND)
     return mpf_div(value, from_int(den), prec, RND)
 
 

@@ -10,7 +10,7 @@ from typing import Callable, NamedTuple
 
 import mpmath
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 from hypothesis.errors import InvalidArgument
 from mpmath import mpf
 
@@ -19,7 +19,9 @@ from bhhpm.cli import main
 from bhhpm.hpm import Poly, _coeffs, _lattice, _sum_products
 from bhhpm.scalars import DEFAULT_DIGITS, GUARD_DIGITS, to_mpf, working_dps
 
-# On CI a failing example prints the @reproduce_failure blob that replays it.  The
+# On CI a failing example prints the @reproduce_failure blob that replays it, and the
+# shrink phase is left out, so a failing test reports in seconds instead of shrinking
+# for minutes; the blob replays the failure locally, where shrinking stays on.  The
 # profile extends hypothesis's own "ci" profile where it has one, so deadlines and
 # example counts stay; it is loaded here, before any test module, so every test's own
 # @settings inherits it.
@@ -27,7 +29,8 @@ try:
     _ci = settings.get_profile("ci")
 except InvalidArgument:
     _ci = None
-settings.register_profile("ci", _ci, print_blob=True)
+settings.register_profile("ci", _ci, print_blob=True, phases=[
+    phase for phase in (_ci or settings.default).phases if phase is not Phase.shrink])
 if os.environ.get("CI"):
     settings.load_profile("ci")
 

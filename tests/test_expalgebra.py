@@ -62,6 +62,18 @@ class TestSigmaPoly:
             add(const(1), mul(const(quad(0, 1, D)), FRONT, D), D)
         with pytest.raises(ContractViolation):
             _lattice([1, quad(0, 1, D)], D)
+        # only the half that does not define q is checked; each of these leaves the line
+        off_line = [
+            ([1, 2], [0, 3]),   # the other top, 3, is not a multiple of q's, 2
+            ([1, 2], [5, 0]),   # the other top is 0, a lower entry is not
+            ([1, 0], [2, 3]),   # b defines q, a's top is 0, a lower entry is not
+        ]
+        for a, b in off_line:
+            with pytest.raises(ContractViolation):
+                _reduced(a, b, 1)
+        # on the line, with a negative g: from a, and from b where a's top is 0
+        assert _reduced([-2, -4], [-6, -12], 4) == (-1, -3, 2, (1, 2))
+        assert _reduced([0, 0], [-3, -6], 6) == (0, -1, 2, (1, 2))
 
     def test_arithmetic(self):
         assert add(FRONT, ONE_MINUS, D) == _lattice([1], D)

@@ -11,7 +11,8 @@ from mpmath import mpf
 from bhhpm import BHProblem, case_preset, deng_wave, max_taylor_deviation, run_hpm, working_dps
 from bhhpm.errors import ContractViolation, ProblemDomainError, UnsupportedProblemError
 from bhhpm.hpm import (
-    MAX_SHIFT, HPMExpansion, _closed_form, _coeffs, _lattice, _operator_factors, _sum_products,
+    MAX_SHIFT, HPMExpansion, _closed_form, _coeffs, _delta, _lattice, _operator_factors,
+    _sum_products,
 )
 from bhhpm.scalars import QuadraticNumber
 
@@ -133,19 +134,31 @@ class TestIntegerLift:
 
 
 class TestLazyPowers:
-    """powers[0] runs through t^K and the series of u^2, u^3 through t^(K-1):
-    a series forms no power coefficient that only the next order reads."""
+    """powers[0] runs through t^K and the series of u^2 through t^(K-1): a
+    series forms no power coefficient that only the next order reads, and the
+    u^3 series is never formed."""
 
     @pytest.mark.parametrize("front", FRONTS)
     def test_powers_stop_one_order_below_u(self, front):
         p = FRONTS[front]
         for order in (1, 5):
-            u, square, cube = run_hpm(p, order).powers
-            assert [len(u), len(square), len(cube)] == [order + 1, order, order]
-            for m in range(order):  # the kept terms are those of u^2 and u^3
+            u, square = run_hpm(p, order).powers
+            assert [len(u), len(square)] == [order + 1, order]
+            for m in range(order):  # the kept terms are those of u^2
                 head = u[:m + 1]
                 assert square[m] == _sum_products(p.radicand, zip(head, reversed(head)))
-                assert cube[m] == _sum_products(p.radicand, zip(square[:m + 1], reversed(head)))
+
+    @pytest.mark.parametrize("front", FRONTS)
+    def test_fold_keeps_the_cube_route(self, front):
+        # c_(K+1) with (u^3)_K formed and reduced on its own, then scaled by -beta
+        # in N's sum of five products: the route that kept a u^3 series
+        p = FRONTS[front]
+        d = p.radicand
+        u, square = run_hpm(p, 11).powers
+        for k in range(11):
+            cube = _sum_products(d, zip(square[:k + 1], reversed(u[:k + 1])))
+            terms = (_delta(_delta(u[k])), _delta(square[k]), square[k], u[k], cube)
+            assert u[k + 1] == _sum_products(d, zip(_operator_factors(p), terms), k + 1), k
 
     @pytest.mark.parametrize("front", FRONTS)
     def test_step_continues_the_series(self, front):
@@ -160,7 +173,7 @@ class TestLazyPowers:
         monkeypatch.setattr("bhhpm.hpm._sum_products", counted)
         expansion = HPMExpansion.start(p)
         assert not calls
-        assert expansion.powers == ((_lattice([0, p.gamma], p.radicand),), (), ())
+        assert expansion.powers == ((_lattice([0, p.gamma], p.radicand),), ())
 
 
 class TestGoldenTerms:

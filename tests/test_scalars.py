@@ -290,6 +290,10 @@ class TestEvalf:
         for digits in (30, 45):
             with working_dps(digits):
                 assert surd_value(u, v, 3) == fresh_surd(u, v)._mpf_, (u, v, digits)
+                # a scale S gives the bits of u*S + v*S*sqrt(d); 0 is the zero value
+                for scale in (-(3**90 + 2), 0):
+                    assert (surd_value(u, v, 3, 7, scale)
+                            == (fresh_surd(u * scale, v * scale) / 7)._mpf_), (u, v, scale)
 
 
 class TestSqrtRational:
