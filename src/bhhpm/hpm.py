@@ -11,11 +11,12 @@ Each c_k is a dense polynomial over Q(sqrt(d)) in the logistic variable
 sigma = E^2/(E^2 + 1), E = exp(kappa*(x + x0)) (1/(E^2 + 1) on the lower
 branch), so d/dx P(sigma) = +/-2*kappa*delta(P) with the integer map
 delta(P) = sigma*(1 - sigma)*P'(sigma): derivatives need no denominators.
-The Taylor coefficients of u^2..u^(2n) are formed on demand (Griewank &
-Walther, Evaluating Derivatives, ch. 13): the step to c_k adds their t^(k-1)
-terms, u^2's by symmetry, and c_k is one sum of products that takes those of
-(u^(2n+1))_(k-1) unreduced: order k costs 2n sums of O(k) products of degree-O(k)
-polynomials, O(k^3) multiplications.
+The engine takes n = 1, so N holds u, u^2 and u^3.  The Taylor coefficients
+of u^2 are formed on demand (Griewank & Walther, Evaluating Derivatives, ch. 13):
+the step to c_k adds (u^2)_(k-1) by symmetry, and c_k is one sum of products
+that takes those of (u^3)_(k-1) = sum_i (u^2)_i*u_(k-1-i) unreduced: order k
+costs two sums of O(k) products of degree-O(k) polynomials, O(k^3)
+multiplications.
 
 All coefficients of such a polynomial lie on one line of Q(sqrt(d)), as c_k =
 gamma*(-speed*rate)^k*delta^k(sigma)/k! shows, so it is held as (a, b, den, q):
@@ -147,18 +148,11 @@ def _delta(p: Poly) -> Poly:
     return (*content, [i * x - (i - 1) * y for i, (x, y) in enumerate(zip([*q, 0], [0, *q]))])
 
 
-def _extended(powers: tuple[Series, ...], d: int) -> tuple[Series, ...]:
-    """Append (u^j)_m = sum_i (u^(j-1))_i * u_(m-i), m = len(u) - 1, to the
-    series of u^2, .., u^(2n) in turn; (u^2)_m = 2*sum_(i<m-i) u_i*u_(m-i)
-    + u_(m/2)^2 by symmetry."""
-    u = powers[0]
+def _square(u: Series, d: int) -> Poly:
+    """(u^2)_m = 2*sum_(i<m-i) u_i*u_(m-i) + u_(m/2)^2, m = len(u) - 1, by symmetry."""
     h = len(u) // 2
     # weight 2 for the h pairs i < m - i; zip drops the final 1 when m is odd
-    square = _sum_products(d, zip(u[:h + len(u) % 2], reversed(u)), weights=[2] * h + [1])
-    extended = [u, powers[1] + (square,)]
-    for power in powers[2:]:
-        extended.append(power + (_sum_products(d, zip(extended[-1], reversed(u))),))
-    return tuple(extended)
+    return _sum_products(d, zip(u[:h + len(u) % 2], reversed(u)), weights=[2] * h + [1])
 
 
 def _closed_form(p: Poly, d: int, sign: int) -> tuple[tuple[QuadraticNumber, ...], list[int]]:
@@ -228,8 +222,8 @@ def _value_at(p: Poly, m: int, s: int, d: int) -> tuple:
 
 @lru_cache(maxsize=8)
 def _operator_factors(problem: BHProblem) -> tuple[Poly, ...]:
-    """The constants of N(u) = rate^2*delta(delta(u)) - alpha*rate*delta(u^(n+1))/(n+1)
-    + beta*(1 + gamma)*u^(n+1) - beta*gamma*u - beta*u^(2n+1), in that order, where
+    """The constants of N(u) = rate^2*delta(delta(u)) - alpha*rate*delta(u^2)/2
+    + beta*(1 + gamma)*u^2 - beta*gamma*u - beta*u^3 (n = 1), in that order, where
     rate = 2*sign*kappa is the d(sigma)/dx = rate*sigma*(1 - sigma) of the front,
     as degree-0 products of the lifted kappa, alpha, beta and gamma; formed once
     per problem, not once per step."""
@@ -238,7 +232,7 @@ def _operator_factors(problem: BHProblem) -> tuple[Poly, ...]:
         problem.kappa, problem.alpha, problem.beta, problem.gamma))
     rate = _sum_products(d, [(one, kappa)], weights=[2 * problem.sign])
     return (_sum_products(d, [(rate, rate)]),
-            _sum_products(d, [(alpha, rate)], problem.n + 1, weights=[-1]),
+            _sum_products(d, [(alpha, rate)], 2, weights=[-1]),
             _sum_products(d, [(beta, one), (beta, gamma)]),
             _sum_products(d, [(beta, gamma)], weights=[-1]),
             _sum_products(d, [(beta, one)], weights=[-1]))
@@ -259,18 +253,18 @@ def _front(problem: BHProblem) -> Poly:
 
 
 class HPMExpansion:
-    """The series through order K for one problem, held as ``powers``: the
-    Taylor coefficients in t of u through t^K and of u^2, .., u^(2n) through
-    t^(K-1), all that c_0..c_K read.  The series of u is (c_0, .., c_K), from
-    which ``terms`` are read and which ``profiles_at`` evaluates."""
+    """The series through order K for one problem, held as ``powers`` = (u, u^2):
+    the Taylor coefficients in t of u through t^K and of u^2 through t^(K-1),
+    all that c_0..c_K read.  The series of u is (c_0, .., c_K), from which
+    ``terms`` are read and which ``profiles_at`` evaluates."""
 
-    def __init__(self, problem: BHProblem, powers: tuple[Series, ...]) -> None:
+    def __init__(self, problem: BHProblem, powers: tuple[Series, Series]) -> None:
         self.problem, self.powers = problem, powers
 
     @classmethod
     def start(cls, problem: BHProblem) -> HPMExpansion:
         """Start from the front gamma*sigma, i.e. the exact wave at t = 0."""
-        return cls(problem, ((_front(problem),),) + ((),) * (2 * problem.n - 1))
+        return cls(problem, ((_front(problem),), ()))
 
     @property
     def order(self) -> int:
@@ -283,19 +277,20 @@ class HPMExpansion:
         return tuple(_term_text(c, d, k, sign) for k, c in enumerate(self.powers[0]))
 
     def advanced(self) -> HPMExpansion:
-        """Expansion with the next term appended: the t^K coefficients of
-        u^2..u^(2n), then c_(K+1) = N_K/(K + 1), one sum of products with
-        u_xx = rate^2*delta(delta(u)) and u^n*u_x = rate*delta(u^(n+1))/(n+1),
-        in which -beta*(u^(2n+1))_K enters as the pairs (-beta*(u^(2n))_i, u_(K-i))."""
-        n, d = self.problem.n, self.problem.radicand
-        powers = _extended(self.powers, d)
-        u, u_n1 = powers[0][-1], powers[n][-1]
+        """Expansion with the next term appended: (u^2)_K, then c_(K+1) = N_K/(K + 1),
+        one sum of products with u_xx = rate^2*delta(delta(u)) and
+        u*u_x = rate*delta(u^2)/2, in which -beta*(u^3)_K enters as the pairs
+        (-beta*(u^2)_i, u_(K-i))."""
+        d = self.problem.radicand
+        u, square = self.powers
+        square += (_square(u, d),)
         *factors, (x, y, z, _) = _operator_factors(self.problem)
-        top = [(x * a + y * b * d, x * b + y * a, z * e, q) for a, b, e, q in powers[2 * n - 1]]
-        terms = (_delta(_delta(u)), _delta(u_n1), u_n1, u)  # in the order of factors
-        pairs = [*zip(factors, terms), *zip(top, reversed(powers[0]))]
+        top = [(x * a + y * b * d, x * b + y * a, z * e, q) for a, b, e, q in square]
+        # in the order of factors
+        terms = (_delta(_delta(u[-1])), _delta(square[-1]), square[-1], u[-1])
+        pairs = [*zip(factors, terms), *zip(top, reversed(u))]
         c = _sum_products(d, pairs, self.order + 1)
-        return HPMExpansion(self.problem, (powers[0] + (c,), *powers[1:]))
+        return HPMExpansion(self.problem, (u + (c,), square))
 
     def profiles_at(self, x, digits: int = DEFAULT_DIGITS) -> list[mpf]:
         """c_0(x)..c_K(x), each exact at one binary value sigma = m/2^s of

@@ -1,15 +1,16 @@
 """Exact traveling-wave solutions (Deng's two-branch family) and a
 time-Taylor oracle.
 
-The wave of a problem is  u(x,t) = [A + s*A*tanh(kappa*phi)]^(1/n),
-phi = x - c*t + x0, with amplitude A = gamma/2, branch sign s, steepness
-kappa and speed c.  ``_value_at`` evaluates it on raw libmp values in the
-equal logistic form [gamma/(1 + exp(-2*s*kappa*phi))]^(1/n), which keeps its
-digits in the far tail where 1 + s*tanh cancels to 0; ``eval_at`` makes the
-mpf object.  The Taylor oracle expands u(x, .) about t = 0 by power-series
-recursion on tanh's ODE (w' = -kappa*c*(1 - w^2)) instead of repeated numeric
-differentiation, which would lose digits past order 3.  It is fully
-independent of the symbolic engine and anchors its correctness tests.
+The wave of a problem is  u(x,t) = [gamma*sigma]^(1/n),  sigma =
+1/(1 + exp(-rate*phi)),  rate = 2*s*kappa,  phi = x - c*t + x0, with branch
+sign s, steepness kappa and speed c: the form [A + s*A*tanh(kappa*phi)]^(1/n),
+A = gamma/2, without its cancellation in the far tails.  ``_value_at``
+evaluates it on raw libmp values; ``eval_at`` makes the mpf object.  The
+Taylor oracle expands u(x, .) about t = 0 by power-series recursion on
+d(sigma)/dt = -c*rate*sigma*tau, with sigma and tau = 1 - sigma each from its
+own logistic, instead of repeated numeric differentiation, which would lose
+digits past order 3.  It is fully independent of the symbolic engine and
+anchors its correctness tests.
 """
 
 from __future__ import annotations
@@ -60,23 +61,20 @@ class TravelingWave:
         if order < 0:
             raise ValueError("order must be nonnegative")
         with working_dps(digits):
-            kappa = to_mpf(p.kappa)
-            b = -kappa * to_mpf(p.speed)  # d(phase)/dt
-            w = [mpmath.tanh(kappa * (to_mpf(x) + to_mpf(p.x0)))] + [mpf(0)] * order
-            for j in range(order):
-                # w' = b*(1 - w^2), advanced by Cauchy products
-                conv = sum(w[i] * w[j - i] for i in range(j + 1))
-                w[j + 1] = b * ((1 if j == 0 else 0) - conv) / (j + 1)
-            amp = to_mpf(p.amplitude)
-            return [
-                +(amp * ((1 if j == 0 else 0) + p.sign * w[j]))
-                for j in range(order + 1)
-            ]
+            rate = 2 * p.sign * to_mpf(p.kappa)
+            z = rate * (to_mpf(x) + to_mpf(p.x0))
+            b = -to_mpf(p.speed) * rate  # d(sigma)/dt = b*sigma*tau, tau = 1 - sigma
+            sigma, tau = [1 / (1 + mpmath.exp(-z))], [1 / (1 + mpmath.exp(z))]
+            for j in range(order):  # advanced by Cauchy products
+                sigma.append(b * sum(sigma[i] * tau[j - i] for i in range(j + 1)) / (j + 1))
+                tau.append(-sigma[-1])
+            gamma = to_mpf(p.gamma)
+            return [+(gamma * c) for c in sigma]
 
     def t_radius(self, x, digits: int = DEFAULT_DIGITS) -> mpf:
         """R(x) = |x + x0 - i*pi/(2*kappa)|/|c|, the radius of convergence of
         the Taylor series of u(x, .) about t = 0: the distance to the nearest
-        pole of tanh(kappa*phi).  Infinite where u does not move (c = 0)."""
+        pole of sigma.  Infinite where u does not move (c = 0)."""
         p = self.problem
         if p.speed.is_zero() or p.kappa.is_zero():
             return mpmath.inf

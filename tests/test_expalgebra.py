@@ -19,7 +19,7 @@ from mpmath import mpf
 from bhhpm import BHProblem, case_preset, run_hpm, working_dps
 from bhhpm.errors import ContractViolation
 from bhhpm.hpm import (
-    ZERO_POLY, _closed_form, _coeffs, _delta, _extended, _lattice, _reduced, _sum_products,
+    ZERO_POLY, _closed_form, _coeffs, _delta, _lattice, _reduced, _square, _sum_products,
     _term_text,
 )
 
@@ -185,7 +185,7 @@ class TestLatticeInvariant:
             assert (_coeffs(_sum_products(d, pairs, weights=weights), d)
                     == schoolbook(pairs, d, weights))
         # the square by symmetry against the plain convolution
-        assert _extended((u, ()), d) == (u, (_sum_products(d, zip(u, reversed(u))),))
+        assert _square(u, d) == _sum_products(d, zip(u, reversed(u)))
 
 
 class TestCanonicalForm:

@@ -318,6 +318,14 @@ class TestPartialSums:
             expansions[1].partial_sum_at(0, 0, 0, 30)
 
 
+#: kappa about 11.35 puts every sample point in a tail: sigma -> 0 on the lower
+#: branch (the worst of 220 random fronts for an oracle on A*(1 + s*tanh)) and
+#: sigma -> 1 on the upper, where the oracle must not form 1 - sigma by cancellation
+STEEP_FRONTS = {f"steep-{branch}": BHProblem(Fraction(-7, 2), 40, Fraction(37, 6),
+                                             branch=branch, x0=Fraction(21, 5))
+                for branch in ("lower", "upper")}
+
+
 class TestTaylorMatching:
     @pytest.mark.parametrize("cid", [1, 2, 3])
     def test_coefficients_match_wave_taylor(self, cid, expansions):
@@ -335,9 +343,9 @@ class TestTaylorMatching:
                     else:
                         assert abs(sym - oracle[k]) / abs(oracle[k]) < mpf("1e-25")
 
-    @pytest.mark.parametrize("front", FRONTS)
+    @pytest.mark.parametrize("front", [*FRONTS, *STEEP_FRONTS])
     def test_fronts_match_oracle_through_order_10(self, front):
-        p = FRONTS[front]
+        p = FRONTS.get(front) or STEEP_FRONTS[front]
         worst = max_taylor_deviation(run_hpm(p, 10), deng_wave(p), (-2, -1, 0, 1, 3), digits=30)
         assert worst < mpf("1e-30")
 
@@ -345,11 +353,13 @@ class TestTaylorMatching:
     def test_profiles_keep_the_bits_of_two_half_horner(self, front):
         # a content times one integer list evaluates, on raw libmp values, to the
         # very bits of mpf-operator Horner's rule on the rational and sqrt(d)
-        # halves, on both tails and far out
-        expansion = run_hpm(FRONTS[front], 12)
-        xs = [Fraction(k, 7) for k in range(-200, 201, 3)] + [5000, -5000, 90000, -90000]
+        # halves, on both tails and far out; the far points take K = 6, where
+        # Horner's integers still reach about 10^6 bits (case 3) at a fraction of K = 12's cost
+        near, far = run_hpm(FRONTS[front], 12), run_hpm(FRONTS[front], 6)
+        points = [(near, Fraction(k, 7)) for k in range(-200, 201, 3)]
+        points += [(far, x) for x in (5000, -5000, 90000, -90000)]
         for digits in (30, 45):
-            for x in xs:
+            for expansion, x in points:
                 got = expansion.profiles_at(x, digits)
                 want = plain_profiles_at(expansion, x, digits, two_half_value_at)
                 assert [v._mpf_ for v in got] == [v._mpf_ for v in want], (x, digits)
