@@ -27,7 +27,6 @@ from .problem import BHProblem, case_preset
 from .scalars import (
     DEFAULT_DIGITS,
     QuadraticNumber,
-    sqrt_rational,
     squarefree_decompose,
     working_dps,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "parse_config",
     "render_config",
     "run_hpm",
-    "sqrt_rational",
     "squarefree_decompose",
     "working_dps",
     "__version__",

@@ -27,7 +27,7 @@ from .hpm import max_taylor_deviation, run_hpm
 from .problem import case_preset
 from .scalars import DEFAULT_DIGITS, to_mpf, working_dps
 from .tables import build_error_table, golden_compare, sci10
-from .waves import deng_wave
+from .waves import TravelingWave
 
 EXIT_GOLDEN_FAIL = 1
 EXIT_STDOUT_CLOSED = 1
@@ -61,7 +61,7 @@ def run_command(args) -> int:
                        format=args.format, out=args.out)
 
     expansion = run_hpm(cfg.problem, cfg.orders)
-    wave = deng_wave(cfg.problem)
+    wave = TravelingWave(cfg.problem)
     table = build_error_table(expansion, wave, cfg.report_orders, cfg.grid_t, cfg.grid_x,
                               digits=cfg.precision)
 
@@ -93,7 +93,7 @@ def golden_command(args) -> int:
     for case_id in cases:
         problem = case_preset(case_id)
         expansion = run_hpm(problem, max(golden_data.REFERENCE_ORDERS) - 1)  # up to S6
-        wave = deng_wave(problem)
+        wave = TravelingWave(problem)
         table = build_error_table(
             expansion,
             wave,
@@ -101,7 +101,6 @@ def golden_command(args) -> int:
             ts=golden_data.GRID_T,
             xs=golden_data.GRID_X,
             digits=args.precision,
-            case_id=case_id,
         )
         comparison = golden_compare(table, case_id)
         print(comparison.summary())
@@ -130,7 +129,7 @@ def taylor_check_command(args) -> int:
     for case_id in cases:
         problem = case_preset(case_id)
         expansion = run_hpm(problem, args.orders)
-        wave = deng_wave(problem)
+        wave = TravelingWave(problem)
         worst = max_taylor_deviation(expansion, wave, TAYLOR_SAMPLE_X, digits=args.precision)
         ok = worst <= tolerance
         print(
@@ -235,7 +234,3 @@ def main(argv: list[str] | None = None) -> int:
     except BHError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -60,8 +60,8 @@ Poly = tuple[int, int, int, tuple[int, ...]]
 Series = tuple[Poly, ...]
 
 ZERO_POLY: Poly = (0, 0, 1, ())
-#: The largest s of a point's sigma = m/2^s: Horner's rule there builds
-#: (deg*s)-bit integers.  Case 1 reaches it at |x| of about 1.03e6.
+#: The largest s of a point's sigma or 1 - sigma = m/2^s: Horner's rule there
+#: builds (deg*s)-bit integers.  Case 1 reaches it at |x| of about 1.03e6.
 MAX_SHIFT = 1 << 20
 
 
@@ -204,19 +204,25 @@ def _term_text(p: Poly, d: int, order: int, sign: int) -> str:
 
 
 def _value_at(p: Poly, m: int, s: int, d: int) -> tuple:
-    """P(m/2^s) as a raw value at the working precision, exact up to its final rounding.
+    """P(sigma) at sigma = m/2^s, or 1 + m/2^s for m < 0, as a raw value at the
+    working precision, exact up to its final rounding.
 
-    Horner's rule runs in integers on q, giving P = (a + b*sqrt(d))*U/(den*2^(s*deg)).
-    ``surd_value`` takes (a + b*sqrt(d))*U through the conjugate where the parts
-    would cancel, squaring U once, so coefficients far larger than the value (a
-    slow front's, say) cost no digits.
+    Horner's rule runs in integers on q, giving P = (a + b*sqrt(d))*U/(den*2^(s*deg));
+    at m < 0 a step multiplies by 2^s + m as one shift and one short product, so
+    sigma near 1 costs what sigma near 0 does.  ``surd_value`` takes (a + b*sqrt(d))*U
+    through the conjugate where the parts would cancel, squaring U once, so
+    coefficients far larger than the value (a slow front's, say) cost no digits.
     """
     a, b, den, q = p
     top = len(q) - 1
     u = 0
     # sum_i q_i*(m/2^s)^i = (sum_i q_i*m^i*2^(s*(top - i)))/2^(s*top)
-    for i in range(top, -1, -1):
-        u = u * m + (q[i] << s * (top - i))
+    if m >= 0:
+        for i in range(top, -1, -1):
+            u = u * m + (q[i] << s * (top - i))
+    else:
+        for i in range(top, -1, -1):
+            u = (u << s) + u * m + (q[i] << s * (top - i))
     return mpf_shift(surd_value(a, b, d, den, u), -s * top)
 
 
@@ -315,8 +321,8 @@ class HPMExpansion:
                 f"x + x0 = {mpmath.nstr(mpmath.mp.make_mpf(arg), 10)} lies too far in the "
                 f"front's tail: sigma or 1 - sigma is about 2^-{s}, past the bound 2^-{MAX_SHIFT}"
             )
-        if mpf_sign(z) < 0:
-            m = (1 << s) - m
+        if mpf_sign(z) < 0:  # sigma = 1 - m/2^s
+            m = -m
         return [_value_at(c, m, s, p.radicand) for c in self.powers[0]]
 
     def partial_sum_at(self, m: int, x, t, digits: int = DEFAULT_DIGITS) -> mpf:

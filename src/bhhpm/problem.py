@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Literal
 
 from .errors import ProblemDomainError
-from .scalars import ZERO, QuadraticNumber, ScalarLike, sqrt_rational, squarefree_decompose
+from .scalars import ZERO, QuadraticNumber, ScalarLike, squarefree_decompose
 
 Branch = Literal["upper", "lower"]
 
@@ -63,17 +63,17 @@ class BHProblem:
             )
         dfrac = disc.rational
         try:
-            _, d = squarefree_decompose(dfrac.numerator * dfrac.denominator)
+            s, d = squarefree_decompose(dfrac.numerator * dfrac.denominator)
         except ValueError as exc:
             raise ProblemDomainError(f"alpha^2 + 4*beta*(n+1) = {dfrac}: {exc}") from None
-        rho = sqrt_rational(dfrac)
+        rho = QuadraticNumber(0, Fraction(s, dfrac.denominator), d)  # sqrt(p/q) = s*sqrt(d)/q
 
         if root not in (0, d):
             raise ProblemDomainError(
                 f"{first} carries sqrt({root}), but the problem's radicand is {d}"
             )
 
-        sign = 1 if self.branch == "upper" else -1
+        self.sign = sign = 1 if self.branch == "upper" else -1
         n1 = self.n + 1
         # kappa = n*gamma*(rho -/+ alpha) / (4*(n+1))
         kappa = (self.gamma * (rho - sign * self.alpha)) * Fraction(self.n, 4 * n1)
@@ -85,7 +85,6 @@ class BHProblem:
 
         self.discriminant = dfrac
         self.radicand = d
-        self.rho = rho
         self.kappa = kappa
         self.speed = speed
         self.amplitude = amplitude
@@ -103,11 +102,6 @@ class BHProblem:
         if self._hash is None:
             self._hash = hash(self._key())
         return self._hash
-
-    @property
-    def sign(self) -> int:
-        """+1 for the upper branch, -1 for the lower."""
-        return 1 if self.branch == "upper" else -1
 
 
 #: The three built-in benchmark problems.

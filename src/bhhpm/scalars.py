@@ -276,14 +276,3 @@ def to_value(value) -> tuple:
 def to_mpf(value) -> mpf:
     """``to_value`` as an mpf object."""
     return mpmath.mp.make_mpf(to_value(value))
-
-
-def sqrt_rational(value: RationalLike) -> QuadraticNumber:
-    """Exact square root of a nonnegative rational as a QuadraticNumber."""
-    q = Fraction(value)
-    if q < 0:
-        raise ValueError("square root of a negative rational")
-    if q == 0:
-        return ZERO
-    s, d = squarefree_decompose(q.numerator * q.denominator)
-    return QuadraticNumber(Fraction(0), Fraction(s, q.denominator), d)

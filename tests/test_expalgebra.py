@@ -20,7 +20,7 @@ from bhhpm import BHProblem, case_preset, run_hpm, working_dps
 from bhhpm.errors import ContractViolation
 from bhhpm.hpm import (
     ZERO_POLY, _closed_form, _coeffs, _delta, _lattice, _reduced, _square, _sum_products,
-    _term_text,
+    _term_text, _value_at,
 )
 
 from conftest import add, mul, quad, random_coeffs, random_poly, random_quad, sigma_value
@@ -327,6 +327,18 @@ class TestEvaluation:
                 with working_dps(30):
                     for a, b in zip(low, high):
                         assert abs(a - b) <= mpf("1e-35") * abs(b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.sampled_from([2, 3]), s=st.sampled_from([200, 5000]))
+    def test_negative_m_is_sigma_near_one(self, data, d, s):
+        # m < 0 stands for sigma = 1 - |m|/2^s, |m| odd and below 2^(s-1) as
+        # profiles_at makes it: the same Horner integer, so the same bits, as 2^s - |m|
+        line = data.draw(lines(d))
+        q = data.draw(st.lists(st.integers(-20, 20), min_size=1, max_size=5))
+        p = _lattice([line * k for k in q + [data.draw(st.integers(1, 20))]], d)
+        m = 2 * data.draw(st.integers(0, (1 << (s - 2)) - 1)) + 1
+        with working_dps(30):
+            assert _value_at(p, -m, s, d) == _value_at(p, (1 << s) - m, s, d)
 
     def test_rendering_mentions_structure(self):
         text = _term_text(FRONT, D, 0, 1)

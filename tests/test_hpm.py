@@ -304,9 +304,10 @@ class TestPartialSums:
             assert mpmath.almosteq(value, mpf("0.4875"), rel_eps=mpf("1e-35"))
 
     def test_tail_bound(self, expansions):
-        # case 1 evaluates out to x = -10^6; a little farther out sigma
-        # needs more than MAX_SHIFT bits
-        assert len(expansions[1].profiles_at(-10**6, 30)) == expansions[1].order + 1
+        # case 1 evaluates out to x = -10^6 (sigma -> 0) and x = +10^6 (sigma -> 1);
+        # a little farther out sigma needs more than MAX_SHIFT bits
+        for x in (-10**6, 10**6):
+            assert len(expansions[1].profiles_at(x, 30)) == expansions[1].order + 1
         message = f"x \\+ x0 = -1030000.0 .* 2\\^-{MAX_SHIFT}$"
         with pytest.raises(UnsupportedProblemError, match=message):
             expansions[1].profiles_at(-1030000, 30)

@@ -14,7 +14,6 @@ class TestPresets:
         assert (p.alpha, p.beta, p.gamma, p.n, p.branch) == (0, 1, 1, 1, "upper")
         assert p.discriminant == 8
         assert p.radicand == 2
-        assert p.rho == quad(0, 2, 2)                      # 2*sqrt(2)
         assert p.kappa == quad(0, Fraction(1, 4), 2)       # sqrt(2)/4
         assert p.speed == quad(0, Fraction(1, 2), 2)       # sqrt(2)/2
         assert p.amplitude == Fraction(1, 2)
@@ -25,7 +24,6 @@ class TestPresets:
         assert (p.alpha, p.beta, p.gamma, p.branch) == (-1, 1, 1, "lower")
         assert p.discriminant == 9
         assert p.radicand == 1
-        assert p.rho == 3
         assert p.kappa == Fraction(1, 4)
         assert p.speed == Fraction(-3, 2)
         assert p.sign == -1
@@ -35,7 +33,6 @@ class TestPresets:
         assert (p.alpha, p.beta, p.gamma, p.branch) == (-2, 1, 3, "lower")
         assert p.discriminant == 12
         assert p.radicand == 3
-        assert p.rho == quad(0, 2, 3)                                  # 2*sqrt(3)
         assert p.kappa == quad(Fraction(-3, 4), Fraction(3, 4), 3)     # (3*sqrt(3)-3)/4
         assert p.speed == quad(Fraction(-5, 2), Fraction(1, 2), 3)     # (sqrt(3)-5)/2
         assert p.amplitude == Fraction(3, 2)
@@ -43,6 +40,21 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ProblemDomainError):
             case_preset(4)
+
+
+class TestDiscriminantRoot:
+    """kappa and the speed take rho = sqrt(p/q) = s*sqrt(d)/q, where p*q = s^2*d."""
+
+    @pytest.mark.parametrize("problem,discriminant,radicand,kappa,speed", [
+        (BHProblem(0, Fraction(1, 16), 1), Fraction(1, 2), 2,
+         quad(0, Fraction(1, 16), 2), quad(0, Fraction(1, 8), 2)),     # rho = sqrt(2)/2
+        (BHProblem(Fraction(3, 2), 0, 1, branch="lower"), Fraction(9, 4), 1,
+         Fraction(3, 8), Fraction(3, 4)),                               # rho = 3/2
+    ], ids=["surd", "square"])
+    def test_root_over_the_denominator(self, problem, discriminant, radicand, kappa, speed):
+        assert (problem.discriminant, problem.radicand) == (discriminant, radicand)
+        assert problem.kappa == kappa
+        assert problem.speed == speed
 
 
 class TestValidation:

@@ -10,7 +10,6 @@ from bhhpm import (
     BHProblem,
     QuadraticNumber,
     case_preset,
-    sqrt_rational,
     squarefree_decompose,
     working_dps,
 )
@@ -230,6 +229,10 @@ class TestEvalf:
         with working_dps(30):
             assert to_mpf(quad(Fraction(1, 2))) == mpf("0.5")
 
+    def test_fraction_to_mpf_exact(self):
+        with working_dps(30):
+            assert to_mpf(Fraction(1, 4)) == mpf("0.25")
+
     def test_product_consistency(self):
         # to_mpf(a*b) matches to_mpf(a)*to_mpf(b) to 1e-28 relative
         rng = random.Random(23)
@@ -294,24 +297,3 @@ class TestEvalf:
                 for scale in (-(3**90 + 2), 0):
                     assert (surd_value(u, v, 3, 7, scale)
                             == (fresh_surd(u * scale, v * scale) / 7)._mpf_), (u, v, scale)
-
-
-class TestSqrtRational:
-    def test_perfect_square(self):
-        assert sqrt_rational(Fraction(9, 4)) == quad(Fraction(3, 2))
-
-    def test_general(self):
-        root = sqrt_rational(Fraction(1, 2))
-        assert root == quad(0, Fraction(1, 2), 2)
-        assert root * root == quad(Fraction(1, 2))
-
-    def test_eight(self):
-        assert sqrt_rational(8) == quad(0, 2, 2)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            sqrt_rational(Fraction(-1, 4))
-
-    def test_fraction_to_mpf_exact(self):
-        with working_dps(30):
-            assert to_mpf(Fraction(1, 4)) == mpf("0.25")
