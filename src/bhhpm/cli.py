@@ -86,29 +86,28 @@ def run_command(args) -> int:
     return 0
 
 
+def _each_case(args, check) -> int:
+    """Run ``check(case_id, problem)``, which prints its lines and returns whether
+    the case passed, on ``args.case`` or on every preset; exit 1 if any failed."""
+    cases = [args.case] if args.case else [1, 2, 3]
+    passed = [check(case_id, case_preset(case_id)) for case_id in cases]
+    return 0 if all(passed) else EXIT_GOLDEN_FAIL
+
+
 def golden_command(args) -> int:
     """Compare all presets against the built-in reference tables."""
-    cases = [args.case] if args.case else [1, 2, 3]
-    all_passed = True
-    for case_id in cases:
-        problem = case_preset(case_id)
+    def check(case_id, problem) -> bool:
         expansion = run_hpm(problem, max(golden_data.REFERENCE_ORDERS) - 1)  # up to S6
-        wave = TravelingWave(problem)
-        table = build_error_table(
-            expansion,
-            wave,
-            orders=golden_data.REFERENCE_ORDERS,
-            ts=golden_data.GRID_T,
-            xs=golden_data.GRID_X,
-            digits=args.precision,
-        )
+        table = build_error_table(expansion, TravelingWave(problem),
+                                  orders=golden_data.REFERENCE_ORDERS, ts=golden_data.GRID_T,
+                                  xs=golden_data.GRID_X, digits=args.precision)
         comparison = golden_compare(table, case_id)
         print(comparison.summary())
         if failures := comparison.failures():
-            for check in comparison.checks if args.verbose else failures:
-                print("  " + check.describe())
-        all_passed = all_passed and comparison.passed
-    return 0 if all_passed else EXIT_GOLDEN_FAIL
+            for cell in comparison.checks if args.verbose else failures:
+                print("  " + cell.describe())
+        return comparison.passed
+    return _each_case(args, check)
 
 
 def terms_command(args) -> int:
@@ -123,21 +122,15 @@ def terms_command(args) -> int:
 
 def taylor_check_command(args) -> int:
     """Verify t^k series coefficients against the exact wave's Taylor data."""
-    cases = [args.case] if args.case else [1, 2, 3]
-    tolerance = mpmath.mpf(TAYLOR_TOLERANCE)
-    failed = False
-    for case_id in cases:
-        problem = case_preset(case_id)
+    def check(case_id, problem) -> bool:
         expansion = run_hpm(problem, args.orders)
-        wave = TravelingWave(problem)
-        worst = max_taylor_deviation(expansion, wave, TAYLOR_SAMPLE_X, digits=args.precision)
-        ok = worst <= tolerance
-        print(
-            f"case {case_id}: max coefficient deviation {sci10(worst)} "
-            f"({'PASS' if ok else 'FAIL'} at {TAYLOR_TOLERANCE})"
-        )
-        failed = failed or not ok
-    return EXIT_GOLDEN_FAIL if failed else 0
+        worst = max_taylor_deviation(expansion, TravelingWave(problem), TAYLOR_SAMPLE_X,
+                                     digits=args.precision)
+        ok = worst <= mpmath.mpf(TAYLOR_TOLERANCE)
+        print(f"case {case_id}: max coefficient deviation {sci10(worst)} "
+              f"({'PASS' if ok else 'FAIL'} at {TAYLOR_TOLERANCE})")
+        return ok
+    return _each_case(args, check)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -8,8 +8,8 @@ v^(2n+1)).  With v_0 time-independent this is the time-Taylor series of the
 solution: v_k = c_k(x)*t^k with k*c_k = [t^(k-1)] N(u).
 
 Each c_k is a dense polynomial over Q(sqrt(d)) in the logistic variable
-sigma = E^2/(E^2 + 1), E = exp(kappa*(x + x0)) (1/(E^2 + 1) on the lower
-branch), so d/dx P(sigma) = +/-2*kappa*delta(P) with the integer map
+sigma = 1/(1 + exp(-rate*(x + x0))), rate = 2*s*kappa with branch sign s,
+so d/dx P(sigma) = rate*delta(P) with the integer map
 delta(P) = sigma*(1 - sigma)*P'(sigma): derivatives need no denominators.
 The engine takes n = 1, so N holds u, u^2 and u^3.  The Taylor coefficients
 of u^2 are formed on demand (Griewank & Walther, Evaluating Derivatives, ch. 13):
@@ -28,7 +28,7 @@ once, straight into it.  The problem's constants are lifted once
 ``terms`` prints each c_k by Horner's rule on q (``_term_text``); ``_values_at``,
 the only route to numbers, rounds sigma once per point to a binary value, runs
 Horner's rule on q there and returns raw libmp values, which ``profiles_at``
-makes mpf objects and ``build_error_table`` reads raw.
+makes mpf objects and ``partial_sum_at`` and ``build_error_table`` sum raw.
 The published closed forms serve as test oracles.
 """
 
@@ -42,14 +42,13 @@ from typing import Iterable
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import fone, mpf_abs, mpf_add, mpf_exp, mpf_mul, mpf_mul_int, mpf_rdiv_int
-from mpmath.libmp import mpf_shift, mpf_sign
+from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_exp, mpf_mul, mpf_pow_int
+from mpmath.libmp import mpf_rdiv_int, mpf_shift, mpf_sign
 
 from .errors import AlgebraDomainError, ContractViolation, UnsupportedProblemError
 from .problem import BHProblem
 from .scalars import (
-    DEFAULT_DIGITS, RND, ZERO, QuadraticNumber, ScalarLike, surd_value, to_mpf, to_value,
-    working_dps,
+    DEFAULT_DIGITS, RND, ZERO, QuadraticNumber, ScalarLike, surd_value, to_value, working_dps,
 )
 
 #: A sigma-polynomial (a, b, den, q), coefficient i = (a + b*sqrt(d))*q[i]/den,
@@ -229,14 +228,12 @@ def _value_at(p: Poly, m: int, s: int, d: int) -> tuple:
 @lru_cache(maxsize=8)
 def _operator_factors(problem: BHProblem) -> tuple[Poly, ...]:
     """The constants of N(u) = rate^2*delta(delta(u)) - alpha*rate*delta(u^2)/2
-    + beta*(1 + gamma)*u^2 - beta*gamma*u - beta*u^3 (n = 1), in that order, where
-    rate = 2*sign*kappa is the d(sigma)/dx = rate*sigma*(1 - sigma) of the front,
-    as degree-0 products of the lifted kappa, alpha, beta and gamma; formed once
-    per problem, not once per step."""
+    + beta*(1 + gamma)*u^2 - beta*gamma*u - beta*u^3 (n = 1), in that order, as
+    degree-0 products of the lifted rate, alpha, beta and gamma; formed once per
+    problem, not once per step."""
     d, one = problem.radicand, (1, 0, 1, (1,))
-    kappa, alpha, beta, gamma = (_lattice([c], d) for c in (
-        problem.kappa, problem.alpha, problem.beta, problem.gamma))
-    rate = _sum_products(d, [(one, kappa)], weights=[2 * problem.sign])
+    rate, alpha, beta, gamma = (_lattice([c], d) for c in (
+        problem.rate, problem.alpha, problem.beta, problem.gamma))
     return (_sum_products(d, [(rate, rate)]),
             _sum_products(d, [(alpha, rate)], 2, weights=[-1]),
             _sum_products(d, [(beta, one), (beta, gamma)]),
@@ -253,7 +250,7 @@ def _front(problem: BHProblem) -> Poly:
             f"symbolic series requires n = 1 (got n = {problem.n}); "
             "the exact wave still evaluates numerically"
         )
-    if problem.kappa.is_zero():
+    if problem.rate.is_zero():
         raise UnsupportedProblemError("front steepness kappa is zero; no wave profile")
     return _lattice([ZERO, problem.gamma], problem.radicand)
 
@@ -300,7 +297,7 @@ class HPMExpansion:
 
     def profiles_at(self, x, digits: int = DEFAULT_DIGITS) -> list[mpf]:
         """c_0(x)..c_K(x), each exact at one binary value sigma = m/2^s of
-        sigma = 1/(1 + exp(-/+2*kappa*(x + x0))), computed once for all of them.
+        sigma = 1/(1 + exp(-rate*(x + x0))), computed once for all of them.
 
         The smaller of sigma and 1 - sigma is rounded, so either tail keeps
         its digits.  A point whose s exceeds ``MAX_SHIFT`` is rejected.
@@ -312,7 +309,7 @@ class HPMExpansion:
         """``profiles_at`` as raw values at the working precision, for x as a raw value."""
         p, prec = self.problem, mpmath.mp.prec
         arg = mpf_add(x, to_value(p.x0), prec, RND) if p.x0 else x  # no surd at x0 = 0
-        z = mpf_mul(mpf_mul_int(to_value(p.kappa), -2 * p.sign, prec, RND), arg, prec, RND)
+        z = mpf_mul(to_value(p.rate), arg, prec, RND)
         growth = mpf_exp(mpf_abs(z, prec, RND), prec, RND)
         _, man, exp, _ = mpf_rdiv_int(1, mpf_add(growth, fone, prec, RND), prec, RND)
         m, s = man, -exp
@@ -321,7 +318,7 @@ class HPMExpansion:
                 f"x + x0 = {mpmath.nstr(mpmath.mp.make_mpf(arg), 10)} lies too far in the "
                 f"front's tail: sigma or 1 - sigma is about 2^-{s}, past the bound 2^-{MAX_SHIFT}"
             )
-        if mpf_sign(z) < 0:  # sigma = 1 - m/2^s
+        if mpf_sign(z) > 0:  # sigma = 1 - m/2^s
             m = -m
         return [_value_at(c, m, s, p.radicand) for c in self.powers[0]]
 
@@ -332,10 +329,11 @@ class HPMExpansion:
                 f"partial sum of {m} terms requested; have {self.order + 1}"
             )
         with working_dps(digits):
-            time, total = to_mpf(t), mpf(0)
-            for k, c in enumerate(self.profiles_at(x, digits)[:m]):
-                total += c * time**k
-            return +total
+            prec, time, total = mpmath.mp.prec, to_value(t), fzero
+            for k, c in enumerate(self._values_at(to_value(x))[:m]):
+                total = mpf_add(total, mpf_mul(c, mpf_pow_int(time, k, prec, RND), prec, RND),
+                                prec, RND)
+            return mpmath.mp.make_mpf(total)
 
 
 def run_hpm(problem: BHProblem, order: int) -> HPMExpansion:

@@ -3,8 +3,9 @@
 The PDE is  u_t = u_xx - alpha*u^n*u_x + beta*u*(1-u^n)*(u^n-gamma)  with
 positive integer n.  Every problem carries the exact derived quantities of
 its traveling-wave front: the discriminant rho^2 = alpha^2 + 4*beta*(n+1),
-the square-free radicand d underneath rho, the front steepness kappa, the
-front speed, and the amplitude gamma/2.  The "upper" branch takes the top
+the square-free radicand d underneath rho, the front steepness kappa, its
+rate 2*s*kappa (s = +1 on the upper branch, -1 on the lower), the front
+speed, and the amplitude gamma/2.  The "upper" branch takes the top
 sign of every +/- pair in the two-parameter wave family, "lower" the bottom
 sign; that pairing is the only one consistent with all of the built-in
 benchmark cases and it is validated exactly in the test suite.
@@ -86,6 +87,7 @@ class BHProblem:
         self.discriminant = dfrac
         self.radicand = d
         self.kappa = kappa
+        self.rate = kappa * (2 * sign)  # d(sigma)/dx = rate*sigma*(1 - sigma)
         self.speed = speed
         self.amplitude = amplitude
         self._hash: int | None = None  # set on first use: the cache key of every series step

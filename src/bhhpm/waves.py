@@ -2,8 +2,8 @@
 time-Taylor oracle.
 
 The wave of a problem is  u(x,t) = [gamma*sigma]^(1/n),  sigma =
-1/(1 + exp(-rate*phi)),  rate = 2*s*kappa,  phi = x - c*t + x0, with branch
-sign s, steepness kappa and speed c: the form [A + s*A*tanh(kappa*phi)]^(1/n),
+1/(1 + exp(-rate*phi)),  phi = x - c*t + x0, with the front's rate =
+2*s*kappa (branch sign s) and speed c: the form [A + s*A*tanh(kappa*phi)]^(1/n),
 A = gamma/2, without its cancellation in the far tails.  ``_value_at``
 evaluates it on raw libmp values; ``eval_at`` makes the mpf object.  The
 Taylor oracle expands u(x, .) about t = 0 by power-series recursion on
@@ -19,7 +19,7 @@ from typing import Sequence
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import fone, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_mul_int, mpf_sign, mpf_sub
+from mpmath.libmp import fone, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_sign, mpf_sub
 
 from .errors import EvaluationError, UnsupportedProblemError
 from .problem import BHProblem
@@ -42,8 +42,7 @@ class TravelingWave:
         """u at the raw values x and speed*t, as a raw value at the working precision."""
         p, prec = self.problem, mpmath.mp.prec
         phase = mpf_add(mpf_sub(x, speed_t, prec, RND), to_value(p.x0), prec, RND)
-        phase = mpf_mul(to_value(p.kappa), phase, prec, RND)
-        growth = mpf_exp(mpf_mul_int(phase, -2 * p.sign, prec, RND), prec, RND)
+        growth = mpf_exp(mpf_neg(mpf_mul(to_value(p.rate), phase, prec, RND)), prec, RND)
         base = mpf_div(to_value(p.gamma), mpf_add(growth, fone, prec, RND), prec, RND)
         if p.n == 1:
             return base
@@ -61,7 +60,7 @@ class TravelingWave:
         if order < 0:
             raise ValueError("order must be nonnegative")
         with working_dps(digits):
-            rate = 2 * p.sign * to_mpf(p.kappa)
+            rate = to_mpf(p.rate)
             z = rate * (to_mpf(x) + to_mpf(p.x0))
             b = -to_mpf(p.speed) * rate  # d(sigma)/dt = b*sigma*tau, tau = 1 - sigma
             sigma, tau = [1 / (1 + mpmath.exp(-z))], [1 / (1 + mpmath.exp(z))]
@@ -72,14 +71,14 @@ class TravelingWave:
             return [+(gamma * c) for c in sigma]
 
     def t_radius(self, x, digits: int = DEFAULT_DIGITS) -> mpf:
-        """R(x) = |x + x0 - i*pi/(2*kappa)|/|c|, the radius of convergence of
+        """R(x) = |x + x0 - i*pi/rate|/|c|, the radius of convergence of
         the Taylor series of u(x, .) about t = 0: the distance to the nearest
         pole of sigma.  Infinite where u does not move (c = 0)."""
         p = self.problem
-        if p.speed.is_zero() or p.kappa.is_zero():
+        if p.speed.is_zero() or p.rate.is_zero():
             return mpmath.inf
         with working_dps(digits):
-            pole = mpmath.pi / (2 * to_mpf(p.kappa))
+            pole = mpmath.pi / to_mpf(p.rate)
             return +(mpmath.hypot(to_mpf(x) + to_mpf(p.x0), pole) / abs(to_mpf(p.speed)))
 
 

@@ -51,6 +51,14 @@ FRONTS = {
 }
 
 
+#: kappa about 11.35 puts every sample point in a tail: sigma -> 0 on the lower
+#: branch (the worst of 220 random fronts for an oracle on A*(1 + s*tanh)) and
+#: sigma -> 1 on the upper, where the oracle must not form 1 - sigma by cancellation
+STEEP_FRONTS = {f"steep-{branch}": BHProblem(Fraction(-7, 2), 40, Fraction(37, 6),
+                                             branch=branch, x0=Fraction(21, 5))
+                for branch in ("lower", "upper")}
+
+
 def random_quad(rng: random.Random, d: int = 2) -> QuadraticNumber:
     return quad(
         Fraction(rng.randint(-9, 9), rng.randint(1, 9)),

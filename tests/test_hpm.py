@@ -15,10 +15,12 @@ from bhhpm.hpm import (
     _sum_products,
 )
 from bhhpm.scalars import QuadraticNumber
+from bhhpm.tables import build_error_table
+from bhhpm.waves import TravelingWave
 
 from conftest import (
-    FRONTS, matches_reference, pde_residual, plain_profiles_at, quad, reference_terms, t_power,
-    two_half_value_at,
+    FRONTS, STEEP_FRONTS, matches_reference, pde_residual, plain_profiles_at, quad,
+    reference_terms, t_power, two_half_value_at,
 )
 
 
@@ -116,6 +118,7 @@ class TestIntegerLift:
             return fraction_new(cls, *args, **kwargs)
 
         problems = [case_preset(c) for c in (1, 2, 3)]
+        _operator_factors.cache_clear()  # each problem's first series is counted
         with monkeypatch.context() as patch:  # undone before the asserts
             patch.setattr(QuadraticNumber, "__init__", counting_init)
             patch.setattr(Fraction, "__new__", staticmethod(counting_new))
@@ -312,19 +315,28 @@ class TestPartialSums:
         with pytest.raises(UnsupportedProblemError, match=message):
             expansions[1].profiles_at(-1030000, 30)
 
+    @pytest.mark.parametrize("front", ["case3", "case1", "steep-upper"])
+    def test_partial_sums_keep_the_bits_of_table_cells(self, front):
+        # |S_m - u|/|u| from partial_sum_at and eval_at is build_error_table's cell
+        p = FRONTS.get(front) or STEEP_FRONTS[front]
+        expansion, wave = run_hpm(p, 8), TravelingWave(p)
+        xs = (-24, Fraction(-7, 3), 0, Fraction(7, 4), 24)
+        ts, orders = (Fraction(3, 10), Fraction(-1, 7), Fraction(1, 2)), range(1, 10)
+        for digits in (30, 45):
+            table = build_error_table(expansion, wave, orders, ts, xs, digits)
+            with working_dps(digits):
+                for t, block in zip(ts, table.cells):
+                    for m, row in zip(orders, block):
+                        for x, cell in zip(xs, row):
+                            exact = wave.eval_at(x, t, digits)
+                            error = abs(expansion.partial_sum_at(m, x, t, digits) - exact)
+                            assert error / abs(exact) == cell
+
     def test_out_of_range_m(self, expansions):
         with pytest.raises(ContractViolation):
             expansions[1].partial_sum_at(8, 0, 0, 30)
         with pytest.raises(ContractViolation):
             expansions[1].partial_sum_at(0, 0, 0, 30)
-
-
-#: kappa about 11.35 puts every sample point in a tail: sigma -> 0 on the lower
-#: branch (the worst of 220 random fronts for an oracle on A*(1 + s*tanh)) and
-#: sigma -> 1 on the upper, where the oracle must not form 1 - sigma by cancellation
-STEEP_FRONTS = {f"steep-{branch}": BHProblem(Fraction(-7, 2), 40, Fraction(37, 6),
-                                             branch=branch, x0=Fraction(21, 5))
-                for branch in ("lower", "upper")}
 
 
 class TestTaylorMatching:

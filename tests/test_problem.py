@@ -1,11 +1,14 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
+from mpmath.libmp import mpf_mul_int
 
-from bhhpm import BHProblem, case_preset
+from bhhpm import BHProblem, case_preset, working_dps
 from bhhpm.errors import ProblemDomainError
+from bhhpm.scalars import RND, to_value
 
-from conftest import quad
+from conftest import FRONTS, STEEP_FRONTS, quad
 
 
 class TestPresets:
@@ -55,6 +58,19 @@ class TestDiscriminantRoot:
         assert (problem.discriminant, problem.radicand) == (discriminant, radicand)
         assert problem.kappa == kappa
         assert problem.speed == speed
+
+
+class TestRate:
+    """rate = 2*s*kappa, the d(sigma)/dx = rate*sigma*(1 - sigma) of the front."""
+
+    @pytest.mark.parametrize("front", [*FRONTS, *STEEP_FRONTS])
+    def test_rate_is_twice_the_signed_steepness(self, front):
+        p = FRONTS.get(front) or STEEP_FRONTS[front]
+        assert p.rate == p.kappa * (2 * p.sign)
+        for digits in (30, 45, 200):  # doubling and negation commute with rounding
+            with working_dps(digits):
+                twice = mpf_mul_int(to_value(p.kappa), 2 * p.sign, mpmath.mp.prec, RND)
+                assert to_value(p.rate) == twice
 
 
 class TestValidation:

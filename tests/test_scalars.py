@@ -21,24 +21,6 @@ def quad(a, b=0, d=0):
     return QuadraticNumber(Fraction(a), Fraction(b), d)
 
 
-class TestBigRational:
-    def test_canonical_form(self):
-        q = Fraction(6, -4)
-        assert q.denominator > 0
-        assert abs(q.numerator) == 3 and q.denominator == 2
-
-    def test_normalize_idempotent(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            q = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
-            assert Fraction(q.numerator, q.denominator) == q
-            assert q.denominator > 0
-
-    def test_big_integers(self):
-        q = Fraction(10**80 + 1, 10**40)
-        assert q * q.denominator == 10**80 + 1
-
-
 class TestSquarefree:
     @pytest.mark.parametrize(
         "n,expected",
