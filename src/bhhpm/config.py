@@ -30,6 +30,11 @@ from .scalars import DEFAULT_DIGITS, QuadraticNumber
 PROBLEM_KEYS = ("alpha", "beta", "gamma", "n", "branch", "x0")
 
 DEFAULT_ORDERS = 5
+#: Upper bounds of ``orders`` and ``precision`` (digits): the series' cost grows
+#: about as orders^4 and each value's with its digits, so these bound what an
+#: accepted input may ask for.
+MAX_ORDERS = 100
+MAX_PRECISION = 10000
 
 
 class ConfigError(BHError, ValueError):
@@ -50,7 +55,7 @@ class ConfigConflictError(ConfigError):
 
 
 class ConfigNumberError(ConfigError):
-    """A malformed numeric literal, or an integer below its minimum."""
+    """A malformed numeric literal, or an integer outside its range."""
 
 
 _R = r"\d+(?:/\d+|\.\d+)?"  # an unsigned integer, fraction or terminating decimal
@@ -125,8 +130,9 @@ def default_report_orders(case: int | None, orders: int) -> tuple[int, ...]:
 _LINE_RE = re.compile(r"^(?P<key>[A-Za-z_][A-Za-z0-9_]*)\s*=\s*(?P<value>.*)$")
 
 
-def _integer(key: str, minimum: int = 1):
-    """Parser of an integer ``key`` no smaller than ``minimum``."""
+def _integer(key: str, minimum: int = 1, maximum: int | None = None):
+    """Parser of an integer ``key`` no smaller than ``minimum`` and, if given,
+    no larger than ``maximum``."""
     def parse(text: str, line: int = 0) -> int:
         try:
             value = int(text)
@@ -134,6 +140,8 @@ def _integer(key: str, minimum: int = 1):
             raise ConfigNumberError(f"invalid number literal {text!r}", line)
         if value < minimum:
             raise ConfigNumberError(f"{key} must be at least {minimum}", line)
+        if maximum is not None and value > maximum:
+            raise ConfigNumberError(f"{key} must be at most {maximum}", line)
         return value
     return parse
 
@@ -179,8 +187,8 @@ PARSERS = {
     "x0": parse_number,
     "n": _integer("n"),
     "branch": _named(dict(zip(BRANCHES, BRANCHES)), "branch must be 'upper' or 'lower', got {!r}"),
-    "orders": _integer("orders"),
-    "precision": _integer("precision", DEFAULT_DIGITS),
+    "orders": _integer("orders", maximum=MAX_ORDERS),
+    "precision": _integer("precision", DEFAULT_DIGITS, MAX_PRECISION),
     "report_orders": _listed(_integer("report_orders")),
     "grid_x": _listed(parse_rational),
     "grid_t": _listed(parse_rational),

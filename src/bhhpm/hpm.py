@@ -10,13 +10,15 @@ solution: v_k = c_k(x)*t^k with k*c_k = [t^(k-1)] N(u).
 Each c_k is a dense polynomial over Q(sqrt(d)) in the logistic variable
 sigma = 1/(1 + exp(-rate*(x + x0))), rate = 2*s*kappa with branch sign s,
 so d/dx P(sigma) = rate*delta(P) with the integer map
-delta(P) = sigma*(1 - sigma)*P'(sigma): derivatives need no denominators.
+delta(P) = sigma*(1 - sigma)*P'(sigma): derivatives need no denominators, and
+u_xx = rate^2*delta^2(u) is one integer map too.
 The engine takes n = 1, so N holds u, u^2 and u^3.  The Taylor coefficients
 of u^2 are formed on demand (Griewank & Walther, Evaluating Derivatives, ch. 13):
 the step to c_k adds (u^2)_(k-1) by symmetry, and c_k is one sum of products
-that takes those of (u^3)_(k-1) = sum_i (u^2)_i*u_(k-1-i) unreduced: order k
-costs two sums of O(k) products of degree-O(k) polynomials, O(k^3)
-multiplications.
+that takes those of (u^3)_(k-1) = sum_i (u^2)_i*u_(k-1-i) unreduced, with each
+-beta*(u^2)_i scaled once and kept for the later orders: order k costs two
+sums of O(k) products of degree-O(k) polynomials, O(k^3) multiplications,
+each sum one pass over its pairs.
 
 All coefficients of such a polynomial lie on one line of Q(sqrt(d)), as c_k =
 gamma*(-speed*rate)^k*delta^k(sigma)/k! shows, so it is held as (a, b, den, q):
@@ -103,26 +105,33 @@ def _coeffs(p: Poly, d: int) -> tuple[QuadraticNumber, ...]:
 def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]], den: int = 1,
                   weights: Iterable[int] = repeat(1)) -> Poly:
     """sum(w * P * Q)/den over the pairs (integer weight w, 1 by default), over the common
-    denominator.  A pair whose content product scales only one of the rational and sqrt(d)
-    sums convolves each row of P, scaled once, straight into that sum; one that scales both
-    adds one integer product to both in one pass (Q's list itself when P has degree 0, its
-    list being (1,)); one that scales neither is skipped.  Degree-0 P's: a linear combination."""
-    kept, common, size = [], 1, 0
-    for (p, q), w in zip(pairs, weights):
-        if p[3] and q[3]:
-            kept.append((p, q, w))
-            common = math.lcm(common, p[2] * q[2])
-            size = max(size, len(p[3]) + len(q[3]) - 1)
-    a, b = [0] * size, [0] * size
-    for (x, y, pd, pq), (u, v, qd, qq), w in kept:
+    denominator.  One pass: each pair is scaled to the running denominator (what is summed
+    is rescaled only when a pair's denominator does not divide it) and sized, the sums
+    growing as longer products arrive.  A pair whose content product scales only one of
+    the rational and sqrt(d) sums convolves each row of P, scaled once, straight into that
+    sum; one that scales both adds one integer product to both in one pass (Q's list itself
+    when P has degree 0, its list being (1,)); one that scales neither is skipped.  Degree-0
+    P's: a linear combination."""
+    a, b, common = [], [], 1
+    for ((x, y, pd, pq), (u, v, qd, qq)), w in zip(pairs, weights):
+        if not (pq and qq):
+            continue
+        pair_den = pd * qd
+        if common % pair_den:
+            grow = pair_den // math.gcd(common, pair_den)
+            a, b, common = [c * grow for c in a], [c * grow for c in b], common * grow
+        s = common // pair_den * w
+        sa, sb = (x * u + y * v * d) * s, (x * v + y * u) * s
         if len(pq) > len(qq):  # the shorter list gives the rows; the contents commute
             pq, qq = qq, pq
-        s = common // (pd * qd) * w
-        sa, sb = (x * u + y * v * d) * s, (x * v + y * u) * s
+        size = len(pq) + len(qq) - 1
+        if size > len(a):
+            a += [0] * (size - len(a))
+            b += [0] * (size - len(b))
         if sa and sb:
             product = qq
             if len(pq) > 1:
-                product = [0] * (len(pq) + len(qq) - 1)
+                product = [0] * size
                 for i, c in enumerate(pq):
                     if c:
                         for j, e in enumerate(qq, i):
@@ -144,7 +153,17 @@ def _delta(p: Poly) -> Poly:
     """sigma*(1 - sigma)*P'(sigma): P's content times sum_i (i*q_i - (i-1)*q_(i-1)) sigma^i,
     unreduced (a factor for _sum_products), so d/dx P(sigma) = rate*delta(P)."""
     *content, q = p
-    return (*content, [i * x - (i - 1) * y for i, (x, y) in enumerate(zip([*q, 0], [0, *q]))])
+    z = [0, *q, 0]  # z[i + 1] = q_i, zero outside 0..deg
+    return (*content, [i * z[i + 1] - (i - 1) * z[i] for i in range(len(q) + 1)])
+
+
+def _delta2(p: Poly) -> Poly:
+    """delta(delta(P)) as one integer map, unreduced: P's content times
+    sum_i (i^2*q_i - (i-1)*(2i-1)*q_(i-1) + (i-1)*(i-2)*q_(i-2)) sigma^i."""
+    *content, q = p
+    z = [0, 0, *q, 0, 0]  # z[i + 2] = q_i, zero outside 0..deg
+    return (*content, [i * i * z[i + 2] - (i - 1) * (2 * i - 1) * z[i + 1]
+                       + (i - 1) * (i - 2) * z[i] for i in range(len(q) + 2)])
 
 
 def _square(u: Series, d: int) -> Poly:
@@ -259,10 +278,13 @@ class HPMExpansion:
     """The series through order K for one problem, held as ``powers`` = (u, u^2):
     the Taylor coefficients in t of u through t^K and of u^2 through t^(K-1),
     all that c_0..c_K read.  The series of u is (c_0, .., c_K), from which
-    ``terms`` are read and which ``profiles_at`` evaluates."""
+    ``terms`` are read and which ``profiles_at`` evaluates.  ``scaled`` keeps
+    -beta*(u^2)_i for each kept (u^2)_i, unreduced, for the next step; an
+    expansion built without them evaluates but cannot step."""
 
-    def __init__(self, problem: BHProblem, powers: tuple[Series, Series]) -> None:
-        self.problem, self.powers = problem, powers
+    def __init__(self, problem: BHProblem, powers: tuple[Series, Series],
+                 scaled: tuple[Poly, ...] = ()) -> None:
+        self.problem, self.powers, self.scaled = problem, powers, scaled
 
     @classmethod
     def start(cls, problem: BHProblem) -> HPMExpansion:
@@ -281,19 +303,23 @@ class HPMExpansion:
 
     def advanced(self) -> HPMExpansion:
         """Expansion with the next term appended: (u^2)_K, then c_(K+1) = N_K/(K + 1),
-        one sum of products with u_xx = rate^2*delta(delta(u)) and
+        one sum of products with u_xx = rate^2*delta^2(u), delta^2 one integer map, and
         u*u_x = rate*delta(u^2)/2, in which -beta*(u^3)_K enters as the pairs
-        (-beta*(u^2)_i, u_(K-i))."""
+        (-beta*(u^2)_i, u_(K-i)): only -beta*(u^2)_K is scaled here, the others are kept."""
+        if len(self.powers) != 2 or len(self.scaled) != len(self.powers[1]):
+            raise ContractViolation("an expansion steps only with -beta*(u^2)_i for each "
+                                    "(u^2)_i it holds")
         d = self.problem.radicand
         u, square = self.powers
         square += (_square(u, d),)
         *factors, (x, y, z, _) = _operator_factors(self.problem)
-        top = [(x * a + y * b * d, x * b + y * a, z * e, q) for a, b, e, q in square]
+        a, b, e, q = square[-1]
+        scaled = self.scaled + ((x * a + y * b * d, x * b + y * a, z * e, q),)
         # in the order of factors
-        terms = (_delta(_delta(u[-1])), _delta(square[-1]), square[-1], u[-1])
-        pairs = [*zip(factors, terms), *zip(top, reversed(u))]
+        terms = (_delta2(u[-1]), _delta(square[-1]), square[-1], u[-1])
+        pairs = [*zip(factors, terms), *zip(scaled, reversed(u))]
         c = _sum_products(d, pairs, self.order + 1)
-        return HPMExpansion(self.problem, (u + (c,), square))
+        return HPMExpansion(self.problem, (u + (c,), square), scaled)
 
     def profiles_at(self, x, digits: int = DEFAULT_DIGITS) -> list[mpf]:
         """c_0(x)..c_K(x), each exact at one binary value sigma = m/2^s of

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bhhpm.cli import main
+from bhhpm.config import MAX_ORDERS, MAX_PRECISION
 from bhhpm.errors import ContractViolation
 
 from conftest import run_cli
@@ -426,7 +427,7 @@ def run_configs(draw) -> str:
 def commands(draw) -> list[str]:
     """``run``, ``golden``, ``terms`` or ``taylor-check``, each with options
     drawn from its own (``golden`` has no ``--orders``), in range or just
-    outside it (``--case 0|4``, ``--orders 0``, ``--precision 29``,
+    outside it (``--case 0|4``, ``--orders 0|101``, ``--precision 29|10001``,
     ``--format xml``), and ``run`` at times without its required ``--case``;
     or an unknown sub-command, or none at all."""
     name = draw(st.sampled_from(["run", "golden", "terms", "taylor-check", "plot", None]))
@@ -436,9 +437,9 @@ def commands(draw) -> list[str]:
     if name == "terms" or draw(st.booleans()):
         args += ["--case", str(draw(st.integers(0, 4)))]
     if name != "golden" and draw(st.booleans()):
-        args += ["--orders", str(draw(st.integers(0, 8)))]
+        args += ["--orders", str(draw(st.integers(0, 8) | st.just(MAX_ORDERS + 1)))]
     if name != "terms" and draw(st.booleans()):
-        args += ["--precision", str(draw(st.integers(29, 40)))]
+        args += ["--precision", str(draw(st.integers(29, 40) | st.just(MAX_PRECISION + 1)))]
     if name == "golden" and draw(st.booleans()):
         args.append("--verbose")
     if name == "run" and draw(st.booleans()):
@@ -484,6 +485,10 @@ class TestExitCodes:
 
     @settings(max_examples=40, deadline=None)
     @given(args=commands())
+    # each bound itself, once, on the cheapest command that reaches it (about 1 s each)
+    @example(args=["run", "--case", "2", "--orders", str(MAX_ORDERS), "--format", "csv"])
+    @example(args=["taylor-check", "--case", "2", "--orders", "1",
+                   "--precision", str(MAX_PRECISION)])
     def test_any_command_exits_0_1_or_2_with_one_line(self, args):
         result = run_cli(args)
         assert result.exception is None or isinstance(result.exception, SystemExit), args

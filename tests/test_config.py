@@ -16,7 +16,9 @@ from bhhpm import (
     render_config,
 )
 from bhhpm.cli import build_parser
-from bhhpm.config import PARSERS, ConfigError, default_report_orders, parse_number
+from bhhpm.config import (
+    MAX_ORDERS, MAX_PRECISION, PARSERS, ConfigError, default_report_orders, parse_number,
+)
 from bhhpm.errors import ProblemDomainError
 from bhhpm.problem import BHProblem, case_preset
 from bhhpm.scalars import DEFAULT_DIGITS
@@ -306,14 +308,21 @@ def random_config(rng: random.Random) -> RunConfig:
     return cfg
 
 
+#: The upper bound of each bounded setting.
+BOUNDS = {"orders": MAX_ORDERS, "precision": MAX_PRECISION}
+
+
 @st.composite
 def run_settings(draw) -> dict[str, str]:
     """The text of each setting that both a config line and a ``run`` option
-    set, from the domain of its parser in ``PARSERS``; ``out`` is any text."""
+    set, from the domain of its parser in ``PARSERS`` or at its upper bound or
+    one past it; ``out`` is any text."""
+    near = lambda low, high, bound: st.one_of(st.integers(low, high),
+                                              st.sampled_from([bound, bound + 1]))
     return {
         "case": draw(st.sampled_from(PARSERS["case"].spellings)),
-        "orders": str(draw(st.integers(1, 12))),
-        "precision": str(draw(st.integers(DEFAULT_DIGITS, 80))),
+        "orders": str(draw(near(1, 12, MAX_ORDERS))),
+        "precision": str(draw(near(DEFAULT_DIGITS, 80, MAX_PRECISION))),
         "format": draw(st.sampled_from(PARSERS["format"].spellings)),
         "out": draw(st.text()),
     }
@@ -345,16 +354,32 @@ class TestRoundTrip:
                      "out": "run#2.csv"})
     @example(values={"case": "1", "orders": "5", "precision": "30", "format": "csv",
                      "out": " x.csv"})
+    @example(values={"case": "1", "orders": "101", "precision": "30", "format": "csv",
+                     "out": "x.csv"})
+    @example(values={"case": "1", "orders": "5", "precision": "10001", "format": "csv",
+                     "out": "x.csv"})
     def test_options_either_fail_or_give_a_config_that_round_trips(self, values):
         argv = ["run", *[f"--{key}={value}" for key, value in values.items()]]
         try:
             with redirect_stderr(io.StringIO()) as err:
                 args = build_parser().parse_args(argv)
         except SystemExit as exc:
-            # only out can lie outside its parser's domain: one usage line, exit 2
+            # out, or orders or precision past its bound, lies outside its parser's
+            # domain: one usage line, exit 2, which names the first bound passed
             assert exc.code == 2 and err.getvalue().count("\n") == 1
-            with pytest.raises(ConfigError):
-                PARSERS["out"](values["out"])
+            past = [key for key, bound in BOUNDS.items() if int(values[key]) > bound]
+            if not past:
+                with pytest.raises(ConfigError):
+                    PARSERS["out"](values["out"])
+                return
+            key = past[0]
+            assert err.getvalue().endswith(f"{key} must be at most {BOUNDS[key]}\n")
+            # as config lines (out left out) it is refused the same way
+            lines = "".join(f"{k} = {v}\n" for k, v in values.items() if k != "out")
+            with pytest.raises(ConfigNumberError) as info:
+                parse_config(lines)
+            line = list(values).index(key) + 1
+            assert str(info.value) == f"{key} must be at most {BOUNDS[key]} at line {line}"
             return
         cfg = parse_config("", case=args.case, orders=args.orders, precision=args.precision,
                            format=args.format, out=args.out)

@@ -19,8 +19,8 @@ from mpmath import mpf
 from bhhpm import BHProblem, case_preset, run_hpm, working_dps
 from bhhpm.errors import ContractViolation
 from bhhpm.hpm import (
-    ZERO_POLY, _closed_form, _coeffs, _delta, _lattice, _reduced, _square, _sum_products,
-    _term_text, _value_at,
+    ZERO_POLY, _closed_form, _coeffs, _delta, _delta2, _lattice, _reduced, _square,
+    _sum_products, _term_text, _value_at,
 )
 
 from conftest import add, mul, quad, random_coeffs, random_poly, random_quad, sigma_value
@@ -180,6 +180,10 @@ class TestLatticeInvariant:
                             (times(quad(x, y, d), big_f), big_g),
                             (_lattice([data.draw(lines(d))], d), mul(big_f, big_g, d))])
         weights.append(data.draw(st.integers(-3, 3)))
+        # every drawn denominator has prime factors up to 11, so the second pair's
+        # does not divide the running one: the kernel rescales what it has summed
+        pairs_drawn.append([(_lattice([Fraction(1, 13)], d), p),
+                            (_lattice([Fraction(1, 17)], d), q)])
         for pairs in pairs_drawn:
             assert _coeffs(_sum_products(d, pairs), d) == schoolbook(pairs, d)
             assert (_coeffs(_sum_products(d, pairs, weights=weights), d)
@@ -290,6 +294,13 @@ class TestDifferentiation:
                     exact = value(d, x, sign, 40)
                     scale = max(mpf(1), abs(f(x)), abs(exact))
                     assert abs(fd - exact) <= mpf("1e-8") * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(content=st.tuples(st.integers(), st.integers(), st.integers(1)),
+           q=st.lists(st.integers(), max_size=12))
+    def test_second_derivative_is_one_integer_map(self, content, q):
+        # on any integer list and content, canonical or not: the series step's delta^2
+        assert _delta2((*content, tuple(q))) == _delta(_delta((*content, tuple(q))))
 
     def test_derivative_keeps_denominator_compact(self):
         der = FRONT

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -169,6 +170,17 @@ class TestLazyPowers:
         for order in (1, 5):
             assert run_hpm(p, order).advanced().powers == run_hpm(p, order + 1).powers
 
+    def test_only_a_stepped_expansion_steps(self):
+        # an expansion built by hand holds no -beta*(u^2)_i for its squares
+        p = FRONTS["case3"]
+        expansion = run_hpm(p, 3)
+        for built in (HPMExpansion(p, expansion.powers), HPMExpansion(p, expansion.powers[:1]),
+                      HPMExpansion(p, expansion.powers, expansion.scaled[:-1])):
+            with pytest.raises(ContractViolation):
+                built.advanced()
+        kept = HPMExpansion(p, expansion.powers, expansion.scaled)
+        assert kept.advanced().powers == run_hpm(p, 4).powers
+
     @pytest.mark.parametrize("front", FRONTS)
     def test_start_forms_no_product(self, front, monkeypatch):
         p, calls = FRONTS[front], []
@@ -286,6 +298,27 @@ class TestStirlingClosedForm:
         except (ProblemDomainError, UnsupportedProblemError):
             reject()
         assert_stirling_form(problem, 8)
+
+
+#: sha256 of repr(run_hpm(p, 30).powers): both series, tuple for tuple, so a
+#: kernel change that moves one integer of one coefficient fails here.
+SERIES_SHA256 = {
+    "case1": "f42fc96e3bf39281689b7b72296491b42ee4a7824cce678367a7afb43aca2076",
+    "case2": "e25b38819567cf883a92da8041a7a6e97ac6dcc775e12d3084aa914df5fa01b9",
+    "case3": "15c2ba9e88b8aff5a8069fec2b55e50982aa638a5a8fd564d876a6cabbe92847",
+    "slow": "436bbc84c51cbf0aac09df67c533ba1bd772aef479d443d67a0fe16c9b920202",
+    "lower-x0": "89db8c060117086dad690cbc59944e1cf885cdeee8a4550ff06fa840d5d4f3c0",
+    # gamma and speed*rate are case 2's, so c_k = gamma*(-speed*rate)^k*delta^k(sigma)/k! is too
+    "surd-beta": "e25b38819567cf883a92da8041a7a6e97ac6dcc775e12d3084aa914df5fa01b9",
+    "steep-lower": "8a09d44032bf7d2fbc03f10f00acc6471360c4b1b75e379a332faacc21f85c97",
+    "steep-upper": "346b55c2fd700c312328b6e27192d68591b276ecc8987a8641f9f850b1bb2748",
+}
+
+
+@pytest.mark.parametrize("front", SERIES_SHA256)
+def test_series_keep_every_integer(front):
+    powers = run_hpm({**FRONTS, **STEEP_FRONTS}[front], 30).powers
+    assert hashlib.sha256(repr(powers).encode()).hexdigest() == SERIES_SHA256[front]
 
 
 class TestPartialSums:
