@@ -485,7 +485,7 @@ class TestExitCodes:
 
     @settings(max_examples=40, deadline=None)
     @given(args=commands())
-    # each bound itself, once, on the cheapest command that reaches it (about 1 s each)
+    # each bound itself, once, on the cheapest command that reaches it
     @example(args=["run", "--case", "2", "--orders", str(MAX_ORDERS), "--format", "csv"])
     @example(args=["taylor-check", "--case", "2", "--orders", "1",
                    "--precision", str(MAX_PRECISION)])
