@@ -12,13 +12,13 @@ sigma = 1/(1 + exp(-rate*(x + x0))), rate = 2*s*kappa with branch sign s,
 so d/dx P(sigma) = rate*delta(P) with the integer map
 delta(P) = sigma*(1 - sigma)*P'(sigma): derivatives need no denominators, and
 u_xx = rate^2*delta^2(u) is one integer map too.
-The engine takes n = 1, so N holds u, u^2 and u^3.  The Taylor coefficients
-of u^2 are formed on demand (Griewank & Walther, Evaluating Derivatives, ch. 13):
-the step to c_k adds (u^2)_(k-1) by symmetry, and c_k is one sum of products
-that takes those of (u^3)_(k-1) = sum_i (u^2)_i*u_(k-1-i) unreduced, with each
--beta*(u^2)_i scaled once and kept for the later orders: order k costs two
-sums of O(k) products of degree-O(k) polynomials, O(k^3) multiplications,
-each sum one pass over its pairs.
+The engine takes n = 1, so N holds u, u^2 and u^3.  An expansion holds
+c_0..c_K alone; the Taylor coefficients of u^2 are formed from them on demand
+(Griewank & Walther, Evaluating Derivatives, ch. 13): the step to c_k forms
+(u^2)_(k-1) by symmetry, and c_k is one sum of products that takes those of
+(u^3)_(k-1) = sum_i (u^2)_i*u_(k-1-i) unreduced, with each -beta*(u^2)_i scaled
+once and kept for the later orders: order k costs two sums of O(k) products of
+degree-O(k) polynomials, O(k^3) multiplications, each sum one pass over its pairs.
 
 All coefficients of such a polynomial lie on one line of Q(sqrt(d)), as c_k =
 gamma*(-speed*rate)^k*delta^k(sigma)/k! shows, so it is held as (a, b, den, q):
@@ -275,51 +275,48 @@ def _front(problem: BHProblem) -> Poly:
 
 
 class HPMExpansion:
-    """The series through order K for one problem, held as ``powers`` = (u, u^2):
-    the Taylor coefficients in t of u through t^K and of u^2 through t^(K-1),
-    all that c_0..c_K read.  The series of u is (c_0, .., c_K), from which
-    ``terms`` are read and which ``profiles_at`` evaluates.  ``scaled`` keeps
-    -beta*(u^2)_i for each kept (u^2)_i, unreduced, for the next step; an
-    expansion built without them evaluates but cannot step."""
+    """The series c_0..c_K of u in t for one problem, from which ``terms`` are
+    read and which ``profiles_at`` evaluates.  A step reads -beta*(u^2)_i for
+    i <= K; it forms from the series each one it lacks and keeps them all,
+    unreduced, for the next step: a started expansion lacks only (u^2)_K, one
+    built from a series all K + 1."""
 
-    def __init__(self, problem: BHProblem, powers: tuple[Series, Series],
-                 scaled: tuple[Poly, ...] = ()) -> None:
-        self.problem, self.powers, self.scaled = problem, powers, scaled
+    _scaled: tuple[Poly, ...] = ()
+
+    def __init__(self, problem: BHProblem, series: Series) -> None:
+        self.problem, self.series = problem, series
 
     @classmethod
     def start(cls, problem: BHProblem) -> HPMExpansion:
         """Start from the front gamma*sigma, i.e. the exact wave at t = 0."""
-        return cls(problem, ((_front(problem),), ()))
+        return cls(problem, (_front(problem),))
 
     @property
     def order(self) -> int:
-        return len(self.powers[0]) - 1
+        return len(self.series) - 1
 
     @property
     def terms(self) -> tuple[str, ...]:
         """v_0..v_K in closed form, as text."""
         sign, d = self.problem.sign, self.problem.radicand
-        return tuple(_term_text(c, d, k, sign) for k, c in enumerate(self.powers[0]))
+        return tuple(_term_text(c, d, k, sign) for k, c in enumerate(self.series))
 
     def advanced(self) -> HPMExpansion:
         """Expansion with the next term appended: (u^2)_K, then c_(K+1) = N_K/(K + 1),
         one sum of products with u_xx = rate^2*delta^2(u), delta^2 one integer map, and
         u*u_x = rate*delta(u^2)/2, in which -beta*(u^3)_K enters as the pairs
-        (-beta*(u^2)_i, u_(K-i)): only -beta*(u^2)_K is scaled here, the others are kept."""
-        if len(self.powers) != 2 or len(self.scaled) != len(self.powers[1]):
-            raise ContractViolation("an expansion steps only with -beta*(u^2)_i for each "
-                                    "(u^2)_i it holds")
-        d = self.problem.radicand
-        u, square = self.powers
-        square += (_square(u, d),)
+        (-beta*(u^2)_i, u_(K-i)): each -beta*(u^2)_i is scaled once, then kept."""
+        d, u, scaled = self.problem.radicand, self.series, self._scaled
         *factors, (x, y, z, _) = _operator_factors(self.problem)
-        a, b, e, q = square[-1]
-        scaled = self.scaled + ((x * a + y * b * d, x * b + y * a, z * e, q),)
+        while len(scaled) < len(u):  # the last square formed is (u^2)_K
+            a, b, e, q = square = _square(u[:len(scaled) + 1], d)
+            scaled += ((x * a + y * b * d, x * b + y * a, z * e, q),)
         # in the order of factors
-        terms = (_delta2(u[-1]), _delta(square[-1]), square[-1], u[-1])
+        terms = (_delta2(u[-1]), _delta(square), square, u[-1])
         pairs = [*zip(factors, terms), *zip(scaled, reversed(u))]
-        c = _sum_products(d, pairs, self.order + 1)
-        return HPMExpansion(self.problem, (u + (c,), square), scaled)
+        expansion = HPMExpansion(self.problem, u + (_sum_products(d, pairs, self.order + 1),))
+        expansion._scaled = scaled
+        return expansion
 
     def profiles_at(self, x, digits: int = DEFAULT_DIGITS) -> list[mpf]:
         """c_0(x)..c_K(x), each exact at one binary value sigma = m/2^s of
@@ -346,7 +343,7 @@ class HPMExpansion:
             )
         if mpf_sign(z) > 0:  # sigma = 1 - m/2^s
             m = -m
-        return [_value_at(c, m, s, p.radicand) for c in self.powers[0]]
+        return [_value_at(c, m, s, p.radicand) for c in self.series]
 
     def partial_sum_at(self, m: int, x, t, digits: int = DEFAULT_DIGITS) -> mpf:
         """S_m(x, t) = c_0(x) + c_1(x)*t + .. + c_(m-1)(x)*t^(m-1)."""

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -11,7 +10,6 @@ from typing import Callable, NamedTuple
 import mpmath
 import pytest
 from hypothesis import Phase, settings
-from hypothesis.errors import InvalidArgument
 from mpmath import mpf
 
 from bhhpm import BHProblem, HPMExpansion, QuadraticNumber, case_preset, run_hpm
@@ -19,20 +17,14 @@ from bhhpm.cli import main
 from bhhpm.hpm import Poly, _coeffs, _lattice, _sum_products
 from bhhpm.scalars import DEFAULT_DIGITS, GUARD_DIGITS, to_mpf, working_dps
 
-# On CI a failing example prints the @reproduce_failure blob that replays it, and the
-# shrink phase is left out, so a failing test reports in seconds instead of shrinking
-# for minutes; the blob replays the failure locally, where shrinking stays on.  The
-# profile extends hypothesis's own "ci" profile where it has one, so deadlines and
-# example counts stay; it is loaded here, before any test module, so every test's own
-# @settings inherits it.
-try:
-    _ci = settings.get_profile("ci")
-except InvalidArgument:
-    _ci = None
-settings.register_profile("ci", _ci, print_blob=True, phases=[
-    phase for phase in (_ci or settings.default).phases if phase is not Phase.shrink])
-if os.environ.get("CI"):
-    settings.load_profile("ci")
+# A failing example prints the @reproduce_failure blob that replays it, and the shrink
+# phase is left out, so a failing test reports in seconds instead of shrinking for
+# minutes.  The profile extends the one hypothesis has loaded (its own "ci" profile on
+# CI), so deadlines, example counts, random examples and the example database stay; it
+# is loaded here, before any test module, so every test's own @settings inherits it.
+settings.register_profile("report", settings.default, print_blob=True, phases=[
+    phase for phase in settings.default.phases if phase is not Phase.shrink])
+settings.load_profile("report")
 
 
 def quad(a, b=0, d=0) -> QuadraticNumber:
@@ -40,14 +32,15 @@ def quad(a, b=0, d=0) -> QuadraticNumber:
 
 
 #: Fronts the series accepts: the presets, a slow front, the lower branch
-#: shifted by x0, and a front whose beta carries a sqrt(2) half (radicand 2,
-#: kappa = (-1 + sqrt(2))/4, c = (3 + 3*sqrt(2))/2).
+#: shifted by x0, and a front whose alpha and beta carry a sqrt(2) half
+#: (radicand 2, kappa = (-1 + sqrt(2))/2, c = 2 + sqrt(2)), whose
+#: speed*rate = sqrt(2) gives 15 of c_0..c_30 a sqrt(2) content.
 FRONTS = {
     "case1": case_preset(1), "case2": case_preset(2), "case3": case_preset(3),
     "slow": BHProblem(31622, Fraction(7, 8), 1),
     "lower-x0": BHProblem(-1, Fraction(3, 2), Fraction(2, 3), branch="lower", x0=Fraction(7, 3)),
     "surd-beta": BHProblem(QuadraticNumber(2, 1, 2),
-                           QuadraticNumber(Fraction(3, 2), Fraction(-1, 2), 2), 1),
+                           QuadraticNumber(Fraction(3, 2), Fraction(-1, 2), 2), 2),
 }
 
 
@@ -105,7 +98,7 @@ def mul(a: Poly, b: Poly, d: int) -> Poly:
 def sigma_value(p: Poly, problem: BHProblem, x, digits: int = 30) -> mpf:
     """P(sigma(x)) on the front of ``problem`` (P over its radicand), through
     the engine's one evaluation route, ``HPMExpansion.profiles_at``."""
-    return HPMExpansion(problem, ((p,),)).profiles_at(x, digits)[0]
+    return HPMExpansion(problem, (p,)).profiles_at(x, digits)[0]
 
 
 # --- plain-mpf references ----------------------------------------------------
@@ -174,7 +167,7 @@ def plain_profiles_at(expansion: HPMExpansion, x, digits: int = DEFAULT_DIGITS,
         m, s = man, -exp
         if z < 0:
             m = (1 << s) - m
-        return [value_at(c, m, s, problem.radicand) for c in expansion.powers[0]]
+        return [value_at(c, m, s, problem.radicand) for c in expansion.series]
 
 
 def plain_wave_base(problem: BHProblem, x, t, digits: int = DEFAULT_DIGITS) -> mpf:
@@ -226,7 +219,7 @@ def matches_reference(expansion: HPMExpansion, k: int,
     s than that proves the identity.
     """
     factor, numerator, power = form
-    coeffs = _coeffs(expansion.powers[0][k], expansion.problem.radicand)
+    coeffs = _coeffs(expansion.series[k], expansion.problem.radicand)
     points = 2 * max(len(coeffs) - 1, power) + 5
     for s in (Fraction(j) for j in range(1, points + 1)):
         sigma = s * s / (s * s + 1) if expansion.problem.sign > 0 else 1 / (s * s + 1)

@@ -104,8 +104,8 @@ def reference_run(case_id: int, expansion: HPMExpansion | None = None) -> Golden
 def scaled_last_term(expansion: HPMExpansion, factor: Fraction = Fraction(101, 100)) -> HPMExpansion:
     """The expansion with its last coefficient c_K scaled by ``factor``
     exactly, so that of its partial sums only S_(K+1) = S_K + factor*v_K moves."""
-    u, d = expansion.powers[0], expansion.problem.radicand
-    return HPMExpansion(expansion.problem, (u[:-1] + (mul(_lattice([factor], d), u[-1], d),),))
+    u, d = expansion.series, expansion.problem.radicand
+    return HPMExpansion(expansion.problem, u[:-1] + (mul(_lattice([factor], d), u[-1], d),))
 
 
 def floor_verdict(comparison: GoldenComparison) -> tuple[list[CellCheck], list[str]]:

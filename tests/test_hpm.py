@@ -29,21 +29,21 @@ class TestInitialGuess:
     def test_case1_front(self):
         p = case_preset(1)
         u0 = HPMExpansion.start(p)
-        assert u0.powers[0] == (_lattice([0, 1], 2),) and (p.radicand, p.sign) == (2, 1)
+        assert u0.series == (_lattice([0, 1], 2),) and (p.radicand, p.sign) == (2, 1)
         assert u0.terms == ("(E^2)/(E^2 + 1)",)
         assert p.kappa == quad(0, Fraction(1, 4), 2)
 
     def test_case2_front(self):
         p = case_preset(2)
         u0 = HPMExpansion.start(p)
-        assert u0.powers[0] == (_lattice([0, 1], 1),) and (p.radicand, p.sign) == (1, -1)
+        assert u0.series == (_lattice([0, 1], 1),) and (p.radicand, p.sign) == (1, -1)
         assert u0.terms == ("(1)/(E^2 + 1)",)
         assert p.kappa == Fraction(1, 4)
 
     def test_case3_front(self):
         p = case_preset(3)
         u0 = HPMExpansion.start(p)
-        assert u0.powers[0] == (_lattice([0, 3], 3),) and (p.radicand, p.sign) == (3, -1)
+        assert u0.series == (_lattice([0, 3], 3),) and (p.radicand, p.sign) == (3, -1)
         assert u0.terms == ("(3)/(E^2 + 1)",)
         assert p.kappa == quad(Fraction(-3, 4), Fraction(3, 4), 3)
         assert p.radicand == 3
@@ -138,19 +138,22 @@ class TestIntegerLift:
 
 
 class TestLazyPowers:
-    """powers[0] runs through t^K and the series of u^2 through t^(K-1): a
-    series forms no power coefficient that only the next order reads, and the
-    u^3 series is never formed."""
+    """An expansion holds the series of u through t^K, and a step keeps
+    -beta*(u^2)_i for i < K only: a series forms no power coefficient that only
+    the next order reads, and the u^3 series is never formed."""
 
     @pytest.mark.parametrize("front", FRONTS)
     def test_powers_stop_one_order_below_u(self, front):
         p = FRONTS[front]
+        d, one, minus_beta = p.radicand, _lattice([1], p.radicand), _operator_factors(p)[-1]
         for order in (1, 5):
-            u, square = run_hpm(p, order).powers
-            assert [len(u), len(square)] == [order + 1, order]
-            for m in range(order):  # the kept terms are those of u^2
+            expansion = run_hpm(p, order)
+            u = expansion.series
+            assert [len(u), len(expansion._scaled)] == [order + 1, order]
+            for m, kept in enumerate(expansion._scaled):  # the kept terms are those of u^2
                 head = u[:m + 1]
-                assert square[m] == _sum_products(p.radicand, zip(head, reversed(head)))
+                square = _sum_products(d, zip(head, reversed(head)))
+                assert _sum_products(d, [(one, kept)]) == _sum_products(d, [(minus_beta, square)])
 
     @pytest.mark.parametrize("front", FRONTS)
     def test_fold_keeps_the_cube_route(self, front):
@@ -158,7 +161,8 @@ class TestLazyPowers:
         # in N's sum of five products: the route that kept a u^3 series
         p = FRONTS[front]
         d = p.radicand
-        u, square = run_hpm(p, 11).powers
+        u = run_hpm(p, 11).series
+        square = [_sum_products(d, zip(u[:m + 1], reversed(u[:m + 1]))) for m in range(11)]
         for k in range(11):
             cube = _sum_products(d, zip(square[:k + 1], reversed(u[:k + 1])))
             terms = (_delta(_delta(u[k])), _delta(square[k]), square[k], u[k], cube)
@@ -168,18 +172,15 @@ class TestLazyPowers:
     def test_step_continues_the_series(self, front):
         p = FRONTS[front]
         for order in (1, 5):
-            assert run_hpm(p, order).advanced().powers == run_hpm(p, order + 1).powers
+            assert run_hpm(p, order).advanced().series == run_hpm(p, order + 1).series
 
-    def test_only_a_stepped_expansion_steps(self):
-        # an expansion built by hand holds no -beta*(u^2)_i for its squares
-        p = FRONTS["case3"]
-        expansion = run_hpm(p, 3)
-        for built in (HPMExpansion(p, expansion.powers), HPMExpansion(p, expansion.powers[:1]),
-                      HPMExpansion(p, expansion.powers, expansion.scaled[:-1])):
-            with pytest.raises(ContractViolation):
-                built.advanced()
-        kept = HPMExpansion(p, expansion.powers, expansion.scaled)
-        assert kept.advanced().powers == run_hpm(p, 4).powers
+    @pytest.mark.parametrize("front", {**FRONTS, **STEEP_FRONTS})
+    def test_an_expansion_built_from_its_series_steps(self, front):
+        # one built by hand forms every -beta*(u^2)_i at its first step
+        p = {**FRONTS, **STEEP_FRONTS}[front]
+        for order in (0, 1, 5):
+            series = run_hpm(p, order).series if order else HPMExpansion.start(p).series
+            assert HPMExpansion(p, series).advanced().series == run_hpm(p, order + 1).series
 
     @pytest.mark.parametrize("front", FRONTS)
     def test_start_forms_no_product(self, front, monkeypatch):
@@ -188,7 +189,7 @@ class TestLazyPowers:
         monkeypatch.setattr("bhhpm.hpm._sum_products", counted)
         expansion = HPMExpansion.start(p)
         assert not calls
-        assert expansion.powers == ((_lattice([0, p.gamma], p.radicand),), ())
+        assert expansion.series == (_lattice([0, p.gamma], p.radicand),)
 
 
 class TestGoldenTerms:
@@ -204,7 +205,7 @@ class TestGoldenTerms:
     @pytest.mark.parametrize("cid", [1, 2, 3])
     def test_terms_are_t_monomials(self, cid, expansions):
         expansion = expansions[cid]
-        for k, (term, c) in enumerate(zip(expansion.terms, expansion.powers[0])):
+        for k, (term, c) in enumerate(zip(expansion.terms, expansion.series)):
             assert term.endswith(t_power(k)) and c[0]  # c_k is not the zero polynomial
 
     @pytest.mark.parametrize("cid", [1, 2, 3])
@@ -226,7 +227,7 @@ class TestTermsFixture:
         for cid in (1, 2, 3):
             p = case_preset(cid)
             expansion = run_hpm(p, 10)
-            for k, (term, poly) in enumerate(zip(expansion.terms, expansion.powers[0])):
+            for k, (term, poly) in enumerate(zip(expansion.terms, expansion.series)):
                 lines.append(f"case {cid} v_{k} = {term}")
                 num, _ = _closed_form(poly, p.radicand, p.sign)
                 assert sum((c * (-1) ** i for i, c in enumerate(num)), quad(0)) != 0
@@ -264,7 +265,7 @@ def stirling_coefficients(problem: BHProblem, order: int) -> list[list]:
 
 
 def assert_stirling_form(problem: BHProblem, order: int) -> None:
-    series = run_hpm(problem, order).powers[0]
+    series = run_hpm(problem, order).series
     expected = stirling_coefficients(problem, order)
     for k, (c, want) in enumerate(zip(series, expected)):
         assert list(_coeffs(c, problem.radicand)) == want, f"c_{k} of {problem}"
@@ -300,25 +301,24 @@ class TestStirlingClosedForm:
         assert_stirling_form(problem, 8)
 
 
-#: sha256 of repr(run_hpm(p, 30).powers): both series, tuple for tuple, so a
-#: kernel change that moves one integer of one coefficient fails here.
+#: sha256 of repr(run_hpm(p, 30).series), tuple for tuple, so a kernel change
+#: that moves one integer of one coefficient fails here.
 SERIES_SHA256 = {
-    "case1": "f42fc96e3bf39281689b7b72296491b42ee4a7824cce678367a7afb43aca2076",
-    "case2": "e25b38819567cf883a92da8041a7a6e97ac6dcc775e12d3084aa914df5fa01b9",
-    "case3": "15c2ba9e88b8aff5a8069fec2b55e50982aa638a5a8fd564d876a6cabbe92847",
-    "slow": "436bbc84c51cbf0aac09df67c533ba1bd772aef479d443d67a0fe16c9b920202",
-    "lower-x0": "89db8c060117086dad690cbc59944e1cf885cdeee8a4550ff06fa840d5d4f3c0",
-    # gamma and speed*rate are case 2's, so c_k = gamma*(-speed*rate)^k*delta^k(sigma)/k! is too
-    "surd-beta": "e25b38819567cf883a92da8041a7a6e97ac6dcc775e12d3084aa914df5fa01b9",
-    "steep-lower": "8a09d44032bf7d2fbc03f10f00acc6471360c4b1b75e379a332faacc21f85c97",
-    "steep-upper": "346b55c2fd700c312328b6e27192d68591b276ecc8987a8641f9f850b1bb2748",
+    "case1": "bedd2f73ee353200f53aaf5847da7f891af5b7d054a7a9552615023f28fd829c",
+    "case2": "455c28a7a2be3f6507d1bc5ba084b6921bbc23dfc13f22b7b5d374122161e302",
+    "case3": "890faaa6ee02a74ec452818fed6d1bfe798ec9273f61245acf4fd5ad88c50666",
+    "slow": "0420ccc1cba5ce45bc6765119601cc184c3b39c4d13ff19ea0176da4b13d40d7",
+    "lower-x0": "394a4c7c2e37dafeef47e60325663bf212f1d07f1d2281dbbb35e6032971b020",
+    "surd-beta": "b3d082df04bf6ebdc31f352669bea2d5487c0aa34d80b110279aca160ec00a6b",
+    "steep-lower": "58166028627c81ea4d92dd5e0b1a93320cb5aaaf9ab6e557c5221f2f78579086",
+    "steep-upper": "03338fd2bdce88f6b31ff7e3c4af98e6502f44a3805d7eecdc2fb8b6fbb9a47c",
 }
 
 
 @pytest.mark.parametrize("front", SERIES_SHA256)
 def test_series_keep_every_integer(front):
-    powers = run_hpm({**FRONTS, **STEEP_FRONTS}[front], 30).powers
-    assert hashlib.sha256(repr(powers).encode()).hexdigest() == SERIES_SHA256[front]
+    series = run_hpm({**FRONTS, **STEEP_FRONTS}[front], 30).series
+    assert hashlib.sha256(repr(series).encode()).hexdigest() == SERIES_SHA256[front]
 
 
 class TestPartialSums:
