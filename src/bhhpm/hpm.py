@@ -25,8 +25,9 @@ gamma*(-speed*rate)^k*delta^k(sigma)/k! shows, so it is held as (a, b, den, q):
 a content (a + b*sqrt(d))/den times an integer list q.  The step runs on Python
 ints and reduces each result by one gcd; a product that feeds only the rational or
 only the sqrt(d) sum (every one on presets 1 and 2) is convolved, each row scaled
-once, straight into it.  The problem's constants are lifted once
-(``_lattice``), so a series builds no ``QuadraticNumber`` or ``Fraction``.
+once, straight into it.  N's constants are field products lifted once per problem
+(``_lattice``), and the square's 2 doubles a content, so the kernel only multiplies
+pairs and a step builds no ``QuadraticNumber`` or ``Fraction``.
 ``terms`` prints each c_k by Horner's rule on q (``_term_text``); ``_values_at``,
 the only route to numbers, rounds sigma once per point to a binary value, runs
 Horner's rule on q there and returns raw libmp values, which ``profiles_at``
@@ -39,7 +40,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from typing import Iterable
 
 import mpmath
@@ -102,25 +102,24 @@ def _coeffs(p: Poly, d: int) -> tuple[QuadraticNumber, ...]:
     return tuple(QuadraticNumber(Fraction(a * c, den), Fraction(b * c, den), d) for c in q)
 
 
-def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]], den: int = 1,
-                  weights: Iterable[int] = repeat(1)) -> Poly:
-    """sum(w * P * Q)/den over the pairs (integer weight w, 1 by default), over the common
-    denominator.  One pass: each pair is scaled to the running denominator (what is summed
-    is rescaled only when a pair's denominator does not divide it) and sized, the sums
-    growing as longer products arrive.  A pair whose content product scales only one of
-    the rational and sqrt(d) sums convolves each row of P, scaled once, straight into that
-    sum; one that scales both adds one integer product to both in one pass (Q's list itself
-    when P has degree 0, its list being (1,)); one that scales neither is skipped.  Degree-0
-    P's: a linear combination."""
+def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]], den: int = 1) -> Poly:
+    """sum(P * Q)/den over the pairs, over the common denominator.  One pass: each pair
+    is scaled to the running denominator (what is summed is rescaled only when a pair's
+    denominator does not divide it) and sized, the sums growing as longer products
+    arrive.  A pair whose content product scales only one of the rational and sqrt(d)
+    sums convolves each row of P, scaled once, straight into that sum; one that scales
+    both adds one integer product to both in one pass (Q's list itself when P has degree
+    0, its list being (1,)); one that scales neither is skipped.  Degree-0 P's: a linear
+    combination.  Contents need not be reduced."""
     a, b, common = [], [], 1
-    for ((x, y, pd, pq), (u, v, qd, qq)), w in zip(pairs, weights):
+    for (x, y, pd, pq), (u, v, qd, qq) in pairs:
         if not (pq and qq):
             continue
         pair_den = pd * qd
         if common % pair_den:
             grow = pair_den // math.gcd(common, pair_den)
             a, b, common = [c * grow for c in a], [c * grow for c in b], common * grow
-        s = common // pair_den * w
+        s = common // pair_den
         sa, sb = (x * u + y * v * d) * s, (x * v + y * u) * s
         if len(pq) > len(qq):  # the shorter list gives the rows; the contents commute
             pq, qq = qq, pq
@@ -167,10 +166,11 @@ def _delta2(p: Poly) -> Poly:
 
 
 def _square(u: Series, d: int) -> Poly:
-    """(u^2)_m = 2*sum_(i<m-i) u_i*u_(m-i) + u_(m/2)^2, m = len(u) - 1, by symmetry."""
+    """(u^2)_m = sum_(i<m-i) 2*u_i*u_(m-i) + u_(m/2)^2, m = len(u) - 1, by symmetry:
+    the 2 doubles u_i's content, left unreduced."""
     h = len(u) // 2
-    # weight 2 for the h pairs i < m - i; zip drops the final 1 when m is odd
-    return _sum_products(d, zip(u[:h + len(u) % 2], reversed(u)), weights=[2] * h + [1])
+    twice = [((2 * a, 2 * b, den, q), w) for (a, b, den, q), w in zip(u[:h], reversed(u))]
+    return _sum_products(d, twice + [(u[h], u[h])] * (len(u) % 2))
 
 
 def _closed_form(p: Poly, d: int, sign: int) -> tuple[tuple[QuadraticNumber, ...], list[int]]:
@@ -244,31 +244,28 @@ def _value_at(p: Poly, m: int, s: int, d: int) -> tuple:
     return mpf_shift(surd_value(a, b, d, den, u), -s * top)
 
 
+def _n_one(problem: BHProblem) -> None:
+    """Reject n >= 2: the front gamma*sigma and N's constants are those of n = 1."""
+    if problem.n != 1:
+        raise UnsupportedProblemError(f"symbolic series requires n = 1 (got n = {problem.n}); "
+                                      "the exact wave still evaluates numerically")
+
+
 @lru_cache(maxsize=8)
 def _operator_factors(problem: BHProblem) -> tuple[Poly, ...]:
     """The constants of N(u) = rate^2*delta(delta(u)) - alpha*rate*delta(u^2)/2
-    + beta*(1 + gamma)*u^2 - beta*gamma*u - beta*u^3 (n = 1), in that order, as
-    degree-0 products of the lifted rate, alpha, beta and gamma; formed once per
-    problem, not once per step."""
-    d, one = problem.radicand, (1, 0, 1, (1,))
-    rate, alpha, beta, gamma = (_lattice([c], d) for c in (
-        problem.rate, problem.alpha, problem.beta, problem.gamma))
-    return (_sum_products(d, [(rate, rate)]),
-            _sum_products(d, [(alpha, rate)], 2, weights=[-1]),
-            _sum_products(d, [(beta, one), (beta, gamma)]),
-            _sum_products(d, [(beta, gamma)], weights=[-1]),
-            _sum_products(d, [(beta, one)], weights=[-1]))
+    + beta*(1 + gamma)*u^2 - beta*gamma*u - beta*u^3 (n = 1), in that order: field
+    products, each lifted to a degree-0 sigma-polynomial once per problem."""
+    _n_one(problem)
+    rate, alpha, beta, gamma = problem.rate, problem.alpha, problem.beta, problem.gamma
+    return tuple(_lattice([c], problem.radicand) for c in (
+        rate * rate, -rate * alpha * Fraction(1, 2), beta * (1 + gamma), -beta * gamma, -beta))
 
 
 def _front(problem: BHProblem) -> Poly:
-    """The initial front gamma*sigma: n = 1 only (for n >= 2 the front is its
-    n-th root).  Any shift x0 lies in sigma's argument x + x0, so the series
-    algebra is that of x0 = 0."""
-    if problem.n != 1:
-        raise UnsupportedProblemError(
-            f"symbolic series requires n = 1 (got n = {problem.n}); "
-            "the exact wave still evaluates numerically"
-        )
+    """The initial front gamma*sigma (for n >= 2 the front is its n-th root).  Any
+    shift x0 lies in sigma's argument x + x0, so the series algebra is that of x0 = 0."""
+    _n_one(problem)
     if problem.rate.is_zero():
         raise UnsupportedProblemError("front steepness kappa is zero; no wave profile")
     return _lattice([ZERO, problem.gamma], problem.radicand)

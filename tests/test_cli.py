@@ -182,6 +182,17 @@ class TestRun:
         assert "undefined" not in result.stdout
         assert "max relative error over grid" in result.stdout
 
+    @pytest.mark.parametrize("t,warned", [("6.2832", True), ("6.2831", False)])
+    def test_warning_starts_at_the_t_radius(self, tmp_path, t, warned):
+        # case 1 has R(0) = 2*pi = 6.28318..., so the two t lie just past and just inside it
+        config = tmp_path / "edge.conf"
+        config.write_text(f"case = case1\ngrid_x = 0\ngrid_t = {t}\n")
+        result = run_cli(["run", "--config", str(config)])
+        assert result.exit_code == 0
+        warning = ("warning: t = 3927/625 is 1.0 times the t-radius of convergence R(x) "
+                   "at x = 0; the partial sums diverge there\n")
+        assert result.stderr == (warning if warned else "")
+
     @pytest.mark.parametrize("cid", [1, 2, 3])
     def test_paper_grid_inside_radius_of_convergence(self, cid):
         # the paper's t <= 0.4 stays inside R(x): R(3) = 2.54 for case 3

@@ -23,7 +23,7 @@ from bhhpm.errors import ProblemDomainError
 from bhhpm.problem import BHProblem, case_preset
 from bhhpm.scalars import DEFAULT_DIGITS
 
-from conftest import quad
+from conftest import quad, run_cli
 
 
 class TestNumbers:
@@ -326,6 +326,23 @@ def run_settings(draw) -> dict[str, str]:
         "format": draw(st.sampled_from(PARSERS["format"].spellings)),
         "out": draw(st.text()),
     }
+
+
+class TestBounds:
+    """The documented bounds, written out: 100 orders and 10000 digits."""
+
+    def test_the_bounds_are_accepted(self):
+        cfg = parse_config("case = 1\norders = 100\nprecision = 10000\n")
+        assert (cfg.orders, cfg.precision) == (100, 10000)
+
+    @pytest.mark.parametrize("option,message", [
+        ("--orders=101", "orders must be at most 100"),
+        ("--precision=10001", "precision must be at most 10000"),
+    ])
+    def test_one_past_a_bound_exits_2(self, option, message):
+        result = run_cli(["run", "--case", "1", option])
+        assert result.exit_code == 2
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith(f": {message}\n")
 
 
 class TestRoundTrip:

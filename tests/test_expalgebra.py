@@ -186,8 +186,10 @@ class TestLatticeInvariant:
                             (_lattice([Fraction(1, 17)], d), q)])
         for pairs in pairs_drawn:
             assert _coeffs(_sum_products(d, pairs), d) == schoolbook(pairs, d)
-            assert (_coeffs(_sum_products(d, pairs, weights=weights), d)
-                    == schoolbook(pairs, d, weights))
+            # each weight scales its pair's first content, which is then unreduced
+            weighted = [((w * x, w * y, den, q), h)
+                        for ((x, y, den, q), h), w in zip(pairs, weights)]
+            assert _coeffs(_sum_products(d, weighted), d) == schoolbook(pairs, d, weights)
         # the square by symmetry against the plain convolution
         assert _square(u, d) == _sum_products(d, zip(u, reversed(u)))
 

@@ -64,6 +64,18 @@ class TestInitialGuess:
         with pytest.raises(UnsupportedProblemError):
             HPMExpansion.start(p)
 
+    @pytest.mark.parametrize("branch", ["upper", "lower"])
+    @pytest.mark.parametrize("alpha,beta,gamma", [
+        (0, 1, Fraction(1, 2)), (0, Fraction(3, 4), 1), (0, 3, 2), (1, Fraction(5, 3), 1),
+        (Fraction(1, 2), Fraction(1, 3), 1),
+    ], ids=["d3", "d1", "d1-gamma2", "d21", "d17"])  # by the radicand at n = 2
+    def test_n_above_one_does_not_step(self, alpha, beta, gamma, branch):
+        # an expansion built by hand from gamma*sigma: N's constants are those of n = 1
+        p = BHProblem(alpha=alpha, beta=beta, gamma=gamma, n=2, branch=branch)
+        expansion = HPMExpansion(p, (_lattice([0, p.gamma], p.radicand),))
+        with pytest.raises(UnsupportedProblemError, match="^symbolic series requires n = 1 "):
+            expansion.advanced()
+
     def test_nonzero_shift_matches_oracle(self):
         # x0 only moves sigma's argument to x + x0
         for cid in (1, 2, 3):
@@ -96,15 +108,23 @@ class TestRecursion:
 
 
 class TestIntegerLift:
-    """The series step runs on integers from the first call on."""
+    """A series step runs on integers: N's constants are formed once per problem."""
 
     @pytest.mark.parametrize("front", FRONTS)
     def test_operator_factors_match_field_arithmetic(self, front):
+        # the reference forms each constant in the kernel, as degree-0 products of the
+        # lifted rate, alpha, beta and gamma; a minus sign negates a content
         p = FRONTS[front]
-        rate = p.kappa * (2 * p.sign)
-        expected = (rate * rate, -rate * p.alpha * Fraction(1, p.n + 1), p.beta * (1 + p.gamma),
-                    -p.beta * p.gamma, -p.beta)
-        assert _operator_factors(p) == tuple(_lattice([f], p.radicand) for f in expected)
+        d, one = p.radicand, _lattice([1], p.radicand)
+        rate, alpha, beta, gamma = (_lattice([c], d) for c in (
+            p.kappa * (2 * p.sign), p.alpha, p.beta, p.gamma))
+        minus = lambda f: (-f[0], -f[1], *f[2:])
+        expected = (_sum_products(d, [(rate, rate)]),
+                    _sum_products(d, [(minus(alpha), rate)], p.n + 1),
+                    _sum_products(d, [(beta, one), (beta, gamma)]),
+                    _sum_products(d, [(minus(beta), gamma)]),
+                    _sum_products(d, [(minus(beta), one)]))
+        assert _operator_factors(p) == expected
 
     def test_series_builds_no_exact_scalars(self, monkeypatch):
         built = []
@@ -119,7 +139,8 @@ class TestIntegerLift:
             return fraction_new(cls, *args, **kwargs)
 
         problems = [case_preset(c) for c in (1, 2, 3)]
-        _operator_factors.cache_clear()  # each problem's first series is counted
+        for p in problems:  # N's constants are field products, formed once per problem
+            _operator_factors(p)
         with monkeypatch.context() as patch:  # undone before the asserts
             patch.setattr(QuadraticNumber, "__init__", counting_init)
             patch.setattr(Fraction, "__new__", staticmethod(counting_new))

@@ -11,6 +11,8 @@ from bhhpm.config import ConfigError
 from bhhpm.errors import ContractViolation
 from bhhpm.golden import DISPLAY_ORDERS, GRID_T, GRID_X, REFERENCE_ORDERS, REFERENCE_TABLES
 from bhhpm.tables import (
+    SMALL_CELL,
+    CellCheck,
     ErrorTable,
     build_error_table,
     emit_table,
@@ -230,6 +232,15 @@ class TestGoldenCompare:
         assert golden_compare(table, 1).passed
         table.cells[i][j][k] *= 4       # now a factor of 20 off
         assert not golden_compare(table, 1).passed
+
+    @pytest.mark.parametrize("factor,ok", [("0.09", False), ("0.11", True), ("9", True),
+                                           ("11", False)])
+    def test_magnitude_band_is_a_factor_of_ten(self, factor, ok):
+        # a cell below SMALL_CELL passes within 0.1..10 times its reference, no wider
+        reference = mpf("2.5e-12")
+        assert reference < SMALL_CELL
+        check = CellCheck(Fraction(1, 10), 6, Fraction(1), reference * mpf(factor), reference)
+        assert (check.rule, check.ok) == ("magnitude", ok)
 
     def test_grid_mismatch_rejected(self, expansions):
         table = build_error_table(
