@@ -7,11 +7,12 @@ caches) to a temporary directory, applies the mutant there and runs
 ``python -m pytest -x -q`` in the copy with PYTHONPATH=src, so the copy's
 source is the one imported (``pythonpath = ["src"]`` and an editable install
 both point at the checkout).  It prints the test that killed each mutant and
-the time taken, and exits 1 if any mutant survives.  The standard library
+the time taken, and exits 1 if any mutant survives.  Hypothesis's example
+database is cleared before each run, so a verdict depends only on its mutant
+and the fixed seed, not on the mutants run before it.  The standard library
 alone; pytest's file name rule does not collect this file.
 
-    python tests/mutants.py          # every mutant
-    python tests/mutants.py 3 7      # mutants 3 and 7 (numbers as printed)
+    python tests/mutants.py
 """
 
 from __future__ import annotations
@@ -79,10 +80,10 @@ MUTANTS = [
 ]
 
 
-def check_texts(mutants: list[tuple[int, Mutant]]) -> list[str]:
-    """One line for each numbered mutant whose old text does not occur exactly once."""
+def check_texts() -> list[str]:
+    """One line for each mutant whose old text does not occur exactly once."""
     faults = []
-    for number, m in mutants:
+    for number, m in enumerate(MUTANTS, 1):
         count = (ROOT / m.path).read_text(encoding="utf-8").count(m.old)
         if count != 1:
             faults.append(f"mutant {number} ({m.path}): old text occurs {count} times")
@@ -90,7 +91,9 @@ def check_texts(mutants: list[tuple[int, Mutant]]) -> list[str]:
 
 
 def run_suite(tree: Path) -> tuple[int, str]:
-    """pytest -x -q in ``tree``: its exit code and the first failure it names."""
+    """pytest -x -q in ``tree``, on an empty example database: its exit code and
+    the first failure it names."""
+    shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                "--hypothesis-seed=0"]
@@ -104,10 +107,8 @@ def run_suite(tree: Path) -> tuple[int, str]:
     return done.returncode, (named or lines[-1:] or ["no output"])[0]
 
 
-def main(argv: list[str]) -> int:
-    chosen = [(number, m) for number, m in enumerate(MUTANTS, 1)
-              if not argv or str(number) in argv]
-    faults = check_texts(chosen)
+def main() -> int:
+    faults = check_texts()
     if faults:
         print("\n".join(faults))
         return 1
@@ -128,7 +129,7 @@ def main(argv: list[str]) -> int:
         if code != 0:
             print(f"the suite fails without a mutant: {first}")
             return 1
-        for number, m in chosen:
+        for number, m in enumerate(MUTANTS, 1):
             target = tree / m.path
             text = target.read_text(encoding="utf-8")
             target.write_text(text.replace(m.old, m.new), encoding="utf-8")
@@ -140,9 +141,9 @@ def main(argv: list[str]) -> int:
                   f"{m.path}: {m.breaks}\n   {first if code else ''}".rstrip(), flush=True)
             if code == 0:
                 survived.append(number)
-    print(f"{len(chosen) - len(survived)} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - len(survived)} of {len(MUTANTS)} mutants killed")
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
