@@ -25,7 +25,10 @@ gamma*(-speed*rate)^k*delta^k(sigma)/k! shows, so it is held as (a, b, den, q):
 a content (a + b*sqrt(d))/den times an integer list q.  The step runs on Python
 ints and reduces each result by one gcd; a product that feeds only the rational or
 only the sqrt(d) sum (every one on presets 1 and 2) is convolved, each row scaled
-once, straight into it.  N's constants are field products lifted once per problem
+once, straight into it.  On a surd front every real product of one order's sums
+feeds both, and all their contents lie on one line (da, db) of Q(sqrt(d)): each is
+convolved the same way into a third sum, which is added to the two halves once, at
+the end of the sum.  N's constants are field products lifted once per problem
 (``_lattice``), and the square's 2 doubles a content, so the kernel only multiplies
 pairs and a step builds no ``QuadraticNumber`` or ``Fraction``.
 ``terms`` prints each c_k by Horner's rule on q (``_term_text``); ``_values_at``,
@@ -52,6 +55,7 @@ from .problem import BHProblem
 from .scalars import (
     DEFAULT_DIGITS, RND, ZERO, QuadraticNumber, ScalarLike, surd_value, to_value, working_dps,
 )
+from .waves import TravelingWave
 
 #: A sigma-polynomial (a, b, den, q), coefficient i = (a + b*sqrt(d))*q[i]/den,
 #: lowest power first; canonical (q primitive with q[-1] > 0, den >= 1,
@@ -107,18 +111,26 @@ def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]], den: int = 1) -> P
     is scaled to the running denominator (what is summed is rescaled only when a pair's
     denominator does not divide it) and sized, the sums growing as longer products
     arrive.  A pair whose content product scales only one of the rational and sqrt(d)
-    sums convolves each row of P, scaled once, straight into that sum; one that scales
-    both adds one integer product to both in one pass (Q's list itself when P has degree
-    0, its list being (1,)); one that scales neither is skipped.  Degree-0 P's: a linear
-    combination.  Contents need not be reduced."""
-    a, b, common = [], [], 1
+    sums convolves each row of P, scaled once, straight into that sum.  One that scales
+    both, with rows to convolve, lies on the sum's line (da, db) when its scales are an
+    integer multiple of it; the first such pair sets the line to its scales over their
+    gcd, and each one on it is convolved the same way into a third sum, ``line``, which
+    adds da*line and db*line to the two sums once at the end (or is the result, reduced,
+    when nothing else was summed).  Any other pair that scales both adds one integer
+    product to both in one pass (Q's list itself when P has degree 0, its list being
+    (1,)); one that scales neither is skipped.  Degree-0 P's: a linear combination.
+    Contents need not be reduced."""
+    a, b, line, common = [], [], [], 1
+    da = db = 0
     for (x, y, pd, pq), (u, v, qd, qq) in pairs:
         if not (pq and qq):
             continue
         pair_den = pd * qd
         if common % pair_den:
             grow = pair_den // math.gcd(common, pair_den)
-            a, b, common = [c * grow for c in a], [c * grow for c in b], common * grow
+            common *= grow
+            if a:  # empty until the first pair is summed
+                a, b, line = [c * grow for c in a], [c * grow for c in b], [c * grow for c in line]
         s = common // pair_den
         sa, sb = (x * u + y * v * d) * s, (x * v + y * u) * s
         if len(pq) > len(qq):  # the shorter list gives the rows; the contents commute
@@ -128,24 +140,41 @@ def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]], den: int = 1) -> P
             a += [0] * (size - len(a))
             b += [0] * (size - len(b))
         if sa and sb:
-            product = qq
-            if len(pq) > 1:
-                product = [0] * size
-                for i, c in enumerate(pq):
-                    if c:
-                        for j, e in enumerate(qq, i):
-                            product[j] += c * e
-            for j, c in enumerate(product):
-                a[j] += sa * c
-                b[j] += sb * c
+            if len(pq) > 1 and not da:  # the sum's first real product sets its line
+                g = math.gcd(sa, sb)
+                da, db = sa // g, sb // g
+            if len(pq) == 1 or sa * db != sb * da:
+                product = qq
+                if len(pq) > 1:
+                    product = [0] * size
+                    for i, c in enumerate(pq):
+                        if c:
+                            for j, e in enumerate(qq, i):
+                                product[j] += c * e
+                for j, c in enumerate(product):
+                    a[j] += sa * c
+                    b[j] += sb * c
+                continue
+            if size > len(line):
+                line += [0] * (size - len(line))
+            total, scale = line, sa // da  # exact: (da, db) is primitive
         elif sa or sb:
             total, scale = (a, sa) if sa else (b, sb)
-            for i, c in enumerate(pq):
-                if c:
-                    c *= scale
-                    for j, e in enumerate(qq, i):
-                        total[j] += c * e
-    return _reduced(a, b, common * den)
+        else:
+            continue
+        for i, c in enumerate(pq):
+            if c:
+                c *= scale
+                for j, e in enumerate(qq, i):
+                    total[j] += c * e
+    if not line or any(a) or any(b):
+        for j, c in enumerate(line):
+            a[j] += da * c
+            b[j] += db * c
+        return _reduced(a, b, common * den)
+    g, _, _, q = _reduced(line, [0] * len(line), 1)  # the line alone: line = g*q
+    h = math.gcd(g, common * den)
+    return da * g // h, db * g // h, common * den // h, q
 
 
 def _delta(p: Poly) -> Poly:
@@ -366,17 +395,17 @@ def run_hpm(problem: BHProblem, order: int) -> HPMExpansion:
     return expansion
 
 
-def max_taylor_deviation(expansion: HPMExpansion, wave, xs,
-                         digits: int = DEFAULT_DIGITS) -> mpf:
-    """Worst deviation of each v_k's t^k coefficient (k = 1..K) from the exact
-    wave's time-Taylor coefficients over the sample points.
+def max_taylor_deviation(expansion: HPMExpansion, xs, digits: int = DEFAULT_DIGITS) -> mpf:
+    """Worst deviation of each v_k's t^k coefficient (k = 1..K) from the
+    time-Taylor coefficients of the exact wave of the expansion's own problem
+    over the sample points.
 
     Deviations are relative to the oracle coefficient; where the oracle is
     exactly zero (symmetry points) they are measured against the largest
     oracle coefficient at that x instead, so an exact structural zero on the
     symbolic side registers as zero deviation rather than 0/0.
     """
-    order = expansion.order
+    order, wave = expansion.order, TravelingWave(expansion.problem)
     with working_dps(digits):
         worst = mpf(0)
         for x in xs:

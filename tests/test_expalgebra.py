@@ -6,6 +6,7 @@ so every coefficient lies on one line of Q(sqrt(d)), and a sum that leaves it
 is a contract violation; ``_lattice`` and ``_coeffs`` convert from and to
 exact coefficients."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -192,6 +193,78 @@ class TestLatticeInvariant:
             assert _coeffs(_sum_products(d, weighted), d) == schoolbook(pairs, d, weights)
         # the square by symmetry against the plain convolution
         assert _square(u, d) == _sum_products(d, zip(u, reversed(u)))
+
+
+def convolve(p, q) -> list:
+    """The integer product of two lists, lowest power first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def negated(p):
+    a, b, den, q = p
+    return -a, -b, den, q
+
+
+class TestLineOfASum:
+    """A sum of products over Q(sqrt(d)) sums the pairs whose content products are
+    integer multiples of one direction (da, db), set by the first pair that scales
+    both halves and has rows to convolve, into one list, and every other pair as
+    it arrives; the result does not depend on the order of the pairs, so on which
+    pair sets the direction."""
+
+    def test_products_on_two_lines_and_a_factor_on_a_third(self):
+        # over Q(sqrt(2)), every product is a multiple of F*G (4 entries), so the sum
+        # stays on one line: contents 1 + sqrt(2) and its 3/2, off them 2 + sqrt(2),
+        # and the degree-0 factor 3 - sqrt(2); the 3/2 rescales what is summed
+        f, g = (1, 2), (3, -1, 4)
+        fg = tuple(convolve(f, g))
+        pairs = [((1, 1, 1, g), (1, 0, 1, f)), ((2, 1, 1, f), (1, 0, 1, g)),
+                 ((3, -1, 1, (1,)), (1, 0, 1, fg)), ((3, 3, 2, f), (1, 0, 1, g))]
+        want = _lattice([quad(Fraction(15, 2), Fraction(5, 2), D) * k for k in fg], D)
+        assert _coeffs(want, D) == schoolbook(pairs, D)
+        # each pair in turn sets the line (or the degree-0 factor comes first, which
+        # never does), and each of the others is on it, off it or a factor
+        for order in itertools.permutations(pairs):
+            assert _sum_products(D, order) == want, order
+        # pairs that cancel: on the line alone, the result is zero
+        on_line = [pairs[0], pairs[3]]
+        assert _sum_products(D, on_line + [(negated(p), q) for p, q in on_line]) == ZERO_POLY
+        assert _sum_products(D, pairs + [(negated(p), q) for p, q in pairs]) == ZERO_POLY
+        # a line alone is reduced straight to its canonical form
+        assert _sum_products(D, on_line) == _lattice(
+            [quad(Fraction(5, 2), Fraction(5, 2), D) * k for k in fg], D)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.sampled_from([2, 3]))
+    def test_sum_does_not_depend_on_which_pair_sets_its_line(self, data, d):
+        ints = st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(lambda q: q[-1])
+        f, g, h = (data.draw(ints) for _ in range(3))
+        # every product is a multiple of F*G*H, split into two lists four ways, the
+        # last a degree-0 factor, so any mix of contents sums on one line
+        splits = [(f, convolve(g, h)), (convolve(f, g), h), (g, convolve(f, h)),
+                  ([1], convolve(convolve(f, g), h))]
+        part = st.fractions(-9, 9, max_denominator=12).filter(bool)
+        omega = quad(data.draw(part), data.draw(part), d)  # scales both halves
+        kinds = st.sampled_from(["on", "off", "factor"])
+        pairs = []
+        for kind in data.draw(st.lists(kinds, min_size=1, max_size=6)):
+            rows, columns = splits[3] if kind == "factor" else data.draw(st.sampled_from(splits))
+            content = omega * data.draw(part) if kind == "on" else data.draw(lines(d))
+            scale = data.draw(part)
+            pair = (_lattice([content * k for k in rows], d),
+                    _lattice([scale * k for k in columns], d))
+            pairs.append(pair)
+            if data.draw(st.booleans()):  # and the pair that cancels it
+                pairs.append((negated(pair[0]), pair[1]))
+        total = _sum_products(d, pairs)
+        assert canonical(total)
+        assert _coeffs(total, d) == schoolbook(pairs, d)
+        assert _sum_products(d, pairs[::-1]) == total
+        assert _sum_products(d, data.draw(st.permutations(pairs))) == total
 
 
 class TestCanonicalForm:
