@@ -115,11 +115,10 @@ def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]], den: int = 1) -> P
     both, with rows to convolve, lies on the sum's line (da, db) when its scales are an
     integer multiple of it; the first such pair sets the line to its scales over their
     gcd, and each one on it is convolved the same way into a third sum, ``line``, which
-    adds da*line and db*line to the two sums once at the end (or is the result, reduced,
-    when nothing else was summed).  Any other pair that scales both adds one integer
-    product to both in one pass (Q's list itself when P has degree 0, its list being
-    (1,)); one that scales neither is skipped.  Degree-0 P's: a linear combination.
-    Contents need not be reduced."""
+    adds da*line and db*line to the two sums once at the end.  Any other such pair is
+    convolved the same way into each of the two sums.  A degree-0 P (its list being (1,))
+    that scales both adds Q's list to both in one pass; a pair that scales neither is
+    skipped.  Degree-0 P's: a linear combination.  Contents need not be reduced."""
     a, b, line, common = [], [], [], 1
     da = db = 0
     for (x, y, pd, pq), (u, v, qd, qq) in pairs:
@@ -140,41 +139,37 @@ def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]], den: int = 1) -> P
             a += [0] * (size - len(a))
             b += [0] * (size - len(b))
         if sa and sb:
-            if len(pq) > 1 and not da:  # the sum's first real product sets its line
-                g = math.gcd(sa, sb)
-                da, db = sa // g, sb // g
-            if len(pq) == 1 or sa * db != sb * da:
-                product = qq
-                if len(pq) > 1:
-                    product = [0] * size
-                    for i, c in enumerate(pq):
-                        if c:
-                            for j, e in enumerate(qq, i):
-                                product[j] += c * e
-                for j, c in enumerate(product):
+            if len(pq) == 1:  # a degree-0 factor: Q's list is the product
+                for j, c in enumerate(qq):
                     a[j] += sa * c
                     b[j] += sb * c
                 continue
-            if size > len(line):
-                line += [0] * (size - len(line))
-            total, scale = line, sa // da  # exact: (da, db) is primitive
+            if not da:  # the sum's first real product sets its line
+                g = math.gcd(sa, sb)
+                da, db = sa // g, sb // g
+            if sa * db == sb * da:
+                if size > len(line):
+                    line += [0] * (size - len(line))
+                total, scale = line, sa // da  # exact: (da, db) is primitive
+            else:  # off the line: the rational half, then the sqrt(d) half
+                total, scale = a, sa
         elif sa or sb:
             total, scale = (a, sa) if sa else (b, sb)
         else:
             continue
-        for i, c in enumerate(pq):
-            if c:
-                c *= scale
-                for j, e in enumerate(qq, i):
-                    total[j] += c * e
-    if not line or any(a) or any(b):
-        for j, c in enumerate(line):
-            a[j] += da * c
-            b[j] += db * c
-        return _reduced(a, b, common * den)
-    g, _, _, q = _reduced(line, [0] * len(line), 1)  # the line alone: line = g*q
-    h = math.gcd(g, common * den)
-    return da * g // h, db * g // h, common * den // h, q
+        while True:
+            for i, c in enumerate(pq):
+                if c:
+                    c *= scale
+                    for j, e in enumerate(qq, i):
+                        total[j] += c * e
+            if total is not a or not sb:
+                break
+            total, scale = b, sb
+    for j, c in enumerate(line):
+        a[j] += da * c
+        b[j] += db * c
+    return _reduced(a, b, common * den)
 
 
 def _delta(p: Poly) -> Poly:

@@ -55,22 +55,23 @@ MUTANTS = [
     Mutant("src/bhhpm/hpm.py", "        if common % pair_den:",
            "        if False and common % pair_den:",
            "a pair whose denominator does not divide the running one rescales the sums"),
-    Mutant("src/bhhpm/hpm.py", "                                product[j] += c * e\n",
-           "                                product[j] += c * e + (i == 1 and j == 3)\n",
+    Mutant("src/bhhpm/hpm.py", "                        total[j] += c * e\n",
+           "                        total[j] += c * e + (total is not line and sa * sb != 0"
+           " and i == 1 and j == 3)\n",
            "one integer of a product that feeds both halves"),
-    Mutant("src/bhhpm/hpm.py", "                    total[j] += c * e\n",
-           "                    total[j] += c * e + (total is not line and i == 2 and j == 8)\n",
+    Mutant("src/bhhpm/hpm.py", "                        total[j] += c * e\n",
+           "                        total[j] += c * e + (sa * sb == 0 and i == 2 and j == 8)\n",
            "one integer of a row product that feeds one half"),
-    Mutant("src/bhhpm/hpm.py", "                    total[j] += c * e\n",
-           "                    total[j] += c * e + (total is line and i == 1 and j == 3)\n",
+    Mutant("src/bhhpm/hpm.py", "                        total[j] += c * e\n",
+           "                        total[j] += c * e + (total is line and i == 1 and j == 3)\n",
            "one integer of a product on the sum's line"),
-    Mutant("src/bhhpm/hpm.py", "if len(pq) == 1 or sa * db != sb * da:", "if len(pq) == 1:",
+    Mutant("src/bhhpm/hpm.py", "if sa * db == sb * da:", "if True:",
            "a product that scales both halves off the sum's line is not folded onto it"),
     Mutant("src/bhhpm/hpm.py", "[c * grow for c in b], [c * grow for c in line]",
            "[c * grow for c in b], line",
            "the line is rescaled with the two halves when the denominator grows"),
-    Mutant("src/bhhpm/hpm.py", "            a[j] += da * c\n            b[j] += db * c\n",
-           "            a[j] += da * c\n",
+    Mutant("src/bhhpm/hpm.py", "        a[j] += da * c\n        b[j] += db * c\n",
+           "        a[j] += da * c\n",
            "the line is added to the sqrt(d) half as well as to the rational one"),
     Mutant("src/bhhpm/hpm.py", "total, scale = (a, sa) if sa else (b, sb)",
            "total, scale = (a, sa) if sa else (b, 2 * sb)",

@@ -185,8 +185,33 @@ class TestLatticeInvariant:
         # does not divide the running one: the kernel rescales what it has summed
         pairs_drawn.append([(_lattice([Fraction(1, 13)], d), p),
                             (_lattice([Fraction(1, 17)], d), q)])
+        # pairs on one general line, off it and as degree-0 factors on drawn lines,
+        # each with an optional twin that cancels it: every product is a multiple of
+        # one integer list F*G*H split four ways, the last a degree-0 factor, so any
+        # mix sums on one line, whichever real product sets the kernel's line
+        ints = st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(lambda k: k[-1])
+        f1, f2, f3 = (data.draw(ints) for _ in range(3))
+        splits = [(f1, convolve(f2, f3)), (convolve(f1, f2), f3), (f2, convolve(f1, f3)),
+                  ([1], convolve(convolve(f1, f2), f3))]
+        part = st.fractions(-9, 9, max_denominator=12).filter(bool)
+        general = quad(data.draw(part), data.draw(part), d)  # scales both halves
+        mixed = []
+        for kind in data.draw(st.lists(st.sampled_from(["on", "off", "factor"]),
+                                       min_size=1, max_size=6)):
+            rows, columns = splits[3] if kind == "factor" else data.draw(st.sampled_from(splits))
+            content = general * data.draw(part) if kind == "on" else data.draw(lines(d))
+            scale = data.draw(part)
+            pair = (_lattice([content * k for k in rows], d),
+                    _lattice([scale * k for k in columns], d))
+            mixed += [pair, (negated(pair[0]), pair[1])] if data.draw(st.booleans()) else [pair]
+        pairs_drawn.append(mixed)
         for pairs in pairs_drawn:
-            assert _coeffs(_sum_products(d, pairs), d) == schoolbook(pairs, d)
+            total = _sum_products(d, pairs)
+            assert canonical(total)
+            assert _coeffs(total, d) == schoolbook(pairs, d)
+            # the order of the pairs, so which pair sets the sum's line, does not matter
+            assert _sum_products(d, pairs[::-1]) == total
+            assert _sum_products(d, data.draw(st.permutations(pairs))) == total
             # each weight scales its pair's first content, which is then unreduced
             weighted = [((w * x, w * y, den, q), h)
                         for ((x, y, den, q), h), w in zip(pairs, weights)]
@@ -234,37 +259,9 @@ class TestLineOfASum:
         on_line = [pairs[0], pairs[3]]
         assert _sum_products(D, on_line + [(negated(p), q) for p, q in on_line]) == ZERO_POLY
         assert _sum_products(D, pairs + [(negated(p), q) for p, q in pairs]) == ZERO_POLY
-        # a line alone is reduced straight to its canonical form
+        # a line alone folds to its canonical form
         assert _sum_products(D, on_line) == _lattice(
             [quad(Fraction(5, 2), Fraction(5, 2), D) * k for k in fg], D)
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), d=st.sampled_from([2, 3]))
-    def test_sum_does_not_depend_on_which_pair_sets_its_line(self, data, d):
-        ints = st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(lambda q: q[-1])
-        f, g, h = (data.draw(ints) for _ in range(3))
-        # every product is a multiple of F*G*H, split into two lists four ways, the
-        # last a degree-0 factor, so any mix of contents sums on one line
-        splits = [(f, convolve(g, h)), (convolve(f, g), h), (g, convolve(f, h)),
-                  ([1], convolve(convolve(f, g), h))]
-        part = st.fractions(-9, 9, max_denominator=12).filter(bool)
-        omega = quad(data.draw(part), data.draw(part), d)  # scales both halves
-        kinds = st.sampled_from(["on", "off", "factor"])
-        pairs = []
-        for kind in data.draw(st.lists(kinds, min_size=1, max_size=6)):
-            rows, columns = splits[3] if kind == "factor" else data.draw(st.sampled_from(splits))
-            content = omega * data.draw(part) if kind == "on" else data.draw(lines(d))
-            scale = data.draw(part)
-            pair = (_lattice([content * k for k in rows], d),
-                    _lattice([scale * k for k in columns], d))
-            pairs.append(pair)
-            if data.draw(st.booleans()):  # and the pair that cancels it
-                pairs.append((negated(pair[0]), pair[1]))
-        total = _sum_products(d, pairs)
-        assert canonical(total)
-        assert _coeffs(total, d) == schoolbook(pairs, d)
-        assert _sum_products(d, pairs[::-1]) == total
-        assert _sum_products(d, data.draw(st.permutations(pairs))) == total
 
 
 class TestCanonicalForm:
