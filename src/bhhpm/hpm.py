@@ -48,7 +48,7 @@ from typing import Iterable
 import mpmath
 from mpmath import mpf
 from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_exp, mpf_mul, mpf_pow_int
-from mpmath.libmp import mpf_rdiv_int, mpf_shift, mpf_sign
+from mpmath.libmp import mpf_rdiv_int, mpf_sign
 
 from .errors import AlgebraDomainError, ContractViolation, UnsupportedProblemError
 from .problem import BHProblem
@@ -253,7 +253,8 @@ def _value_at(p: Poly, m: int, s: int, d: int) -> tuple:
     at m < 0 a step multiplies by 2^s + m as one shift and one short product, so
     sigma near 1 costs what sigma near 0 does.  ``surd_value`` takes (a + b*sqrt(d))*U
     through the conjugate where the parts would cancel, squaring U once, so
-    coefficients far larger than the value (a slow front's, say) cost no digits.
+    coefficients far larger than the value (a slow front's, say) cost no digits;
+    den and 2^(s*deg) are one division.
     """
     a, b, den, q = p
     top = len(q) - 1
@@ -265,7 +266,7 @@ def _value_at(p: Poly, m: int, s: int, d: int) -> tuple:
     else:
         for i in range(top, -1, -1):
             u = (u << s) + u * m + (q[i] << s * (top - i))
-    return mpf_shift(surd_value(a, b, d, den, u), -s * top)
+    return surd_value(a, b, d, den, u, s * top)
 
 
 def _n_one(problem: BHProblem) -> None:

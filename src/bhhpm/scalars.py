@@ -6,8 +6,10 @@ fixed square-free radicand d; values with b == 0 are normalized to radicand 0
 so that rationals from different contexts compare equal.  ``to_value`` turns an
 int, Fraction or QuadraticNumber into a raw ``mpmath.libmp`` value at
 ``mpmath.mp.prec``, rounded to nearest (``RND``) as mpf operators round, and
-``to_mpf`` into an mpf object; no other module rounds an exact value.  Where
-a and b*sqrt(d) cancel it goes through the conjugate, so no digits are lost.
+``to_mpf`` into an mpf object; no other module rounds an exact value.  Each
+rounding is the one the mpf operator makes, formed from the exact integers
+where an operand is an integer.  Where a and b*sqrt(d) cancel it goes through
+the conjugate, so no digits are lost.
 sqrt(d) and each QuadraticNumber are rounded once per working precision.
 """
 
@@ -20,7 +22,7 @@ from typing import Union
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_mul_int, mpf_rdiv_int, mpf_sub
+from mpmath.libmp import from_int, from_man_exp, mpf_add, mpf_div, mpf_mul_int, mpf_rdiv_int
 from mpmath.libmp import round_nearest as RND  # the rounding of every mpf operator
 
 from .errors import AlgebraDomainError
@@ -236,9 +238,28 @@ ZERO = QuadraticNumber()
 _sqrt = lru_cache(maxsize=64)(lambda d, prec: mpmath.sqrt(d)._mpf_)
 
 
-def surd_value(u: int, v: int, d: int, den: int = 1, scale: int = 1) -> tuple:
-    """(u + v*sqrt(d))*scale/den for integers u, v, d, den, scale as a raw value
-    at the working precision, each step by the libmp call of the mpf operator.
+def _plus_int(r: tuple, n: int, prec: int) -> tuple:
+    """r + n for a raw value r of at most prec bits and an integer n, rounded as
+    ``mpf_add(r, from_int(n), prec, RND)`` rounds it: one integer sum at r's
+    exponent, rounded once.  Where n outweighs r by more than prec + 4 bits,
+    mpf_add keeps r only as a sticky bit, which can round otherwise than the
+    exact sum once n has more than prec bits; that case stays with mpf_add."""
+    sign, man, exp, bc = r
+    if n.bit_length() > exp + bc + prec + 4:
+        return mpf_add(r, from_int(n), prec, RND)
+    if sign:
+        man = -man
+    if exp >= 0:
+        return from_int((man << exp) + n, prec, RND)
+    return from_man_exp(man + (n << -exp), exp, prec, RND)
+
+
+def surd_value(u: int, v: int, d: int, den: int = 1, scale: int = 1, shift: int = 0) -> tuple:
+    """(u + v*sqrt(d))*scale/(den*2^shift) for integers u, v, d, den, scale and
+    shift as a raw value at the working precision.  Each rounding is the one the
+    mpf operator makes, formed from the exact integers where an operand is an
+    integer; den and 2^shift are one division, as a power of 2 commutes with
+    rounding.
 
     Where the signs of u and v differ it takes (u^2 - v^2*d)*scale^2/(u*scale -
     v*scale*sqrt(d)): the numerator is exact, with one square of a large scale,
@@ -249,11 +270,23 @@ def surd_value(u: int, v: int, d: int, den: int = 1, scale: int = 1) -> tuple:
     if not sv:
         value = from_int(su, prec, RND)
     elif u == 0 or (u > 0) == (v > 0):
-        value = mpf_add(mpf_mul_int(_sqrt(d, prec), sv, prec, RND), from_int(su), prec, RND)
+        value = _plus_int(mpf_mul_int(_sqrt(d, prec), sv, prec, RND), su, prec)
     else:
-        below = mpf_sub(from_int(su), mpf_mul_int(_sqrt(d, prec), sv, prec, RND), prec, RND)
-        value = mpf_rdiv_int((u * u - v * v * d) * (scale * scale), below, prec, RND)
-    return mpf_div(value, from_int(den), prec, RND)
+        below = _plus_int(mpf_mul_int(_sqrt(d, prec), -sv, prec, RND), su, prec)
+        n = (u * u - v * v * d) * (scale * scale)
+        sign, man, exp, bc = below
+        # mpf_rdiv_int's quotient from n's top prec + bc + 5 bits: floor(floor(n/2^j)/man)
+        # is floor(n/(2^j*man)), and its prec + 4 or more bits and a sticky bit for
+        # any rest round as the exact quotient does
+        j = n.bit_length() - bc - prec - 5
+        if j > 0:
+            q, rem = divmod((-n if sign else n) >> j, man)
+            if rem or n & ((1 << j) - 1):
+                q, j = 2 * q + 1, j - 1
+            value = from_man_exp(q, j - exp, prec, RND)
+        else:
+            value = mpf_rdiv_int(n, below, prec, RND)
+    return mpf_div(value, from_man_exp(den, shift), prec, RND)
 
 
 @lru_cache(maxsize=64)

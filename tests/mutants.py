@@ -83,6 +83,16 @@ MUTANTS = [
            "the Burgers constant -alpha*rate/2 of N"),
     Mutant("src/bhhpm/hpm.py", "    _n_one(problem)\n    rate, alpha", "    rate, alpha",
            "a hand-built expansion of an n >= 2 problem is refused, not stepped with N of n = 1"),
+    # the roundings of a surd coefficient, formed from its integers
+    Mutant("src/bhhpm/scalars.py", "if n.bit_length() > exp + bc + prec + 4:", "if False:",
+           "a sum whose integer outweighs the rounded surd keeps the rounding of mpf_add"),
+    Mutant("src/bhhpm/scalars.py", "if rem or n & ((1 << j) - 1):", "if rem:",
+           "the numerator bits below the quotient's top carry the sticky bit"),
+    Mutant("src/bhhpm/scalars.py", "- prec - 5", "- prec + 1",
+           "the conjugate quotient keeps prec + 4 or more bits before its rounding"),
+    Mutant("src/bhhpm/scalars.py", "from_man_exp(den, shift)",
+           "from_man_exp(den, shift if den % 2 else 0)",
+           "the one division is by den*2^shift when den is even"),
     # the problem's constants and the Taylor oracle
     Mutant("src/bhhpm/problem.py", "Fraction(s, dfrac.denominator)", "Fraction(s, 1)",
            "the root of a discriminant with a denominator"),

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from bhhpm import (
@@ -267,6 +269,9 @@ class TestEvalf:
         (0, 7), (0, -7), (10**40 + 1, 3 * 10**38 + 7), (-(10**40 + 1), -(3 * 10**38 + 7)),
         (math.isqrt(3 * 10**80), -10**40), (-math.isqrt(3 * 10**80), 10**40),
         (10**40 + 1, -(3 * 10**38 + 7)), (-(10**40 + 1), 3 * 10**38 + 7), (5, 0), (-5, 0),
+        # a numerator long enough that its top bits alone make the quotient, and
+        # one short enough for mpf_rdiv_int
+        (math.isqrt(3 * 10**400), -10**200), (2, -1),
     ])
     def test_route_read_from_signs(self, u, v):
         # surd_value picks its route from the signs of u and v; the bits are those
@@ -279,3 +284,61 @@ class TestEvalf:
                 for scale in (-(3**90 + 2), 0):
                     assert (surd_value(u, v, 3, 7, scale)
                             == (fresh_surd(u * scale, v * scale) / 7)._mpf_), (u, v, scale)
+
+    def test_quotient_by_a_power_of_two_keeps_the_bits_below_the_numerators_top(self):
+        # with u = 2^e - v*sqrt(3) rounded, u - v*sqrt(3) rounds to 2^e: the quotient
+        # by its mantissa 1 leaves no remainder, so only the numerator bits below
+        # its top prec + 6 carry the sticky bit; some of these quotients end in
+        # exactly half a unit past the precision, the rest above the cut
+        for digits in (30, 45):
+            with working_dps(digits):
+                for k in range(100, 220):
+                    v = -(3**k)
+                    root = int(-v * mpmath.sqrt(3))  # more than prec bits: an integer
+                    u = (1 << root.bit_length()) - root
+                    assert surd_value(u, v, 3) == fresh_surd(u, v)._mpf_, (digits, k)
+
+    def test_sum_keeps_the_bits_of_mpf_add_where_the_integer_outweighs(self):
+        # u outweighs v*sqrt(3) by more than prec + 4 bits, so mpf_add keeps the
+        # rounded v*sqrt(3) only as a sticky bit; u has more than prec bits, ends in
+        # 200 zero bits and lies just under a half unit past the precision, and
+        # v*sqrt(3) reaches above those zeros: the exact sum rounds the other way
+        with working_dps(30):
+            prec = mpmath.mp.prec
+            v = (1 << 219) + 12345
+            top = prec + 261
+            u = (1 << top) + (1 << (top - prec)) - (1 << 200)
+            root = int(v * mpmath.sqrt(3))  # v*sqrt(3) as rounded: above 2^200, an integer
+            assert fresh_surd(u, v) != mpf(u + root)
+            for su, sv in ((u, v), (-u, -v), (u, -v), (-u, v)):
+                assert surd_value(su, sv, 3) == fresh_surd(su, sv)._mpf_, (su > 0, sv > 0)
+
+
+def signed_integers(max_bits: int):
+    """Integers of either sign with up to ``max_bits`` bits, each size as likely."""
+    return st.integers(0, max_bits).flatmap(lambda bits: st.integers(-(1 << bits), 1 << bits))
+
+
+@st.composite
+def surd_inputs(draw):
+    """(u, v, d, den, scale, shift) for ``surd_value``: both signs, u near -v*sqrt(d)
+    half the time, odd and even den, a scale of up to 3000 bits (0 among them)."""
+    d = draw(st.sampled_from([2, 3, 5, 999950891]))
+    v = draw(signed_integers(400))
+    if v and draw(st.booleans()):
+        u = (-1 if v > 0 else 1) * math.isqrt(v * v * d) + draw(st.integers(-3, 3))
+    else:
+        u = draw(signed_integers(400))
+    den = draw(st.integers(1, 1 << 64)) << draw(st.integers(0, 3))
+    return u, v, d, den, draw(signed_integers(3000)), draw(st.integers(0, 5000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=surd_inputs(), digits=st.sampled_from([30, 45, 300]))
+def test_surd_value_keeps_the_bits_of_the_mpf_route(args, digits):
+    # every route: the sum where u*v >= 0, the conjugate quotient (from the
+    # numerator's top bits or by mpf_rdiv_int), scale 0, and den*2^shift
+    u, v, d, den, scale, shift = args
+    with working_dps(digits):
+        expected = mpmath.ldexp(fresh_surd(u * scale, v * scale, d) / den, -shift)
+        assert surd_value(u, v, d, den, scale, shift) == expected._mpf_
