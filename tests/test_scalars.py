@@ -288,8 +288,8 @@ class TestEvalf:
     def test_quotient_by_a_power_of_two_keeps_the_bits_below_the_numerators_top(self):
         # with u = 2^e - v*sqrt(3) rounded, u - v*sqrt(3) rounds to 2^e: the quotient
         # by its mantissa 1 leaves no remainder, so only the numerator bits below
-        # its top prec + 6 carry the sticky bit; some of these quotients end in
-        # exactly half a unit past the precision, the rest above the cut
+        # its top prec + 6 carry the sticky bit, and for a few of these v the top
+        # bits end exactly half a unit past the precision, where that bit decides
         for digits in (30, 45):
             with working_dps(digits):
                 for k in range(100, 220):
