@@ -34,7 +34,8 @@ pairs and a step builds no ``QuadraticNumber`` or ``Fraction``.
 ``terms`` prints each c_k by Horner's rule on q (``_term_text``); ``_values_at``,
 the only route to numbers, rounds sigma once per point to a binary value, runs
 Horner's rule on q there and returns raw libmp values, which ``profiles_at``
-makes mpf objects and ``partial_sum_at`` and ``build_error_table`` sum raw.
+makes mpf objects and ``partial_sum_at`` and ``build_error_table`` sum raw, both
+by ``scalars.running_sums``.
 The published closed forms serve as test oracles.
 """
 
@@ -47,13 +48,14 @@ from typing import Iterable
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_exp, mpf_mul, mpf_pow_int
+from mpmath.libmp import fone, mpf_abs, mpf_add, mpf_exp, mpf_mul, mpf_pow_int
 from mpmath.libmp import mpf_rdiv_int, mpf_sign
 
 from .errors import AlgebraDomainError, ContractViolation, UnsupportedProblemError
 from .problem import BHProblem
 from .scalars import (
-    DEFAULT_DIGITS, RND, ZERO, QuadraticNumber, ScalarLike, surd_value, to_value, working_dps,
+    DEFAULT_DIGITS, RND, ZERO, QuadraticNumber, ScalarLike, running_sums, surd_value, to_value,
+    working_dps,
 )
 from .waves import TravelingWave
 
@@ -374,11 +376,9 @@ class HPMExpansion:
                 f"partial sum of {m} terms requested; have {self.order + 1}"
             )
         with working_dps(digits):
-            prec, time, total = mpmath.mp.prec, to_value(t), fzero
-            for k, c in enumerate(self._values_at(to_value(x))[:m]):
-                total = mpf_add(total, mpf_mul(c, mpf_pow_int(time, k, prec, RND), prec, RND),
-                                prec, RND)
-            return mpmath.mp.make_mpf(total)
+            prec, time = mpmath.mp.prec, to_value(t)
+            powers = [mpf_pow_int(time, k, prec, RND) for k in range(m)]
+            return mpmath.mp.make_mpf(running_sums(self._values_at(to_value(x)), powers, prec)[-1])
 
 
 def run_hpm(problem: BHProblem, order: int) -> HPMExpansion:

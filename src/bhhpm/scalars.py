@@ -6,10 +6,10 @@ fixed square-free radicand d; values with b == 0 are normalized to radicand 0
 so that rationals from different contexts compare equal.  ``to_value`` turns an
 int, Fraction or QuadraticNumber into a raw ``mpmath.libmp`` value at
 ``mpmath.mp.prec``, rounded to nearest (``RND``) as mpf operators round, and
-``to_mpf`` into an mpf object; no other module rounds an exact value.  Each
-rounding is the one the mpf operator makes, formed from the exact integers
-where an operand is an integer.  Where a and b*sqrt(d) cancel it goes through
-the conjugate, so no digits are lost.
+``to_mpf`` into an mpf object; no other module rounds an exact value.  Each of its
+roundings, and each sum, product and quotient of raw values in ``running_sums`` and
+the table cells, is the mpf operator's, made by one libmp ``normalize`` on exact
+integers.  Where a and b*sqrt(d) cancel it goes through the conjugate, so no digits are lost.
 sqrt(d) and each QuadraticNumber are rounded once per working precision.
 """
 
@@ -22,7 +22,7 @@ from typing import Union
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import from_int, from_man_exp, mpf_add, mpf_div, mpf_mul_int, mpf_rdiv_int
+from mpmath.libmp import from_int, fzero, mpf_add, mpf_rdiv_int, normalize
 from mpmath.libmp import round_nearest as RND  # the rounding of every mpf operator
 
 from .errors import AlgebraDomainError
@@ -234,32 +234,80 @@ class QuadraticNumber:
 
 
 ZERO = QuadraticNumber()
-#: sqrt(d) at the working precision as a raw value, memoised per (d, ``mpmath.mp.prec``).
-_sqrt = lru_cache(maxsize=64)(lambda d, prec: mpmath.sqrt(d)._mpf_)
+#: sqrt(d) = man*2^exp at the working precision as (man, exp), memoised per (d, prec).
+_sqrt = lru_cache(maxsize=64)(lambda d, prec: mpmath.sqrt(d)._mpf_[1:3])
+
+
+def _rounded(man: int, exp: int, prec: int) -> tuple:
+    """The signed integer man times 2^exp, rounded once by libmp's ``normalize``."""
+    return normalize(int(man < 0), abs(man), exp, man.bit_length(), prec, RND)
+
+
+def _sum(s: tuple, t: tuple, prec: int) -> tuple:
+    """s + t for raw values of at most prec bits, as ``mpf_add(s, t, prec, RND)``: exact, but
+    where the exponents lie over 100 and the tops over prec + 4 bits apart, the smaller is
+    kept only as a sticky -1 or +1 that far below the larger, whose sign the sum takes."""
+    if not (s[1] and t[1]):
+        return s if s[1] else t
+    if s[2] < t[2]:
+        s, t = t, s
+    (ssign, sman, sexp, sbc), (tsign, tman, texp, tbc) = s, t
+    offset = sexp - texp
+    if offset > 100 and offset + sbc - tbc > prec + 4:
+        man = (sman << prec + 4) + (1 if ssign == tsign else -1)
+        return normalize(ssign, man, sexp - prec - 4, man.bit_length(), prec, RND)
+    man = (sman << offset) + (tman if ssign == tsign else -tman)
+    if man < 0:
+        ssign, man = tsign, -man
+    return normalize(ssign, man, texp, man.bit_length(), prec, RND)
+
+
+def _product(s: tuple, t: tuple, prec: int) -> tuple:
+    """s*t rounded as ``mpf_mul(s, t, prec, RND)`` rounds it: the exact product, rounded once."""
+    man = s[1] * t[1]
+    return normalize(s[0] ^ t[0], man, s[2] + t[2], man.bit_length(), prec, RND)
+
+
+def _quotient(s: tuple, t: tuple, prec: int) -> tuple:
+    """|s|/|t| for raw values of at most prec bits, t nonzero, rounded as
+    ``mpf_abs(mpf_div(s, t, prec, RND))`` rounds it: an integer quotient of prec + 5
+    or more bits, shifted as mpf_div shifts it, and a sticky bit for any remainder."""
+    extra = prec - s[3] + t[3] + 5
+    quot, rem = divmod(s[1] << extra, t[1])
+    if rem:
+        quot, extra = 2 * quot + 1, extra + 1
+    return normalize(0, quot, s[2] - t[2] - extra, quot.bit_length(), prec, RND)
+
+
+def running_sums(values: list[tuple], powers: list[tuple], prec: int) -> list[tuple]:
+    """S_1, S_2, ..: the running sums of values[k]*powers[k] for raw values of at
+    most prec bits, one per pair, each product and sum rounded by ``_product`` and ``_sum``."""
+    total, sums = fzero, []
+    for c, power in zip(values, powers):
+        total = _sum(total, _product(c, power, prec), prec)
+        sums.append(total)
+    return sums
 
 
 def _plus_int(r: tuple, n: int, prec: int) -> tuple:
     """r + n for a raw value r of at most prec bits and an integer n, rounded as
-    ``mpf_add(r, from_int(n), prec, RND)`` rounds it: one integer sum at r's
-    exponent, rounded once.  Where n outweighs r by more than prec + 4 bits,
-    mpf_add keeps r only as a sticky bit, which can round otherwise than the
-    exact sum once n has more than prec bits; that case stays with mpf_add."""
+    ``mpf_add(r, from_int(n), prec, RND)`` rounds it: one integer sum at the lower of r's
+    exponent and 0, rounded once.  Where n outweighs r by more than prec + 4 bits, mpf_add
+    keeps r only as a sticky bit, which can round otherwise than the exact sum once n has
+    more than prec bits; that case stays with mpf_add."""
     sign, man, exp, bc = r
     if n.bit_length() > exp + bc + prec + 4:
         return mpf_add(r, from_int(n), prec, RND)
-    if sign:
-        man = -man
-    if exp >= 0:
-        return from_int((man << exp) + n, prec, RND)
-    return from_man_exp(man + (n << -exp), exp, prec, RND)
+    low = min(exp, 0)
+    return _rounded(((-man if sign else man) << exp - low) + (n << -low), low, prec)
 
 
 def surd_value(u: int, v: int, d: int, den: int = 1, scale: int = 1, shift: int = 0) -> tuple:
     """(u + v*sqrt(d))*scale/(den*2^shift) for integers u, v, d, den, scale and
     shift as a raw value at the working precision.  Each rounding is the one the
-    mpf operator makes, formed from the exact integers where an operand is an
-    integer; den and 2^shift are one division, as a power of 2 commutes with
-    rounding.
+    mpf operator makes, one libmp ``normalize`` on exact integers: v*scale*sqrt(d) is
+    one integer product, and den*2^shift one quotient by den's odd part, its power of
+    2 joining the shift, as a power of 2 commutes with rounding.
 
     Where the signs of u and v differ it takes (u^2 - v^2*d)*scale^2/(u*scale -
     v*scale*sqrt(d)): the numerator is exact, with one square of a large scale,
@@ -267,12 +315,13 @@ def surd_value(u: int, v: int, d: int, den: int = 1, scale: int = 1, shift: int 
     of the last digit however close u is to -v*sqrt(d).
     """
     prec, su, sv = mpmath.mp.prec, u * scale, v * scale
+    root, root_exp = _sqrt(d, prec)
     if not sv:
-        value = from_int(su, prec, RND)
+        value = _rounded(su, 0, prec)
     elif u == 0 or (u > 0) == (v > 0):
-        value = _plus_int(mpf_mul_int(_sqrt(d, prec), sv, prec, RND), su, prec)
+        value = _plus_int(_rounded(root * sv, root_exp, prec), su, prec)
     else:
-        below = _plus_int(mpf_mul_int(_sqrt(d, prec), -sv, prec, RND), su, prec)
+        below = _plus_int(_rounded(-root * sv, root_exp, prec), su, prec)
         n = (u * u - v * v * d) * (scale * scale)
         sign, man, exp, bc = below
         # mpf_rdiv_int's quotient from n's top prec + bc + 5 bits: floor(floor(n/2^j)/man)
@@ -283,10 +332,13 @@ def surd_value(u: int, v: int, d: int, den: int = 1, scale: int = 1, shift: int 
             q, rem = divmod((-n if sign else n) >> j, man)
             if rem or n & ((1 << j) - 1):
                 q, j = 2 * q + 1, j - 1
-            value = from_man_exp(q, j - exp, prec, RND)
+            value = _rounded(q, j - exp, prec)
         else:
             value = mpf_rdiv_int(n, below, prec, RND)
-    return mpf_div(value, from_man_exp(den, shift), prec, RND)
+    twos = (den & -den).bit_length() - 1
+    odd = den >> twos
+    _, man, exp, bc = _quotient(value, (0, odd, shift + twos, odd.bit_length()), prec)
+    return value[0], man, exp, bc
 
 
 @lru_cache(maxsize=64)

@@ -2,11 +2,11 @@
 
 A table cell holds |S_m(x,t) - u_exact(x,t)| / |u_exact(x,t)| in extended
 precision (the units the reference tables print; multiply by 100 for
-percent), formed on raw ``mpmath.libmp`` values by the mpf operators' libmp
-calls: per table, each t, t^k and speed*t are rounded once; per x, x is and
-the expansion gives c_0(x)..c_K(x); per (x, t), the wave gives u_exact and
-|u_exact|, and S_m is a running sum of c_k(x)*t^k; per cell, |S_m - u_exact|
-and one division remain, and the cell becomes an mpf.  The wave is that of
+percent), formed on raw ``mpmath.libmp`` values: per table, each t, t^k and
+speed*t are rounded once; per x, x is and the expansion gives c_0(x)..c_K(x);
+per (x, t), the wave gives u_exact, and S_m is a running sum of c_k(x)*t^k; per
+cell, S_m - u_exact and one quotient by |u_exact| remain, each one libmp
+``normalize`` on exact integers, and the cell becomes an mpf.  The wave is that of
 the expansion's problem: its logistic form gamma/(1 + exp(z)) is nonzero at
 every point of a front the series accepts, so every cell is a number.
 Against the reference tables, each cell's verdict is set from its two numbers alone.
@@ -19,12 +19,14 @@ from typing import IO, Iterable, Sequence
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_pow_int, mpf_sub
+from mpmath.libmp import mpf_pow_int
 
 from . import golden
 from .errors import ContractViolation
 from .hpm import HPMExpansion
-from .scalars import DEFAULT_DIGITS, RND, to_value, working_dps
+from .scalars import (
+    DEFAULT_DIGITS, RND, _product, _quotient, _sum, running_sums, to_value, working_dps,
+)
 from .waves import TravelingWave
 
 CSV_HEADER = "t,m,x,relative_error"
@@ -108,19 +110,15 @@ def build_error_table(
         prec, times = mpmath.mp.prec, [to_value(t) for t in ts]
         powers = [[mpf_pow_int(time, k, prec, RND) for k in range(max(orders, default=0))]
                   for time in times]
-        speed_ts = [mpf_mul(to_value(wave.problem.speed), time, prec, RND) for time in times]
+        speed_ts = [_product(to_value(wave.problem.speed), time, prec) for time in times]
         for x in map(to_value, xs):
             profiles = expansion._values_at(x)
             for speed_t, t_powers, block in zip(speed_ts, powers, cells):
-                exact = wave._value_at(x, speed_t)
-                # S_1, S_2, ..: the running sum of c_k(x)*t^k
-                scale, total, sums = mpf_abs(exact, prec, RND), fzero, []
-                for c, power in zip(profiles, t_powers):
-                    total = mpf_add(total, mpf_mul(c, power, prec, RND), prec, RND)
-                    sums.append(total)
+                sign, man, exp, bc = exact = wave._value_at(x, speed_t)
+                minus, sums = (1 - sign, man, exp, bc), running_sums(profiles, t_powers, prec)
                 for m, row in zip(orders, block):
-                    error = mpf_abs(mpf_sub(sums[m - 1], exact, prec, RND), prec, RND)
-                    row.append(mpmath.mp.make_mpf(mpf_div(error, scale, prec, RND)))
+                    error = _sum(sums[m - 1], minus, prec)
+                    row.append(mpmath.mp.make_mpf(_quotient(error, exact, prec)))
     return ErrorTable(
         orders=orders, ts=ts, xs=xs, cells=cells, case_id=case_id, precision=digits
     )

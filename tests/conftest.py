@@ -44,6 +44,11 @@ FRONTS = {
 }
 
 
+#: A front with gamma < 0, so u < 0 everywhere: where a sum keeps its smaller
+#: addend only as a sticky bit, the result must carry the sign of the larger one.
+NEGATIVE_FRONT = BHProblem(Fraction(3, 4), Fraction(5, 2), Fraction(-3, 2))
+
+
 #: kappa about 11.35 puts every sample point in a tail: sigma -> 0 on the lower
 #: branch (the worst of 220 random fronts for an oracle on A*(1 + s*tanh)) and
 #: sigma -> 1 on the upper, where the oracle must not form 1 - sigma by cancellation

@@ -90,9 +90,18 @@ MUTANTS = [
            "the numerator bits below the quotient's top carry the sticky bit"),
     Mutant("src/bhhpm/scalars.py", "- prec - 5", "- prec + 1",
            "the conjugate quotient keeps prec + 4 or more bits before its rounding"),
-    Mutant("src/bhhpm/scalars.py", "from_man_exp(den, shift)",
-           "from_man_exp(den, shift if den % 2 else 0)",
+    Mutant("src/bhhpm/scalars.py", "shift + twos", "(shift if den % 2 else 0) + twos",
            "the one division is by den*2^shift when den is even"),
+    Mutant("src/bhhpm/scalars.py", "shift + twos", "shift + twos + (twos > 0)",
+           "the power of 2 in den joins the shift as it is, not one more"),
+    # the one-normalize sum, product and quotient of two raw values
+    Mutant("src/bhhpm/scalars.py", "normalize(ssign, man, sexp - prec - 4",
+           "normalize(0, man, sexp - prec - 4",
+           "a sum that keeps its smaller addend as a sticky bit takes the larger one's sign"),
+    Mutant("src/bhhpm/scalars.py", "offset + sbc - tbc > prec + 4:", "offset + sbc - tbc > prec:",
+           "a sum keeps the smaller addend exactly unless it lies past prec + 4 bits"),
+    Mutant("src/bhhpm/scalars.py", "extra = prec - s[3] + t[3] + 5", "extra = prec - s[3] + t[3]",
+           "the quotient keeps bits below the precision before its sticky bit"),
     # the problem's constants and the Taylor oracle
     Mutant("src/bhhpm/problem.py", "Fraction(s, dfrac.denominator)", "Fraction(s, 1)",
            "the root of a discriminant with a denominator"),

@@ -20,8 +20,8 @@ from bhhpm.tables import build_error_table
 from bhhpm.waves import TravelingWave
 
 from conftest import (
-    FRONTS, STEEP_FRONTS, matches_reference, pde_residual, plain_profiles_at, quad,
-    reference_terms, t_power, two_half_value_at,
+    FRONTS, NEGATIVE_FRONT, STEEP_FRONTS, matches_reference, pde_residual, plain_profiles_at,
+    quad, reference_terms, t_power, two_half_value_at,
 )
 
 
@@ -368,10 +368,10 @@ class TestPartialSums:
         with pytest.raises(UnsupportedProblemError, match=message):
             expansions[1].profiles_at(-1030000, 30)
 
-    @pytest.mark.parametrize("front", ["case3", "case1", "steep-upper"])
+    @pytest.mark.parametrize("front", ["case3", "case1", "steep-upper", "negative"])
     def test_partial_sums_keep_the_bits_of_table_cells(self, front):
         # |S_m - u|/|u| from partial_sum_at and eval_at is build_error_table's cell
-        p = FRONTS.get(front) or STEEP_FRONTS[front]
+        p = {**FRONTS, **STEEP_FRONTS, "negative": NEGATIVE_FRONT}[front]
         expansion, wave = run_hpm(p, 8), TravelingWave(p)
         xs = (-24, Fraction(-7, 3), 0, Fraction(7, 4), 24)
         ts, orders = (Fraction(3, 10), Fraction(-1, 7), Fraction(1, 2)), range(1, 10)

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_neg
 
 from bhhpm import (
     BHProblem,
@@ -16,7 +17,7 @@ from bhhpm import (
     working_dps,
 )
 from bhhpm.errors import AlgebraDomainError
-from bhhpm.scalars import surd_value, to_mpf
+from bhhpm.scalars import RND, _product, _quotient, _sum, surd_value, to_mpf
 
 
 def quad(a, b=0, d=0):
@@ -342,3 +343,54 @@ def test_surd_value_keeps_the_bits_of_the_mpf_route(args, digits):
     with working_dps(digits):
         expected = mpmath.ldexp(fresh_surd(u * scale, v * scale, d) / den, -shift)
         assert surd_value(u, v, d, den, scale, shift) == expected._mpf_
+
+
+@st.composite
+def raw_pairs(draw):
+    """(s, t, prec): two raw values of at most prec bits, mantissas of either sign and
+    often a power of 2 or all ones.  t's exponent lies about 100 below s's, or t's top
+    bit about prec + 4 below s's top (either side of both edges of mpf_add's sticky
+    branch), or a few bits away; or t is -s (exact cancellation), zero, s's half unit
+    (a tie, which carries s's all ones up to a power of 2), or lies a little more than
+    prec bits below s = 2^e of the other sign, where only the exact sum borrows."""
+    prec = draw(st.sampled_from([53, 136, 1000]))
+
+    def value(exp: int, bits: int = 0, sign: int = 0) -> tuple:
+        bits = bits or draw(st.integers(1, prec))
+        top = 1 << (bits - 1)
+        man = draw(st.sampled_from([top, 2 * top - 1]) | st.integers(top, 2 * top - 1))
+        return from_man_exp(man if (sign or draw(st.sampled_from([1, -1]))) > 0 else -man, exp)
+
+    kind = draw(st.sampled_from(["offset", "top", "near", "cancel", "zero", "tie", "borrow"]))
+    s = value(draw(st.integers(-1200, 1200)))
+    if kind == "tie":
+        s = from_man_exp(s[1] | 1 << (prec - 1) | 1, s[2])  # prec bits
+        t = from_man_exp(draw(st.sampled_from([1, -1])), s[2] - 1)
+    elif kind == "borrow":
+        s = from_man_exp(1 if s[0] else -1, s[2])
+        gap = prec + draw(st.sampled_from([1, 4, 5]) | st.integers(1, 8))  # between tops
+        t = value(s[2] - gap - prec + 1, prec, 1 if s[0] else -1)
+    elif kind in ("offset", "top", "near"):
+        bits = draw(st.integers(1, prec))
+        gap = {"offset": 100 + s[3] - bits, "top": prec + 4, "near": 0}[kind]
+        t = value(s[2] + s[3] - bits - gap + draw(st.integers(-3, 3)), bits)
+    else:
+        t = fzero if kind == "zero" else mpf_neg(s)
+    return (s, t, prec) if draw(st.booleans()) else (t, s, prec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=raw_pairs())
+# -1 and a value 300 bits below it: mpf_add keeps the smaller as a sticky bit, and the
+# sum takes the sign of -1; -1 and a 53-bit value whose top lies prec + 1 bits below
+# its own: the exact sum borrows down to 1 - 2^-53, and a sticky bit would not
+@example(args=(from_man_exp(-1, 0), from_man_exp(1, -300), 53))
+@example(args=(from_man_exp(-1, 0), from_man_exp((1 << 53) - 3, -106), 53))
+def test_raw_helpers_keep_the_bits_of_libmp(args):
+    # the one-normalize sum, product and quotient round as mpf_add, mpf_mul and
+    # mpf_abs(mpf_div) do, in both sticky branches of the sum and in its exact one
+    s, t, prec = args
+    assert _sum(s, t, prec) == mpf_add(s, t, prec, RND)
+    assert _product(s, t, prec) == mpf_mul(s, t, prec, RND)
+    if t != fzero:
+        assert _quotient(s, t, prec) == mpf_abs(mpf_div(s, t, prec, RND))

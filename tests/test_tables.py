@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mpf
+from mpmath.libmp import fzero
 
 from bhhpm import BHProblem, case_preset, deng_wave, run_hpm, working_dps
 from bhhpm.cli import _write
@@ -24,7 +25,7 @@ from bhhpm.tables import (
     sci10,
 )
 
-from conftest import FRONTS, plain_profiles_at, plain_to_mpf, plain_wave_base
+from conftest import FRONTS, NEGATIVE_FRONT, plain_profiles_at, plain_to_mpf, plain_wave_base
 
 
 @pytest.fixture(scope="module")
@@ -163,9 +164,9 @@ class TestCellBits:
         xs += [Fraction(rng.randint(-2400, 2400), 100) for _ in range(8)]
         return xs, [Fraction(rng.randint(1, 400), 1000) for _ in range(3)]
 
-    @pytest.mark.parametrize("front", FRONTS)
+    @pytest.mark.parametrize("front", [*FRONTS, "negative"])
     def test_cells_equal_plain_loop(self, front, expansions):
-        problem = FRONTS[front]
+        problem = {**FRONTS, "negative": NEGATIVE_FRONT}[front]
         expansion = expansions[int(front[-1])] if front.startswith("case") else run_hpm(problem, 4)
         xs, ts = self.grid(13)
         orders = range(1, expansion.order + 2)
@@ -175,6 +176,15 @@ class TestCellBits:
             plain = plain_cells(expansion, wave, orders, ts, xs, digits)
             got = {key: table.cell(*key)._mpf_ for key in plain}
             assert got == {key: value._mpf_ for key, value in plain.items()}, digits
+
+    def test_sum_keeps_the_sign_of_its_larger_addend(self):
+        # at x = -303 (sigma -> 1) u and c_0 are -3/2 to within 2^-600, and c_1*t lies
+        # some 600 bits below them, past prec + 4: S_2 keeps it only as a sticky bit and
+        # rounds to u, so the cell is 0 only if that sum keeps the sign of c_0
+        t, x = Fraction(43, 1000), Fraction(-303)
+        table = build_error_table(run_hpm(NEGATIVE_FRONT, 2), deng_wave(NEGATIVE_FRONT),
+                                  orders=[2], ts=[t], xs=[x], digits=30)
+        assert table.cell(t, 2, x)._mpf_ == fzero
 
     @pytest.mark.parametrize("front", ["case3", "lower-x0"])
     def test_points_leave_no_state_behind(self, front, expansions):
