@@ -299,7 +299,7 @@ def _plus_int(r: tuple, n: int, prec: int) -> tuple:
     if n.bit_length() > exp + bc + prec + 4:
         return mpf_add(r, from_int(n), prec, RND)
     low = min(exp, 0)
-    return _rounded(((-man if sign else man) << exp - low) + (n << -low), low, prec)
+    return _rounded(((-man if sign else man) << exp - low) + (n << -low if low else n), low, prec)
 
 
 def surd_value(u: int, v: int, d: int, den: int = 1, scale: int = 1, shift: int = 0) -> tuple:
