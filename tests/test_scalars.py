@@ -364,7 +364,7 @@ def raw_pairs(draw):
     kind = draw(st.sampled_from(["offset", "top", "near", "cancel", "zero", "tie", "borrow"]))
     s = value(draw(st.integers(-1200, 1200)))
     if kind == "tie":
-        s = from_man_exp(s[1] | 1 << (prec - 1) | 1, s[2])  # prec bits
+        s = from_man_exp((s[1] | 1 << (prec - 1) | 1) * (-1 if s[0] else 1), s[2])  # prec bits
         t = from_man_exp(draw(st.sampled_from([1, -1])), s[2] - 1)
     elif kind == "borrow":
         s = from_man_exp(1 if s[0] else -1, s[2])
