@@ -35,7 +35,7 @@ pairs and a step builds no ``QuadraticNumber`` or ``Fraction``.
 the only route to numbers, rounds sigma once per point to a binary value, runs
 Horner's rule on q there and returns raw libmp values, which ``profiles_at``
 makes mpf objects and ``partial_sum_at`` and ``build_error_table`` sum raw, both
-by ``scalars.running_sums``.
+by ``scalars.running_sums``; sigma's sum, product and quotient are those of ``scalars``.
 The published closed forms serve as test oracles.
 """
 
@@ -48,14 +48,13 @@ from typing import Iterable
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import fone, mpf_abs, mpf_add, mpf_exp, mpf_mul, mpf_pow_int
-from mpmath.libmp import mpf_rdiv_int, mpf_sign
+from mpmath.libmp import fone, mpf_exp, mpf_pow_int, mpf_sign
 
 from .errors import AlgebraDomainError, ContractViolation, UnsupportedProblemError
 from .problem import BHProblem
 from .scalars import (
-    DEFAULT_DIGITS, RND, ZERO, QuadraticNumber, ScalarLike, running_sums, surd_value, to_value,
-    working_dps,
+    DEFAULT_DIGITS, RND, ZERO, QuadraticNumber, ScalarLike, _product, _quotient, _sum,
+    running_sums, surd_value, to_value, working_dps,
 )
 from .waves import TravelingWave
 
@@ -355,10 +354,10 @@ class HPMExpansion:
     def _values_at(self, x: tuple) -> list[tuple]:
         """``profiles_at`` as raw values at the working precision, for x as a raw value."""
         p, prec = self.problem, mpmath.mp.prec
-        arg = mpf_add(x, to_value(p.x0), prec, RND) if p.x0 else x  # no surd at x0 = 0
-        z = mpf_mul(to_value(p.rate), arg, prec, RND)
-        growth = mpf_exp(mpf_abs(z, prec, RND), prec, RND)
-        _, man, exp, _ = mpf_rdiv_int(1, mpf_add(growth, fone, prec, RND), prec, RND)
+        arg = _sum(x, to_value(p.x0), prec)
+        z = _product(to_value(p.rate), arg, prec)
+        growth = mpf_exp((0, *z[1:]), prec, RND)
+        _, man, exp, _ = _quotient(fone, _sum(growth, fone, prec), prec)
         m, s = man, -exp
         if s > MAX_SHIFT:
             raise UnsupportedProblemError(

@@ -7,10 +7,11 @@ so that rationals from different contexts compare equal.  ``to_value`` turns an
 int, Fraction or QuadraticNumber into a raw ``mpmath.libmp`` value at
 ``mpmath.mp.prec``, rounded to nearest (``RND``) as mpf operators round, and
 ``to_mpf`` into an mpf object; no other module rounds an exact value.  Each of its
-roundings, and each sum, product and quotient of raw values in ``running_sums`` and
-the table cells, is the mpf operator's, made by one libmp ``normalize`` on exact
-integers.  Where a and b*sqrt(d) cancel it goes through the conjugate, so no digits are lost.
-sqrt(d) and each QuadraticNumber are rounded once per working precision.
+roundings, and each sum, product and quotient of raw values in sigma, the wave, the
+running sums and the table cells, is the mpf operator's, made by one libmp ``normalize``
+on exact integers (``_sum``, ``_product``, ``_quotient``); only exp and the powers of t
+keep libmp's own calls.  Where a and b*sqrt(d) cancel it goes through the conjugate, so
+no digits are lost.  sqrt(d) and each QuadraticNumber are rounded once per working precision.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Union
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import from_int, fzero, mpf_add, mpf_rdiv_int, normalize
+from mpmath.libmp import from_int, fzero, normalize
 from mpmath.libmp import round_nearest as RND  # the rounding of every mpf operator
 
 from .errors import AlgebraDomainError
@@ -244,9 +245,10 @@ def _rounded(man: int, exp: int, prec: int) -> tuple:
 
 
 def _sum(s: tuple, t: tuple, prec: int) -> tuple:
-    """s + t for raw values of at most prec bits, as ``mpf_add(s, t, prec, RND)``: exact, but
-    where the exponents lie over 100 and the tops over prec + 4 bits apart, the smaller is
-    kept only as a sticky -1 or +1 that far below the larger, whose sign the sum takes."""
+    """s + t as ``mpf_add(s, t, prec, RND)`` for two normalized nonzero raw values of any
+    width: exact, but where the exponents lie over 100 and the tops over prec + 4 bits
+    apart, the smaller is kept only as a sticky -1 or +1 that far below the larger, whose
+    sign the sum takes.  A zero operand returns the other as it is."""
     if not (s[1] and t[1]):
         return s if s[1] else t
     if s[2] < t[2]:
@@ -269,14 +271,19 @@ def _product(s: tuple, t: tuple, prec: int) -> tuple:
 
 
 def _quotient(s: tuple, t: tuple, prec: int) -> tuple:
-    """|s|/|t| for raw values of at most prec bits, t nonzero, rounded as
-    ``mpf_abs(mpf_div(s, t, prec, RND))`` rounds it: an integer quotient of prec + 5
-    or more bits, shifted as mpf_div shifts it, and a sticky bit for any remainder."""
+    """s/t for raw values of any width, t nonzero, rounded as ``mpf_div(s, t, prec, RND)``
+    rounds it: an integer quotient of prec + 4 or more bits and a sticky bit for any
+    remainder, each branch a correct rounding of s/t.  Past prec + t's bits + 5, only
+    the numerator's top bits divide, and the bits below them join the sticky bit."""
     extra = prec - s[3] + t[3] + 5
-    quot, rem = divmod(s[1] << extra, t[1])
+    if extra < 0:
+        quot, rem = divmod(s[1] >> -extra, t[1])
+        rem = rem or s[1] & ((1 << -extra) - 1)
+    else:
+        quot, rem = divmod(s[1] << extra, t[1])
     if rem:
         quot, extra = 2 * quot + 1, extra + 1
-    return normalize(0, quot, s[2] - t[2] - extra, quot.bit_length(), prec, RND)
+    return normalize(s[0] ^ t[0], quot, s[2] - t[2] - extra, quot.bit_length(), prec, RND)
 
 
 def running_sums(values: list[tuple], powers: list[tuple], prec: int) -> list[tuple]:
@@ -290,14 +297,14 @@ def running_sums(values: list[tuple], powers: list[tuple], prec: int) -> list[tu
 
 
 def _plus_int(r: tuple, n: int, prec: int) -> tuple:
-    """r + n for a raw value r of at most prec bits and an integer n, rounded as
+    """r + n for a nonzero raw value r of at most prec bits and an integer n, rounded as
     ``mpf_add(r, from_int(n), prec, RND)`` rounds it: one integer sum at the lower of r's
     exponent and 0, rounded once.  Where n outweighs r by more than prec + 4 bits, mpf_add
     keeps r only as a sticky bit, which can round otherwise than the exact sum once n has
-    more than prec bits; that case stays with mpf_add."""
+    more than prec bits; that case goes to ``_sum``, which keeps the same sticky bit."""
     sign, man, exp, bc = r
     if n.bit_length() > exp + bc + prec + 4:
-        return mpf_add(r, from_int(n), prec, RND)
+        return _sum(r, from_int(n), prec)
     low = min(exp, 0)
     return _rounded(((-man if sign else man) << exp - low) + (n << -low if low else n), low, prec)
 
@@ -306,13 +313,13 @@ def surd_value(u: int, v: int, d: int, den: int = 1, scale: int = 1, shift: int 
     """(u + v*sqrt(d))*scale/(den*2^shift) for integers u, v, d, den, scale and
     shift as a raw value at the working precision.  Each rounding is the one the
     mpf operator makes, one libmp ``normalize`` on exact integers: v*scale*sqrt(d) is
-    one integer product, and den*2^shift one quotient by den's odd part, its power of
-    2 joining the shift, as a power of 2 commutes with rounding.
+    one integer product, and den*2^shift one ``_quotient`` by den's odd part, its power
+    of 2 joining the shift, as a power of 2 commutes with rounding.
 
     Where the signs of u and v differ it takes (u^2 - v^2*d)*scale^2/(u*scale -
-    v*scale*sqrt(d)): the numerator is exact, with one square of a large scale,
-    and the denominator cannot cancel, so the relative error stays at a few units
-    of the last digit however close u is to -v*sqrt(d).
+    v*scale*sqrt(d)), one ``_quotient``: the numerator is exact, with one square of a
+    large scale, and the denominator cannot cancel, so the relative error stays at a
+    few units of the last digit however close u is to -v*sqrt(d).
     """
     prec, su, sv = mpmath.mp.prec, u * scale, v * scale
     root, root_exp = _sqrt(d, prec)
@@ -323,22 +330,10 @@ def surd_value(u: int, v: int, d: int, den: int = 1, scale: int = 1, shift: int 
     else:
         below = _plus_int(_rounded(-root * sv, root_exp, prec), su, prec)
         n = (u * u - v * v * d) * (scale * scale)
-        sign, man, exp, bc = below
-        # mpf_rdiv_int's quotient from n's top prec + bc + 5 bits: floor(floor(n/2^j)/man)
-        # is floor(n/(2^j*man)), and its prec + 4 or more bits and a sticky bit for
-        # any rest round as the exact quotient does
-        j = n.bit_length() - bc - prec - 5
-        if j > 0:
-            q, rem = divmod((-n if sign else n) >> j, man)
-            if rem or n & ((1 << j) - 1):
-                q, j = 2 * q + 1, j - 1
-            value = _rounded(q, j - exp, prec)
-        else:
-            value = mpf_rdiv_int(n, below, prec, RND)
+        value = _quotient((int(n < 0), abs(n), 0, n.bit_length()), below, prec)
     twos = (den & -den).bit_length() - 1
     odd = den >> twos
-    _, man, exp, bc = _quotient(value, (0, odd, shift + twos, odd.bit_length()), prec)
-    return value[0], man, exp, bc
+    return _quotient(value, (0, odd, shift + twos, odd.bit_length()), prec)
 
 
 @lru_cache(maxsize=64)

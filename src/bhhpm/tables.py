@@ -5,8 +5,8 @@ precision (the units the reference tables print; multiply by 100 for
 percent), formed on raw ``mpmath.libmp`` values: per table, each t, t^k and
 speed*t are rounded once; per x, x is and the expansion gives c_0(x)..c_K(x);
 per (x, t), the wave gives u_exact, and S_m is a running sum of c_k(x)*t^k; per
-cell, S_m - u_exact and one quotient by |u_exact| remain, each one libmp
-``normalize`` on exact integers, and the cell becomes an mpf.  The wave is that of
+cell, S_m - u_exact and one quotient by u_exact remain, each one libmp ``normalize``
+on exact integers, and the cell, its sign cleared, becomes an mpf.  The wave is that of
 the expansion's problem: its logistic form gamma/(1 + exp(z)) is nonzero at
 every point of a front the series accepts, so every cell is a number.
 Against the reference tables, each cell's verdict is set from its two numbers alone.
@@ -19,7 +19,7 @@ from typing import IO, Iterable, Sequence
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import mpf_pow_int
+from mpmath.libmp import mpf_neg, mpf_pow_int
 
 from . import golden
 from .errors import ContractViolation
@@ -114,11 +114,11 @@ def build_error_table(
         for x in map(to_value, xs):
             profiles = expansion._values_at(x)
             for speed_t, t_powers, block in zip(speed_ts, powers, cells):
-                sign, man, exp, bc = exact = wave._value_at(x, speed_t)
-                minus, sums = (1 - sign, man, exp, bc), running_sums(profiles, t_powers, prec)
+                exact = wave._value_at(x, speed_t)
+                minus, sums = mpf_neg(exact), running_sums(profiles, t_powers, prec)
                 for m, row in zip(orders, block):
-                    error = _sum(sums[m - 1], minus, prec)
-                    row.append(mpmath.mp.make_mpf(_quotient(error, exact, prec)))
+                    _, man, exp, bc = _quotient(_sum(sums[m - 1], minus, prec), exact, prec)
+                    row.append(mpmath.mp.make_mpf((0, man, exp, bc)))
     return ErrorTable(
         orders=orders, ts=ts, xs=xs, cells=cells, case_id=case_id, precision=digits
     )

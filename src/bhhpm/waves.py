@@ -5,12 +5,12 @@ The wave of a problem is  u(x,t) = [gamma*sigma]^(1/n),  sigma =
 1/(1 + exp(-rate*phi)),  phi = x - c*t + x0, with the front's rate =
 2*s*kappa (branch sign s) and speed c: the form [A + s*A*tanh(kappa*phi)]^(1/n),
 A = gamma/2, without its cancellation in the far tails.  ``_value_at``
-evaluates it on raw libmp values; ``eval_at`` makes the mpf object.  The
-Taylor oracle expands u(x, .) about t = 0 by power-series recursion on
-d(sigma)/dt = -c*rate*sigma*tau, with sigma and tau = 1 - sigma each from its
-own logistic, instead of repeated numeric differentiation, which would lose
-digits past order 3.  It is fully independent of the symbolic engine and
-anchors its correctness tests.
+evaluates it on raw libmp values, each sum, product and quotient rounded by the
+``scalars`` helpers and exp by libmp; ``eval_at`` makes the mpf object.  The Taylor
+oracle expands u(x, .) about t = 0 by power-series recursion on d(sigma)/dt =
+-c*rate*sigma*tau, with sigma and tau = 1 - sigma each from its own logistic, instead
+of repeated numeric differentiation, which would lose digits past order 3.  It is
+fully independent of the symbolic engine and anchors its correctness tests.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from typing import Sequence
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import fone, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_sign, mpf_sub
+from mpmath.libmp import fone, mpf_exp, mpf_neg, mpf_sign
 
 from .errors import EvaluationError, UnsupportedProblemError
 from .problem import BHProblem
-from .scalars import DEFAULT_DIGITS, RND, to_mpf, to_value, working_dps
+from .scalars import DEFAULT_DIGITS, RND, _product, _quotient, _sum, to_mpf, to_value, working_dps
 
 
 class TravelingWave:
@@ -35,15 +35,15 @@ class TravelingWave:
     def eval_at(self, x, t, digits: int = DEFAULT_DIGITS) -> mpf:
         """Wave value, relative error below ``10**(-digits + 4)``."""
         with working_dps(digits):
-            speed_t = mpf_mul(to_value(self.problem.speed), to_value(t), mpmath.mp.prec, RND)
+            speed_t = _product(to_value(self.problem.speed), to_value(t), mpmath.mp.prec)
             return mpmath.mp.make_mpf(self._value_at(to_value(x), speed_t))
 
     def _value_at(self, x: tuple, speed_t: tuple) -> tuple:
         """u at the raw values x and speed*t, as a raw value at the working precision."""
         p, prec = self.problem, mpmath.mp.prec
-        phase = mpf_add(mpf_sub(x, speed_t, prec, RND), to_value(p.x0), prec, RND)
-        growth = mpf_exp(mpf_neg(mpf_mul(to_value(p.rate), phase, prec, RND)), prec, RND)
-        base = mpf_div(to_value(p.gamma), mpf_add(growth, fone, prec, RND), prec, RND)
+        phase = _sum(_sum(x, mpf_neg(speed_t), prec), to_value(p.x0), prec)
+        growth = mpf_exp(mpf_neg(_product(to_value(p.rate), phase, prec)), prec, RND)
+        base = _quotient(to_value(p.gamma), _sum(growth, fone, prec), prec)
         if p.n == 1:
             return base
         if mpf_sign(base) < 0:

@@ -86,10 +86,11 @@ MUTANTS = [
     # the roundings of a surd coefficient, formed from its integers
     Mutant("src/bhhpm/scalars.py", "if n.bit_length() > exp + bc + prec + 4:", "if False:",
            "a sum whose integer outweighs the rounded surd keeps the rounding of mpf_add"),
-    Mutant("src/bhhpm/scalars.py", "if rem or n & ((1 << j) - 1):", "if rem:",
+    Mutant("src/bhhpm/scalars.py", "rem = rem or s[1] & ((1 << -extra) - 1)", "rem = rem",
            "the numerator bits below the quotient's top carry the sticky bit"),
-    Mutant("src/bhhpm/scalars.py", "- prec - 5", "- prec + 1",
-           "the conjugate quotient keeps prec + 4 or more bits before its rounding"),
+    Mutant("src/bhhpm/scalars.py", "prec - s[3] + t[3] + 5",
+           "prec - s[3] + t[3] + 5 - 6 * (s[3] > prec + t[3] + 5)",
+           "a quotient from the numerator's top bits keeps prec + 4 or more bits"),
     Mutant("src/bhhpm/scalars.py", "shift + twos", "(shift if den % 2 else 0) + twos",
            "the one division is by den*2^shift when den is even"),
     Mutant("src/bhhpm/scalars.py", "shift + twos", "shift + twos + (twos > 0)",
@@ -102,9 +103,13 @@ MUTANTS = [
            "a sum keeps the smaller addend exactly unless it lies past prec + 4 bits"),
     Mutant("src/bhhpm/scalars.py", "extra = prec - s[3] + t[3] + 5", "extra = prec - s[3] + t[3]",
            "the quotient keeps bits below the precision before its sticky bit"),
-    # the problem's constants and the Taylor oracle
+    Mutant("src/bhhpm/scalars.py", "s[0] ^ t[0], quot", "s[0], quot",
+           "the quotient's sign is the product of its operands' signs"),
+    # the problem's constants, the wave and the Taylor oracle
     Mutant("src/bhhpm/problem.py", "Fraction(s, dfrac.denominator)", "Fraction(s, 1)",
            "the root of a discriminant with a denominator"),
+    Mutant("src/bhhpm/waves.py", "mpf_neg(speed_t)", "speed_t",
+           "the wave's phase is x - speed*t + x0"),
     Mutant("src/bhhpm/waves.py", "tau = [1 / (1 + mpmath.exp(-z))], [1 / (1 + mpmath.exp(z))]",
            "tau = [1 / (1 + mpmath.exp(-z))], [1 - 1 / (1 + mpmath.exp(-z))]",
            "the oracle keeps its digits where sigma -> 1"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
-from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_neg
+from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_div, mpf_mul, mpf_neg
 
 from bhhpm import (
     BHProblem,
@@ -271,7 +271,7 @@ class TestEvalf:
         (math.isqrt(3 * 10**80), -10**40), (-math.isqrt(3 * 10**80), 10**40),
         (10**40 + 1, -(3 * 10**38 + 7)), (-(10**40 + 1), 3 * 10**38 + 7), (5, 0), (-5, 0),
         # a numerator long enough that its top bits alone make the quotient, and
-        # one short enough for mpf_rdiv_int
+        # one short enough that the whole of it is divided
         (math.isqrt(3 * 10**400), -10**200), (2, -1),
     ])
     def test_route_read_from_signs(self, u, v):
@@ -323,14 +323,16 @@ def signed_integers(max_bits: int):
 @st.composite
 def surd_inputs(draw):
     """(u, v, d, den, scale, shift) for ``surd_value``: both signs, u near -v*sqrt(d)
-    half the time, odd and even den, a scale of up to 3000 bits (0 among them)."""
+    half the time, odd and even den of up to 64 or of up to 2000 bits (wider than the
+    precision, as a big-denominator front's den is), a scale of up to 3000 bits (0
+    among them)."""
     d = draw(st.sampled_from([2, 3, 5, 999950891]))
     v = draw(signed_integers(400))
     if v and draw(st.booleans()):
         u = (-1 if v > 0 else 1) * math.isqrt(v * v * d) + draw(st.integers(-3, 3))
     else:
         u = draw(signed_integers(400))
-    den = draw(st.integers(1, 1 << 64)) << draw(st.integers(0, 3))
+    den = draw(st.integers(1, 1 << 64) | st.integers(1, 1 << 2000)) << draw(st.integers(0, 3))
     return u, v, d, den, draw(signed_integers(3000)), draw(st.integers(0, 5000))
 
 
@@ -338,7 +340,7 @@ def surd_inputs(draw):
 @given(args=surd_inputs(), digits=st.sampled_from([30, 45, 300]))
 def test_surd_value_keeps_the_bits_of_the_mpf_route(args, digits):
     # every route: the sum where u*v >= 0, the conjugate quotient (from the
-    # numerator's top bits or by mpf_rdiv_int), scale 0, and den*2^shift
+    # numerator's top bits or from all of it), scale 0, and den*2^shift
     u, v, d, den, scale, shift = args
     with working_dps(digits):
         expected = mpmath.ldexp(fresh_surd(u * scale, v * scale, d) / den, -shift)
@@ -348,7 +350,9 @@ def test_surd_value_keeps_the_bits_of_the_mpf_route(args, digits):
 @st.composite
 def raw_pairs(draw):
     """(s, t, prec): two raw values of at most prec bits, mantissas of either sign and
-    often a power of 2 or all ones.  t's exponent lies about 100 below s's, or t's top
+    often a power of 2 or all ones; unless t is zero or s's half unit, s may have prec + 1
+    to 4*prec bits instead (a wide numerator or divisor, or an addend as wide as those
+    ``_plus_int`` hands to ``_sum``).  t's exponent lies about 100 below s's, or t's top
     bit about prec + 4 below s's top (either side of both edges of mpf_add's sticky
     branch), or a few bits away; or t is -s (exact cancellation), zero, s's half unit
     (a tie, which carries s's all ones up to a power of 2), or lies a little more than
@@ -362,7 +366,8 @@ def raw_pairs(draw):
         return from_man_exp(man if (sign or draw(st.sampled_from([1, -1]))) > 0 else -man, exp)
 
     kind = draw(st.sampled_from(["offset", "top", "near", "cancel", "zero", "tie", "borrow"]))
-    s = value(draw(st.integers(-1200, 1200)))
+    wide = kind not in ("zero", "tie") and draw(st.booleans())
+    s = value(draw(st.integers(-1200, 1200)), draw(st.integers(prec + 1, 4 * prec)) if wide else 0)
     if kind == "tie":
         s = from_man_exp((s[1] | 1 << (prec - 1) | 1) * (-1 if s[0] else 1), s[2])  # prec bits
         t = from_man_exp(draw(st.sampled_from([1, -1])), s[2] - 1)
@@ -386,11 +391,15 @@ def raw_pairs(draw):
 # its own: the exact sum borrows down to 1 - 2^-53, and a sticky bit would not
 @example(args=(from_man_exp(-1, 0), from_man_exp(1, -300), 53))
 @example(args=(from_man_exp(-1, 0), from_man_exp((1 << 53) - 3, -106), 53))
+# a 202-bit numerator whose top bits, divided by 3, leave no remainder and end exactly
+# half a unit past 53 bits: only its last bit, below them, rounds the quotient up
+@example(args=(from_man_exp(3 * ((1 << 200) + (1 << 147)) + 1, 0), from_man_exp(3, 0), 53))
 def test_raw_helpers_keep_the_bits_of_libmp(args):
     # the one-normalize sum, product and quotient round as mpf_add, mpf_mul and
-    # mpf_abs(mpf_div) do, in both sticky branches of the sum and in its exact one
+    # mpf_div do, in both sticky branches of the sum and in its exact one, and in
+    # the quotient's truncating branch
     s, t, prec = args
     assert _sum(s, t, prec) == mpf_add(s, t, prec, RND)
     assert _product(s, t, prec) == mpf_mul(s, t, prec, RND)
     if t != fzero:
-        assert _quotient(s, t, prec) == mpf_abs(mpf_div(s, t, prec, RND))
+        assert _quotient(s, t, prec) == mpf_div(s, t, prec, RND)
