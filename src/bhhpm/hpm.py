@@ -35,7 +35,9 @@ pairs and a step builds no ``QuadraticNumber`` or ``Fraction``.
 the only route to numbers, rounds sigma once per point to a binary value, runs
 Horner's rule on q there and returns raw libmp values, which ``profiles_at``
 makes mpf objects and ``partial_sum_at`` and ``build_error_table`` sum raw, both
-by ``scalars.running_sums``; sigma's sum, product and quotient are those of ``scalars``.
+by ``scalars.running_sums`` on the powers of t of ``scalars.powers``; sigma's sum,
+product and quotient are those of ``scalars``.  Only ``mpf_exp``, and ``mpf_pow_int``
+past 1000 bits, keep libmp's own calls.
 The published closed forms serve as test oracles.
 """
 
@@ -48,13 +50,13 @@ from typing import Iterable
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import fone, mpf_exp, mpf_pow_int, mpf_sign
+from mpmath.libmp import fone, mpf_exp, mpf_sign
 
 from .errors import AlgebraDomainError, ContractViolation, UnsupportedProblemError
 from .problem import BHProblem
 from .scalars import (
     DEFAULT_DIGITS, RND, ZERO, QuadraticNumber, ScalarLike, _product, _quotient, _sum,
-    running_sums, surd_value, to_value, working_dps,
+    powers, running_sums, surd_value, to_value, working_dps,
 )
 from .waves import TravelingWave
 
@@ -375,9 +377,9 @@ class HPMExpansion:
                 f"partial sum of {m} terms requested; have {self.order + 1}"
             )
         with working_dps(digits):
-            prec, time = mpmath.mp.prec, to_value(t)
-            powers = [mpf_pow_int(time, k, prec, RND) for k in range(m)]
-            return mpmath.mp.make_mpf(running_sums(self._values_at(to_value(x)), powers, prec)[-1])
+            prec = mpmath.mp.prec
+            t_powers = powers(to_value(t), m, prec)
+            return mpmath.mp.make_mpf(running_sums(self._values_at(to_value(x)), t_powers, prec)[-1])
 
 
 def run_hpm(problem: BHProblem, order: int) -> HPMExpansion:

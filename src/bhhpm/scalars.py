@@ -9,8 +9,9 @@ int, Fraction or QuadraticNumber into a raw ``mpmath.libmp`` value at
 ``to_mpf`` into an mpf object; no other module rounds an exact value.  Each of its
 roundings, and each sum, product and quotient of raw values in sigma, the wave, the
 running sums and the table cells, is the mpf operator's, made by one libmp ``normalize``
-on exact integers (``_sum``, ``_product``, ``_quotient``); only exp and the powers of t
-keep libmp's own calls.  Where a and b*sqrt(d) cancel it goes through the conjugate, so
+on exact integers (``_sum``, ``_product``, ``_quotient``), and so is each power of t
+(``powers``, the exact integer power) while its exact mantissa stays below 1000 bits;
+only ``mpf_exp``, and ``mpf_pow_int`` past 1000 bits, keep libmp's own calls.  Where a and b*sqrt(d) cancel it goes through the conjugate, so
 no digits are lost.  sqrt(d) and each QuadraticNumber are rounded once per working precision.
 """
 
@@ -23,10 +24,10 @@ from typing import Union
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import from_int, fzero, normalize
+from mpmath.libmp import from_int, fzero, mpf_pow_int, normalize
 from mpmath.libmp import round_nearest as RND  # the rounding of every mpf operator
 
-from .errors import AlgebraDomainError
+from .errors import AlgebraDomainError, ContractViolation, EvaluationError
 
 #: Default number of significant decimal digits for numeric rendering.
 DEFAULT_DIGITS = 30
@@ -44,7 +45,10 @@ ScalarLike = Union[int, Fraction, "QuadraticNumber"]
 
 
 def working_dps(digits: int):
-    """mpmath context manager running at ``digits`` plus guard digits."""
+    """mpmath context manager running at ``digits`` plus guard digits; every public
+    entry that takes ``digits`` goes through it, so digits < 1 raise ContractViolation."""
+    if digits < 1:
+        raise ContractViolation(f"digits must be at least 1 (got {digits})")
     return mpmath.workdps(digits + GUARD_DIGITS)
 
 
@@ -245,7 +249,7 @@ def _rounded(man: int, exp: int, prec: int) -> tuple:
 
 
 def _sum(s: tuple, t: tuple, prec: int) -> tuple:
-    """s + t as ``mpf_add(s, t, prec, RND)`` for two normalized nonzero raw values of any
+    """s + t as ``mpf_add(s, t, prec, RND)`` for two normalized finite raw values of any
     width: exact, but where the exponents lie over 100 and the tops over prec + 4 bits
     apart, the smaller is kept only as a sticky -1 or +1 that far below the larger, whose
     sign the sum takes.  A zero operand returns the other as it is."""
@@ -265,13 +269,14 @@ def _sum(s: tuple, t: tuple, prec: int) -> tuple:
 
 
 def _product(s: tuple, t: tuple, prec: int) -> tuple:
-    """s*t rounded as ``mpf_mul(s, t, prec, RND)`` rounds it: the exact product, rounded once."""
+    """s*t for finite raw values, rounded as ``mpf_mul(s, t, prec, RND)`` rounds it: the
+    exact product, rounded once."""
     man = s[1] * t[1]
     return normalize(s[0] ^ t[0], man, s[2] + t[2], man.bit_length(), prec, RND)
 
 
 def _quotient(s: tuple, t: tuple, prec: int) -> tuple:
-    """s/t for raw values of any width, t nonzero, rounded as ``mpf_div(s, t, prec, RND)``
+    """s/t for finite raw values of any width, t nonzero, rounded as ``mpf_div(s, t, prec, RND)``
     rounds it: an integer quotient of prec + 4 or more bits and a sticky bit for any
     remainder, each branch a correct rounding of s/t.  Past prec + t's bits + 5, only
     the numerator's top bits divide, and the bits below them join the sticky bit."""
@@ -286,9 +291,25 @@ def _quotient(s: tuple, t: tuple, prec: int) -> tuple:
     return normalize(s[0] ^ t[0], quot, s[2] - t[2] - extra, quot.bit_length(), prec, RND)
 
 
+def powers(time: tuple, count: int, prec: int) -> list[tuple]:
+    """t^0..t^(count - 1) for a finite raw value t, as ``mpf_pow_int(t, k, prec, RND)``
+    gives them: while t's bits times k stay below 1000, the exact integer power man^k,
+    rounded once, as libmp rounds it there; from there on libmp's own binary
+    exponentiation, which truncates its partial powers, so its bits are kept."""
+    sign, man, exp, bc = time
+    values, power = [], 1
+    for k in range(count):
+        if bc * k >= 1000:
+            values.append(mpf_pow_int(time, k, prec, RND))
+        else:
+            values.append(normalize(sign & k, power, exp * k, power.bit_length(), prec, RND))
+            power *= man
+    return values
+
+
 def running_sums(values: list[tuple], powers: list[tuple], prec: int) -> list[tuple]:
-    """S_1, S_2, ..: the running sums of values[k]*powers[k] for raw values of at
-    most prec bits, one per pair, each product and sum rounded by ``_product`` and ``_sum``."""
+    """S_1, S_2, ..: the running sums of values[k]*powers[k] for finite raw values of
+    at most prec bits, one per pair, each product and sum rounded by ``_product`` and ``_sum``."""
     total, sums = fzero, []
     for c, power in zip(values, powers):
         total = _sum(total, _product(c, power, prec), prec)
@@ -297,7 +318,7 @@ def running_sums(values: list[tuple], powers: list[tuple], prec: int) -> list[tu
 
 
 def _plus_int(r: tuple, n: int, prec: int) -> tuple:
-    """r + n for a nonzero raw value r of at most prec bits and an integer n, rounded as
+    """r + n for a finite nonzero raw value r of at most prec bits and an integer n, rounded as
     ``mpf_add(r, from_int(n), prec, RND)`` rounds it: one integer sum at the lower of r's
     exponent and 0, rounded once.  Where n outweighs r by more than prec + 4 bits, mpf_add
     keeps r only as a sticky bit, which can round otherwise than the exact sum once n has
@@ -343,14 +364,19 @@ def _quadratic_value(value: QuadraticNumber, prec: int) -> tuple:
 
 
 def to_value(value) -> tuple:
-    """An int, Fraction, QuadraticNumber or mpf as a raw value at the current
+    """An int, Fraction, QuadraticNumber or finite mpf as a raw value at the current
     working precision; a + b*sqrt(d) goes over one denominator first, once
-    per value and precision (``mpmath.mp.prec``)."""
+    per value and precision (``mpmath.mp.prec``).  NaN and +-inf, which libmp stores
+    with mantissa 0 and a nonzero exponent, raise EvaluationError: the raw helpers
+    take finite values alone, and would read them as zero."""
     if isinstance(value, QuadraticNumber):
         return _quadratic_value(value, mpmath.mp.prec)
     if isinstance(value, Fraction):
         return surd_value(value.numerator, 0, 0, value.denominator)
-    return mpf(value)._mpf_
+    raw = mpf(value)._mpf_
+    if not raw[1] and raw[2]:
+        raise EvaluationError(f"{value} is not a finite number")
+    return raw
 
 
 def to_mpf(value) -> mpf:

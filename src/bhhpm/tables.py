@@ -2,11 +2,12 @@
 
 A table cell holds |S_m(x,t) - u_exact(x,t)| / |u_exact(x,t)| in extended
 precision (the units the reference tables print; multiply by 100 for
-percent), formed on raw ``mpmath.libmp`` values: per table, each t, t^k and
-speed*t are rounded once; per x, x is and the expansion gives c_0(x)..c_K(x);
-per (x, t), the wave gives u_exact, and S_m is a running sum of c_k(x)*t^k; per
-cell, S_m - u_exact and one quotient by u_exact remain, each one libmp ``normalize``
-on exact integers, and the cell, its sign cleared, becomes an mpf.  The wave is that of
+percent), formed on raw ``mpmath.libmp`` values: per table, each t, -speed*t and
+t^k (``scalars.powers``) and the wave's constants are rounded once; per x, x is and the
+expansion gives c_0(x)..c_K(x); per (x, t), the wave gives u_exact, and S_m is a running
+sum of c_k(x)*t^k; per cell, S_m - u_exact and one quotient by u_exact remain, each one
+libmp ``normalize`` on exact integers, and the cell, its sign cleared, becomes an mpf.
+Only ``mpf_exp``, and ``mpf_pow_int`` past 1000 bits, keep libmp's own calls.  The wave is that of
 the expansion's problem: its logistic form gamma/(1 + exp(z)) is nonzero at
 every point of a front the series accepts, so every cell is a number.
 Against the reference tables, each cell's verdict is set from its two numbers alone.
@@ -19,13 +20,13 @@ from typing import IO, Iterable, Sequence
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import mpf_neg, mpf_pow_int
+from mpmath.libmp import mpf_neg
 
 from . import golden
 from .errors import ContractViolation
 from .hpm import HPMExpansion
 from .scalars import (
-    DEFAULT_DIGITS, RND, _product, _quotient, _sum, running_sums, to_value, working_dps,
+    DEFAULT_DIGITS, _quotient, _sum, powers, running_sums, to_value, working_dps,
 )
 from .waves import TravelingWave
 
@@ -108,17 +109,16 @@ def build_error_table(
     cells: list[list[list[mpf]]] = [[[] for _ in orders] for _ in ts]
     with working_dps(digits):
         prec, times = mpmath.mp.prec, [to_value(t) for t in ts]
-        powers = [[mpf_pow_int(time, k, prec, RND) for k in range(max(orders, default=0))]
-                  for time in times]
-        speed_ts = [_product(to_value(wave.problem.speed), time, prec) for time in times]
+        count, constants, make_mpf = max(orders, default=0), wave._constants(), mpmath.mp.make_mpf
+        per_time = [(wave._lag(time), powers(time, count, prec)) for time in times]
         for x in map(to_value, xs):
             profiles = expansion._values_at(x)
-            for speed_t, t_powers, block in zip(speed_ts, powers, cells):
-                exact = wave._value_at(x, speed_t)
+            for (lag, t_powers), block in zip(per_time, cells):
+                exact = wave._value_at(x, lag, constants)
                 minus, sums = mpf_neg(exact), running_sums(profiles, t_powers, prec)
                 for m, row in zip(orders, block):
                     _, man, exp, bc = _quotient(_sum(sums[m - 1], minus, prec), exact, prec)
-                    row.append(mpmath.mp.make_mpf((0, man, exp, bc)))
+                    row.append(make_mpf((0, man, exp, bc)))
     return ErrorTable(
         orders=orders, ts=ts, xs=xs, cells=cells, case_id=case_id, precision=digits
     )

@@ -35,15 +35,25 @@ class TravelingWave:
     def eval_at(self, x, t, digits: int = DEFAULT_DIGITS) -> mpf:
         """Wave value, relative error below ``10**(-digits + 4)``."""
         with working_dps(digits):
-            speed_t = _product(to_value(self.problem.speed), to_value(t), mpmath.mp.prec)
-            return mpmath.mp.make_mpf(self._value_at(to_value(x), speed_t))
+            lag = self._lag(to_value(t))
+            return mpmath.mp.make_mpf(self._value_at(to_value(x), lag, self._constants()))
 
-    def _value_at(self, x: tuple, speed_t: tuple) -> tuple:
-        """u at the raw values x and speed*t, as a raw value at the working precision."""
-        p, prec = self.problem, mpmath.mp.prec
-        phase = _sum(_sum(x, mpf_neg(speed_t), prec), to_value(p.x0), prec)
-        growth = mpf_exp(mpf_neg(_product(to_value(p.rate), phase, prec)), prec, RND)
-        base = _quotient(to_value(p.gamma), _sum(growth, fone, prec), prec)
+    def _constants(self) -> tuple[tuple, tuple, tuple]:
+        """The front's rate, x0 and gamma as raw values at the working precision."""
+        p = self.problem
+        return to_value(p.rate), to_value(p.x0), to_value(p.gamma)
+
+    def _lag(self, time: tuple) -> tuple:
+        """-speed*t at the raw value t, as a raw value at the working precision."""
+        return mpf_neg(_product(to_value(self.problem.speed), time, mpmath.mp.prec))
+
+    def _value_at(self, x: tuple, lag: tuple, constants: tuple[tuple, tuple, tuple]) -> tuple:
+        """u at the raw values x and lag = -speed*t (``_lag``), with the front's
+        ``_constants``, as a raw value at the working precision."""
+        (rate, x0, gamma), p, prec = constants, self.problem, mpmath.mp.prec
+        phase = _sum(_sum(x, lag, prec), x0, prec)
+        growth = mpf_exp(mpf_neg(_product(rate, phase, prec)), prec, RND)
+        base = _quotient(gamma, _sum(growth, fone, prec), prec)
         if p.n == 1:
             return base
         if mpf_sign(base) < 0:
@@ -75,9 +85,9 @@ class TravelingWave:
         the Taylor series of u(x, .) about t = 0: the distance to the nearest
         pole of sigma.  Infinite where u does not move (c = 0)."""
         p = self.problem
-        if p.speed.is_zero() or p.rate.is_zero():
-            return mpmath.inf
         with working_dps(digits):
+            if p.speed.is_zero() or p.rate.is_zero():
+                return mpmath.inf
             pole = mpmath.pi / to_mpf(p.rate)
             return +(mpmath.hypot(to_mpf(x) + to_mpf(p.x0), pole) / abs(to_mpf(p.speed)))
 

@@ -105,10 +105,17 @@ MUTANTS = [
            "the quotient keeps bits below the precision before its sticky bit"),
     Mutant("src/bhhpm/scalars.py", "s[0] ^ t[0], quot", "s[0], quot",
            "the quotient's sign is the product of its operands' signs"),
+    # the powers of t, and the boundary that keeps non-finite values from the raw helpers
+    Mutant("src/bhhpm/scalars.py", "if bc * k >= 1000:", "if False:",
+           "past 1000 bits a power of t is mpf_pow_int's, whose partial powers truncate"),
+    Mutant("src/bhhpm/scalars.py", "            power *= man\n", "            power = man\n",
+           "the exact power of t advances by one factor of t's mantissa per k"),
+    Mutant("src/bhhpm/scalars.py", "if not raw[1] and raw[2]:", "if False:",
+           "a NaN or +-inf input raises instead of being read as zero"),
     # the problem's constants, the wave and the Taylor oracle
     Mutant("src/bhhpm/problem.py", "Fraction(s, dfrac.denominator)", "Fraction(s, 1)",
            "the root of a discriminant with a denominator"),
-    Mutant("src/bhhpm/waves.py", "mpf_neg(speed_t)", "speed_t",
+    Mutant("src/bhhpm/waves.py", "return mpf_neg(_product(", "return (_product(",
            "the wave's phase is x - speed*t + x0"),
     Mutant("src/bhhpm/waves.py", "tau = [1 / (1 + mpmath.exp(-z))], [1 / (1 + mpmath.exp(z))]",
            "tau = [1 / (1 + mpmath.exp(-z))], [1 - 1 / (1 + mpmath.exp(-z))]",

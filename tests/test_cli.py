@@ -275,6 +275,12 @@ class TestUsageErrors:
         assert "--config PATH" in result.stdout
 
 
+#: This checkout's src ahead of any inherited PYTHONPATH: a subprocess imports this
+#: bhhpm, and still finds dependencies that reach it through PYTHONPATH.
+SRC_PATH = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+
+
 class TestImports:
     """The CLI starts without click, dataclasses or inspect."""
 
@@ -282,7 +288,7 @@ class TestImports:
     def test_import_set(self, module):
         code = (f"import sys, {module}; "
                 "print(' '.join(m for m in ('click', 'dataclasses', 'inspect') if m in sys.modules))")
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        env = {**os.environ, "PYTHONPATH": SRC_PATH}
         loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                 text=True, check=True).stdout.split()
         assert loaded == []
@@ -329,7 +335,7 @@ class TestClosedStdout:
         # no reader ever exists, so the first write (unbuffered) or the flush
         # (buffered) fails
         env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = SRC_PATH
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         read, write = os.pipe()

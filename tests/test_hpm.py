@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 from bhhpm import BHProblem, case_preset, deng_wave, max_taylor_deviation, run_hpm, working_dps
-from bhhpm.errors import ContractViolation, ProblemDomainError, UnsupportedProblemError
+from bhhpm.errors import (
+    ContractViolation, EvaluationError, ProblemDomainError, UnsupportedProblemError,
+)
 from bhhpm.hpm import (
     MAX_SHIFT, HPMExpansion, _closed_form, _coeffs, _delta, _lattice, _operator_factors,
     _sum_products,
@@ -390,6 +392,40 @@ class TestPartialSums:
             expansions[1].partial_sum_at(8, 0, 0, 30)
         with pytest.raises(ContractViolation):
             expansions[1].partial_sum_at(0, 0, 0, 30)
+
+
+NAN, INF = mpf("nan"), mpf("inf")
+
+
+class TestPublicInputs:
+    """A NaN or +-inf x or t, or digits below 1, raises instead of giving a finite
+    wrong value: the raw helpers read libmp's NaN and +-inf, mantissa 0, as zero."""
+
+    @pytest.mark.parametrize("call", [
+        lambda e, w: e.profiles_at(NAN),
+        lambda e, w: e.profiles_at(INF),
+        lambda e, w: e.profiles_at(-INF),
+        lambda e, w: w.eval_at(1, NAN),
+        lambda e, w: w.eval_at(INF, 0),
+        lambda e, w: e.partial_sum_at(2, 1, NAN),
+        lambda e, w: w.t_radius(NAN),
+    ], ids=["profiles-nan", "profiles-inf", "profiles-minus-inf", "eval-t-nan", "eval-x-inf",
+            "partial-sum-t-nan", "t-radius-nan"])
+    def test_non_finite_point_raises(self, expansions, call):
+        with pytest.raises(EvaluationError):
+            call(expansions[1], TravelingWave(case_preset(1)))
+
+    @pytest.mark.parametrize("digits", [-5, 0])
+    def test_digits_below_one_raise(self, expansions, digits):
+        # profiles_at(1, -5) ran at 5 working digits; every entry that takes digits refuses
+        e, w = expansions[1], TravelingWave(case_preset(1))
+        for call in (lambda: e.profiles_at(1, digits), lambda: e.partial_sum_at(2, 1, 0, digits),
+                     lambda: max_taylor_deviation(e, (0,), digits),
+                     lambda: build_error_table(e, w, (1,), (0,), (0,), digits),
+                     lambda: w.eval_at(1, 0, digits), lambda: w.t_radius(1, digits),
+                     lambda: w.time_taylor_coefficients(1, 2, digits)):
+            with pytest.raises(ContractViolation):
+                call()
 
 
 class TestTaylorMatching:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
-from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_div, mpf_mul, mpf_neg
+from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_pow_int
 
 from bhhpm import (
     BHProblem,
@@ -16,8 +16,10 @@ from bhhpm import (
     squarefree_decompose,
     working_dps,
 )
-from bhhpm.errors import AlgebraDomainError
-from bhhpm.scalars import RND, _product, _quotient, _sum, surd_value, to_mpf
+from bhhpm.errors import AlgebraDomainError, EvaluationError
+from bhhpm.scalars import (
+    RND, _product, _quotient, _sum, powers, surd_value, to_mpf, to_value,
+)
 
 
 def quad(a, b=0, d=0):
@@ -403,3 +405,33 @@ def test_raw_helpers_keep_the_bits_of_libmp(args):
     assert _product(s, t, prec) == mpf_mul(s, t, prec, RND)
     if t != fzero:
         assert _quotient(s, t, prec) == mpf_div(s, t, prec, RND)
+
+
+@st.composite
+def powers_inputs(draw):
+    """(t, count, prec): t of either sign or zero, with a mantissa of 1 to prec bits (often
+    a power of 2 or all ones) and an exponent anywhere in +-5000; count 0..12, so t's bits
+    times k cross 1000 at every precision but 53."""
+    prec = draw(st.sampled_from([53, 136, 1000, 3000]))
+    bits = draw(st.integers(1, prec))
+    top = 1 << (bits - 1)
+    man = draw(st.sampled_from([0, top, 2 * top - 1]) | st.integers(top, 2 * top - 1))
+    t = from_man_exp(draw(st.sampled_from([1, -1])) * man, draw(st.integers(-5000, 5000)))
+    return t, draw(st.integers(0, 12)), prec
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=powers_inputs())
+# a 200-bit t whose 6th power, 1200 bits exact, rounds to 200 bits otherwise than
+# mpf_pow_int's binary exponentiation, which truncates its partial powers there
+@example(args=(from_man_exp(0xEEC8BF0285647F65AEB926B97E420D5DC8D89A8ECC21263011, -200), 7, 200))
+def test_powers_keep_the_bits_of_mpf_pow_int(args):
+    t, count, prec = args
+    assert powers(t, count, prec) == [mpf_pow_int(t, k, prec, RND) for k in range(count)]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_to_value_rejects_non_finite_values(text):
+    # libmp stores these with mantissa 0, which every raw helper reads as zero
+    with pytest.raises(EvaluationError):
+        to_value(mpf(text))
