@@ -26,11 +26,11 @@ a content (a + b*sqrt(d))/den times an integer list q.  The step runs on Python
 ints and reduces each result by one gcd; a product that feeds only the rational or
 only the sqrt(d) sum (every one on presets 1 and 2) is convolved, each row scaled
 once, straight into it.  On a surd front every real product of one order's sums
-feeds both, and all their contents lie on one line (da, db) of Q(sqrt(d)): each is
-convolved the same way into a third sum, which is added to the two halves once, at
-the end of the sum.  N's constants are field products lifted once per problem
-(``_lattice``), and the square's 2 doubles a content, so the kernel only multiplies
-pairs and a step builds no ``QuadraticNumber`` or ``Fraction``.
+feeds both, and all their contents lie on one line (da, db) of Q(sqrt(d)), which the
+kernel checks: each is convolved the same way into a third sum, which is added to the
+two halves once, at the end of the sum.  N's constants are field products lifted
+once per problem (``_lattice``), and the square's 2 doubles a content, so the kernel
+only multiplies pairs and a step builds no ``QuadraticNumber`` or ``Fraction``.
 ``terms`` prints each c_k by Horner's rule on q (``_term_text``); ``_values_at``,
 the only route to numbers, rounds sigma once per point to a binary value, runs
 Horner's rule on q there and returns raw libmp values, which ``profiles_at``
@@ -56,7 +56,7 @@ from .errors import AlgebraDomainError, ContractViolation, UnsupportedProblemErr
 from .problem import BHProblem
 from .scalars import (
     DEFAULT_DIGITS, RND, ZERO, QuadraticNumber, ScalarLike, _product, _quotient, _sum,
-    powers, running_sums, surd_value, to_value, working_dps,
+    powers, running_sums, surd_value, to_value, whole, working_dps,
 )
 from .waves import TravelingWave
 
@@ -114,14 +114,13 @@ def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]], den: int = 1) -> P
     is scaled to the running denominator (what is summed is rescaled only when a pair's
     denominator does not divide it) and sized, the sums growing as longer products
     arrive.  A pair whose content product scales only one of the rational and sqrt(d)
-    sums convolves each row of P, scaled once, straight into that sum.  One that scales
-    both, with rows to convolve, lies on the sum's line (da, db) when its scales are an
-    integer multiple of it; the first such pair sets the line to its scales over their
-    gcd, and each one on it is convolved the same way into a third sum, ``line``, which
-    adds da*line and db*line to the two sums once at the end.  Any other such pair is
-    convolved the same way into each of the two sums.  A degree-0 P (its list being (1,))
-    that scales both adds Q's list to both in one pass; a pair that scales neither is
-    skipped.  Degree-0 P's: a linear combination.  Contents need not be reduced."""
+    sums convolves each row of P, scaled once, straight into that sum.  A degree-0 P (its
+    list being (1,)) that scales both adds Q's list to both in one pass; a pair that
+    scales neither is skipped.  Every other pair scales both and must lie on the sum's one
+    line (da, db), which the first of them sets to its scales over their gcd, or it raises
+    ContractViolation: each is convolved the same way into a third sum, ``line``, which
+    adds da*line and db*line to the two sums once at the end.  Degree-0 P's: a linear
+    combination.  Contents need not be reduced."""
     a, b, line, common = [], [], [], 1
     da = db = 0
     for (x, y, pd, pq), (u, v, qd, qq) in pairs:
@@ -150,25 +149,20 @@ def _sum_products(d: int, pairs: Iterable[tuple[Poly, Poly]], den: int = 1) -> P
             if not da:  # the sum's first real product sets its line
                 g = math.gcd(sa, sb)
                 da, db = sa // g, sb // g
-            if sa * db == sb * da:
-                if size > len(line):
-                    line += [0] * (size - len(line))
-                total, scale = line, sa // da  # exact: (da, db) is primitive
-            else:  # off the line: the rational half, then the sqrt(d) half
-                total, scale = a, sa
+            if sa * db != sb * da:
+                raise ContractViolation("a product leaves its sum's line in Q(sqrt(d))")
+            if size > len(line):
+                line += [0] * (size - len(line))
+            total, scale = line, sa // da  # exact: (da, db) is primitive
         elif sa or sb:
             total, scale = (a, sa) if sa else (b, sb)
         else:
             continue
-        while True:
-            for i, c in enumerate(pq):
-                if c:
-                    c *= scale
-                    for j, e in enumerate(qq, i):
-                        total[j] += c * e
-            if total is not a or not sb:
-                break
-            total, scale = b, sb
+        for i, c in enumerate(pq):
+            if c:
+                c *= scale
+                for j, e in enumerate(qq, i):
+                    total[j] += c * e
     for j, c in enumerate(line):
         a[j] += da * c
         b[j] += db * c
@@ -372,6 +366,7 @@ class HPMExpansion:
 
     def partial_sum_at(self, m: int, x, t, digits: int = DEFAULT_DIGITS) -> mpf:
         """S_m(x, t) = c_0(x) + c_1(x)*t + .. + c_(m-1)(x)*t^(m-1)."""
+        m = whole(m, "m")
         if not 1 <= m <= self.order + 1:
             raise ContractViolation(
                 f"partial sum of {m} terms requested; have {self.order + 1}"
@@ -384,8 +379,9 @@ class HPMExpansion:
 
 def run_hpm(problem: BHProblem, order: int) -> HPMExpansion:
     """Compute terms v_0..v_order exactly."""
+    order = whole(order, "order")
     if order < 1:
-        raise ContractViolation("order must be at least 1")
+        raise ContractViolation(f"order must be at least 1 (got {order})")
     expansion = HPMExpansion.start(problem)
     for _ in range(order):
         expansion = expansion.advanced()

@@ -2,10 +2,10 @@
 
 The PDE is  u_t = u_xx - alpha*u^n*u_x + beta*u*(1-u^n)*(u^n-gamma)  with
 positive integer n.  Every problem carries the exact derived quantities of
-its traveling-wave front: the discriminant rho^2 = alpha^2 + 4*beta*(n+1),
-the square-free radicand d underneath rho, the front steepness kappa, its
-rate 2*s*kappa (s = +1 on the upper branch, -1 on the lower), the front
-speed, and the amplitude gamma/2.  The "upper" branch takes the top
+its traveling-wave front: the square-free radicand d underneath rho, the root of
+the discriminant alpha^2 + 4*beta*(n+1), the front steepness kappa, its rate
+2*s*kappa (s = +1 on the upper branch, -1 on the lower) and the front speed.
+The front's amplitude is gamma/2.  The "upper" branch takes the top
 sign of every +/- pair in the two-parameter wave family, "lower" the bottom
 sign; that pairing is the only one consistent with all of the built-in
 benchmark cases and it is validated exactly in the test suite.
@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Literal
 
 from .errors import ProblemDomainError
-from .scalars import ZERO, QuadraticNumber, ScalarLike, squarefree_decompose
+from .scalars import ZERO, QuadraticNumber, ScalarLike, squarefree_decompose, whole
 
 Branch = Literal["upper", "lower"]
 
@@ -37,7 +37,7 @@ class BHProblem:
         self.alpha = QuadraticNumber.coerce(alpha)
         self.beta = QuadraticNumber.coerce(beta)
         self.gamma = QuadraticNumber.coerce(gamma)
-        self.n = n
+        self.n = whole(n, "n", ProblemDomainError)
         self.branch = branch
         self.x0 = QuadraticNumber.coerce(x0)
         if self.n < 1:
@@ -82,14 +82,11 @@ class BHProblem:
         speed = (
             (self.alpha - sign * rho) * self.gamma + (self.alpha + sign * rho) * n1
         ) * Fraction(1, 2 * n1)
-        amplitude = self.gamma * Fraction(1, 2)
 
-        self.discriminant = dfrac
         self.radicand = d
         self.kappa = kappa
         self.rate = kappa * (2 * sign)  # d(sigma)/dx = rate*sigma*(1 - sigma)
         self.speed = speed
-        self.amplitude = amplitude
         self._hash: int | None = None  # set on first use: the cache key of every series step
 
     def _key(self) -> tuple:

@@ -18,6 +18,7 @@ no digits are lost.  sqrt(d) and each QuadraticNumber are rounded once per worki
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -50,6 +51,15 @@ def working_dps(digits: int):
     if digits < 1:
         raise ContractViolation(f"digits must be at least 1 (got {digits})")
     return mpmath.workdps(digits + GUARD_DIGITS)
+
+
+def whole(value, name: str, error: type[Exception] = ContractViolation) -> int:
+    """``value`` as an int, by ``operator.index`` (so an int or a NumPy integer, not a
+    float or a string); anything else raises ``error``, naming the value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer (got {value!r})") from None
 
 
 @lru_cache(maxsize=64)

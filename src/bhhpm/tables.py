@@ -23,10 +23,10 @@ from mpmath import mpf
 from mpmath.libmp import mpf_neg
 
 from . import golden
-from .errors import ContractViolation
+from .errors import ContractViolation, EvaluationError
 from .hpm import HPMExpansion
 from .scalars import (
-    DEFAULT_DIGITS, _quotient, _sum, powers, running_sums, to_value, working_dps,
+    DEFAULT_DIGITS, _quotient, _sum, powers, running_sums, to_value, whole, working_dps,
 )
 from .waves import TravelingWave
 
@@ -58,6 +58,18 @@ def fraction_str(value: Fraction) -> str:
     return f"{sign}{text[:-k]}.{text[-k:]}"
 
 
+def _exact(value, name: str) -> Fraction:
+    """A grid coordinate as ``Fraction(value)``, exact; a NaN or +-inf raises
+    EvaluationError, as ``to_value`` does, and anything else that Fraction does not
+    take ContractViolation, naming the value."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        if isinstance(value, (float, mpf)) and not mpmath.isfinite(value):
+            raise EvaluationError(f"{name} = {value} is not a finite number") from None
+        raise ContractViolation(f"{name} = {value!r} is no exact Fraction") from None
+
+
 class ErrorTable:
     """Grid of relative errors: ``cells[i][j][k]`` is the cell at ``ts[i]``,
     ``orders[j]`` and ``xs[k]``."""
@@ -73,7 +85,12 @@ class ErrorTable:
         self.precision = precision
 
     def cell(self, t: Fraction, m: int, x: Fraction) -> mpf:
-        i, j, k = self.ts.index(Fraction(t)), self.orders.index(m), self.xs.index(Fraction(x))
+        t, x = _exact(t, "t"), _exact(x, "x")
+        try:
+            i, j, k = self.ts.index(t), self.orders.index(m), self.xs.index(x)
+        except ValueError:
+            raise ContractViolation(f"the table has no cell at t = {fraction_str(t)}, "
+                                    f"m = {m!r}, x = {fraction_str(x)}") from None
         return self.cells[i][j][k]
 
     def rows(self) -> Iterable[tuple[Fraction, int, tuple[mpf, ...]]]:
@@ -97,9 +114,9 @@ def build_error_table(
 ) -> ErrorTable:
     """Evaluate every requested partial sum against the exact wave, which
     must be that of the expansion's problem."""
-    orders = tuple(orders)
-    ts = tuple(Fraction(t) for t in ts)
-    xs = tuple(Fraction(x) for x in xs)
+    orders = tuple(whole(m, "an order") for m in orders)
+    ts = tuple(_exact(t, "t") for t in ts)
+    xs = tuple(_exact(x, "x") for x in xs)
     if orders and not 1 <= min(orders) <= max(orders) <= expansion.order + 1:
         raise ContractViolation(
             f"table needs partial sums {orders}; expansion has {expansion.order + 1} terms"
@@ -198,7 +215,11 @@ def golden_compare(table: ErrorTable, case_id: int) -> GoldenComparison:
     PASS needs relative deviation <= 1e-3 wherever the reference cell is at
     least 1e-10 and a computed/reference ratio within [0.1, 10] below that.
     """
-    reference = golden.REFERENCE_TABLES[case_id]
+    try:
+        reference = golden.REFERENCE_TABLES[case_id]
+    except (KeyError, TypeError):  # TypeError: an unhashable case_id
+        raise ContractViolation(f"no reference table for case {case_id!r}; "
+                                "presets are 1, 2, 3") from None
     orders = golden.REFERENCE_ORDERS
     if set(table.ts) != set(golden.GRID_T) or set(table.xs) != set(golden.GRID_X):
         raise ContractViolation("table grid does not match the reference grid")
@@ -247,4 +268,4 @@ def emit_table(table: ErrorTable, fmt: str, stream: IO[str]) -> None:
     elif fmt == "markdown":
         stream.write(render_markdown(table))
     else:
-        raise ValueError(f"unknown table format {fmt!r}")
+        raise ContractViolation(f"unknown table format {fmt!r}")

@@ -21,9 +21,11 @@ import mpmath
 from mpmath import mpf
 from mpmath.libmp import fone, mpf_exp, mpf_neg, mpf_sign
 
-from .errors import EvaluationError, UnsupportedProblemError
+from .errors import ContractViolation, EvaluationError, UnsupportedProblemError
 from .problem import BHProblem
-from .scalars import DEFAULT_DIGITS, RND, _product, _quotient, _sum, to_mpf, to_value, working_dps
+from .scalars import (
+    DEFAULT_DIGITS, RND, _product, _quotient, _sum, to_mpf, to_value, whole, working_dps,
+)
 
 
 class TravelingWave:
@@ -67,8 +69,9 @@ class TravelingWave:
         p = self.problem
         if p.n != 1:
             raise UnsupportedProblemError("Taylor oracle requires n = 1")
+        order = whole(order, "order")
         if order < 0:
-            raise ValueError("order must be nonnegative")
+            raise ContractViolation(f"order must be nonnegative (got {order})")
         with working_dps(digits):
             rate = to_mpf(p.rate)
             z = rate * (to_mpf(x) + to_mpf(p.x0))

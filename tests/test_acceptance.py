@@ -121,7 +121,7 @@ def floor_verdict(comparison: GoldenComparison) -> tuple[list[CellCheck], list[s
     wave = deng_wave(case_preset(comparison.case_id))
     floor, rejected = [], []
     with working_dps(ORACLE_DIGITS):
-        bound = to_mpf(wave.problem.amplitude) * REFERENCE_U_ERROR
+        bound = to_mpf(wave.problem.gamma * Fraction(1, 2)) * REFERENCE_U_ERROR
         for check in comparison.failures():
             u = wave.eval_at(check.x, check.t, ORACLE_DIGITS)
             gap = abs(check.computed - check.reference) * abs(u)
@@ -260,7 +260,7 @@ class TestCriterion6:
             wave = deng_wave(problem)
             params_ok = params_ok and (
                 wave.problem.sign == sign
-                and wave.problem.amplitude == QuadraticNumber.coerce(amplitude)
+                and wave.problem.gamma * Fraction(1, 2) == QuadraticNumber.coerce(amplitude)
                 and wave.problem.kappa == kappa
                 and wave.problem.speed == speed
             )

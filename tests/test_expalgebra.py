@@ -168,7 +168,6 @@ class TestLatticeInvariant:
         f, g = (data.draw(on_line(phi, d, max_size=1)) for _ in range(2))
         weights = data.draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
         pairs_drawn = [[(p, q)], [(f, p), (g, q), (f, r)], [(p, q), (q, r), (r, p)]]
-        pairs_drawn.append([(data.draw(on_line(data.draw(lines(d)), d)), p)])  # any two lines
         # one sum of pairs on different lines: a rational, a sqrt(d) and a general
         # content product, each a multiple of the one rational F*G, and a degree-0
         # factor, so every pair's route through the kernel (a zero weight skips it)
@@ -185,10 +184,10 @@ class TestLatticeInvariant:
         # does not divide the running one: the kernel rescales what it has summed
         pairs_drawn.append([(_lattice([Fraction(1, 13)], d), p),
                             (_lattice([Fraction(1, 17)], d), q)])
-        # pairs on one general line, off it and as degree-0 factors on drawn lines,
-        # each with an optional twin that cancels it: every product is a multiple of
-        # one integer list F*G*H split four ways, the last a degree-0 factor, so any
-        # mix sums on one line, whichever real product sets the kernel's line
+        # pairs on one general line and degree-0 factors on drawn lines, each with an
+        # optional twin that cancels it: every product is a multiple of one integer
+        # list F*G*H split four ways, the last a degree-0 factor, so any mix sums on
+        # one line, whichever real product sets the kernel's line
         ints = st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(lambda k: k[-1])
         f1, f2, f3 = (data.draw(ints) for _ in range(3))
         splits = [(f1, convolve(f2, f3)), (convolve(f1, f2), f3), (f2, convolve(f1, f3)),
@@ -196,7 +195,7 @@ class TestLatticeInvariant:
         part = st.fractions(-9, 9, max_denominator=12).filter(bool)
         general = quad(data.draw(part), data.draw(part), d)  # scales both halves
         mixed = []
-        for kind in data.draw(st.lists(st.sampled_from(["on", "off", "factor"]),
+        for kind in data.draw(st.lists(st.sampled_from(["on", "factor"]),
                                        min_size=1, max_size=6)):
             rows, columns = splits[3] if kind == "factor" else data.draw(st.sampled_from(splits))
             content = general * data.draw(part) if kind == "on" else data.draw(lines(d))
@@ -235,33 +234,42 @@ def negated(p):
 
 
 class TestLineOfASum:
-    """A sum of products over Q(sqrt(d)) sums the pairs whose content products are
-    integer multiples of one direction (da, db), set by the first pair that scales
-    both halves and has rows to convolve, into one list, and every other pair as
-    it arrives; the result does not depend on the order of the pairs, so on which
-    pair sets the direction."""
+    """A sum of products over Q(sqrt(d)) sums the pairs that scale both halves, each
+    an integer multiple of one direction (da, db) set by the first of them that has
+    rows to convolve, into one list; the result does not depend on the order of the
+    pairs, so on which pair sets the direction.  A pair that scales both halves off
+    that line is a contract violation."""
 
-    def test_products_on_two_lines_and_a_factor_on_a_third(self):
+    def test_products_on_one_line_and_a_factor_on_another(self):
         # over Q(sqrt(2)), every product is a multiple of F*G (4 entries), so the sum
-        # stays on one line: contents 1 + sqrt(2) and its 3/2, off them 2 + sqrt(2),
-        # and the degree-0 factor 3 - sqrt(2); the 3/2 rescales what is summed
+        # stays on one line: contents 1 + sqrt(2) and its 3/2, and the degree-0
+        # factor 3 - sqrt(2) on a line of its own; the 3/2 rescales what is summed
         f, g = (1, 2), (3, -1, 4)
         fg = tuple(convolve(f, g))
-        pairs = [((1, 1, 1, g), (1, 0, 1, f)), ((2, 1, 1, f), (1, 0, 1, g)),
-                 ((3, -1, 1, (1,)), (1, 0, 1, fg)), ((3, 3, 2, f), (1, 0, 1, g))]
-        want = _lattice([quad(Fraction(15, 2), Fraction(5, 2), D) * k for k in fg], D)
+        pairs = [((1, 1, 1, g), (1, 0, 1, f)), ((3, -1, 1, (1,)), (1, 0, 1, fg)),
+                 ((3, 3, 2, f), (1, 0, 1, g))]
+        want = _lattice([quad(Fraction(11, 2), Fraction(3, 2), D) * k for k in fg], D)
         assert _coeffs(want, D) == schoolbook(pairs, D)
-        # each pair in turn sets the line (or the degree-0 factor comes first, which
-        # never does), and each of the others is on it, off it or a factor
+        # each product in turn sets the line (or the degree-0 factor comes first, which
+        # never does), and the others are on it or a factor
         for order in itertools.permutations(pairs):
             assert _sum_products(D, order) == want, order
         # pairs that cancel: on the line alone, the result is zero
-        on_line = [pairs[0], pairs[3]]
+        on_line = [pairs[0], pairs[2]]
         assert _sum_products(D, on_line + [(negated(p), q) for p, q in on_line]) == ZERO_POLY
         assert _sum_products(D, pairs + [(negated(p), q) for p, q in pairs]) == ZERO_POLY
         # a line alone folds to its canonical form
         assert _sum_products(D, on_line) == _lattice(
             [quad(Fraction(5, 2), Fraction(5, 2), D) * k for k in fg], D)
+
+    def test_products_on_two_lines_are_a_contract_violation(self):
+        # 1 + sqrt(2) and 2 + sqrt(2) both scale both halves, on different lines, though
+        # their sum (3 + 2*sqrt(2))*F*G lies on one: whichever comes first sets the line
+        f, g = (1, 2), (3, -1, 4)
+        pairs = [((1, 1, 1, g), (1, 0, 1, f)), ((2, 1, 1, f), (1, 0, 1, g))]
+        for order in (pairs, pairs[::-1]):
+            with pytest.raises(ContractViolation, match="leaves its sum's line"):
+                _sum_products(D, order)
 
 
 class TestCanonicalForm:

@@ -1,13 +1,16 @@
 """The public API: every name in ``bhhpm.__all__`` imports, and the
 benchmark in ``bench/`` imports only those names (``bench/README.md``
-promises that it measures the package through them)."""
+promises that it measures the package through them).  The mutation kit
+(``tests/mutants.py``) finds each of its texts once in the source."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import bhhpm
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+MUTANTS = Path(__file__).resolve().parent / "mutants.py"
 
 
 def test_every_exported_name_imports():
@@ -30,3 +33,12 @@ def test_bench_imports_only_exported_names():
     assert imported, "bench/ imports nothing from bhhpm"
     assert imported <= set(bhhpm.__all__), sorted(imported - set(bhhpm.__all__))
     assert not private, private
+
+
+def test_every_mutant_text_occurs_once():
+    # the kit's own first check, so a refactor that moves a mutant's text fails here
+    spec = importlib.util.spec_from_file_location("mutants", MUTANTS)
+    kit = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kit)
+    assert kit.MUTANTS
+    assert kit.check_texts() == []

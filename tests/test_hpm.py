@@ -1,4 +1,6 @@
 import hashlib
+import io
+import re
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -18,7 +20,7 @@ from bhhpm.hpm import (
     _sum_products,
 )
 from bhhpm.scalars import QuadraticNumber
-from bhhpm.tables import build_error_table
+from bhhpm.tables import build_error_table, emit_table, golden_compare
 from bhhpm.waves import TravelingWave
 
 from conftest import (
@@ -399,7 +401,9 @@ NAN, INF = mpf("nan"), mpf("inf")
 
 class TestPublicInputs:
     """A NaN or +-inf x or t, or digits below 1, raises instead of giving a finite
-    wrong value: the raw helpers read libmp's NaN and +-inf, mantissa 0, as zero."""
+    wrong value: the raw helpers read libmp's NaN and +-inf, mantissa 0, as zero.
+    A non-integer order, an unknown case, format or cell and a grid point that is
+    no exact rational raise ContractViolation, naming the value."""
 
     @pytest.mark.parametrize("call", [
         lambda e, w: e.profiles_at(NAN),
@@ -409,8 +413,12 @@ class TestPublicInputs:
         lambda e, w: w.eval_at(INF, 0),
         lambda e, w: e.partial_sum_at(2, 1, NAN),
         lambda e, w: w.t_radius(NAN),
+        lambda e, w: build_error_table(e, w, (1,), [INF], [0]),
+        lambda e, w: build_error_table(e, w, (1,), [0], [float("nan")]),
+        lambda e, w: build_error_table(e, w, (1,), [0], [-INF]),
     ], ids=["profiles-nan", "profiles-inf", "profiles-minus-inf", "eval-t-nan", "eval-x-inf",
-            "partial-sum-t-nan", "t-radius-nan"])
+            "partial-sum-t-nan", "t-radius-nan", "table-t-inf", "table-x-float-nan",
+            "table-x-minus-inf"])
     def test_non_finite_point_raises(self, expansions, call):
         with pytest.raises(EvaluationError):
             call(expansions[1], TravelingWave(case_preset(1)))
@@ -426,6 +434,26 @@ class TestPublicInputs:
                      lambda: w.time_taylor_coefficients(1, 2, digits)):
             with pytest.raises(ContractViolation):
                 call()
+
+    @pytest.mark.parametrize("call,named", [
+        (lambda e, w, table: run_hpm(case_preset(1), 2.5), "2.5"),
+        (lambda e, w, table: run_hpm(case_preset(1), "3"), "'3'"),
+        (lambda e, w, table: e.partial_sum_at(1.5, 1, Fraction(1, 10)), "1.5"),
+        (lambda e, w, table: build_error_table(e, w, (1.5,), (0,), (0,)), "1.5"),
+        (lambda e, w, table: w.time_taylor_coefficients(0, 2.5), "2.5"),
+        (lambda e, w, table: w.time_taylor_coefficients(0, -1), "-1"),
+        (lambda e, w, table: build_error_table(e, w, (1,), [mpf("0.1")], [0]), "t = mpf('0.1"),
+        (lambda e, w, table: golden_compare(table, 4), "4"),
+        (lambda e, w, table: emit_table(table, "xml", io.StringIO()), "'xml'"),
+        (lambda e, w, table: table.cell(Fraction(7, 10), 1, 1), "0.7"),
+    ], ids=["run-float-order", "run-str-order", "partial-sum-float-m", "table-float-order",
+            "taylor-float-order", "taylor-negative-order", "table-mpf-t", "golden-case-4",
+            "emit-xml", "cell-off-grid"])
+    def test_out_of_contract_argument_is_a_contract_violation(self, expansions, call, named):
+        e, w = expansions[1], TravelingWave(case_preset(1))
+        table = build_error_table(e, w, (1,), (Fraction(1, 10),), (1,))
+        with pytest.raises(ContractViolation, match=re.escape(named)):
+            call(e, w, table)
 
 
 class TestTaylorMatching:

@@ -11,21 +11,26 @@ from bhhpm.scalars import RND, to_value
 from conftest import FRONTS, STEEP_FRONTS, quad
 
 
+def discriminant(p: BHProblem):
+    """alpha^2 + 4*beta*(n + 1), the square of the front's rho."""
+    return p.alpha * p.alpha + 4 * (p.n + 1) * p.beta
+
+
 class TestPresets:
     def test_case1(self):
         p = case_preset(1)
         assert (p.alpha, p.beta, p.gamma, p.n, p.branch) == (0, 1, 1, 1, "upper")
-        assert p.discriminant == 8
+        assert discriminant(p) == 8
         assert p.radicand == 2
         assert p.kappa == quad(0, Fraction(1, 4), 2)       # sqrt(2)/4
         assert p.speed == quad(0, Fraction(1, 2), 2)       # sqrt(2)/2
-        assert p.amplitude == Fraction(1, 2)
+        assert p.gamma * Fraction(1, 2) == Fraction(1, 2)  # the amplitude
         assert p.sign == 1
 
     def test_case2(self):
         p = case_preset(2)
         assert (p.alpha, p.beta, p.gamma, p.branch) == (-1, 1, 1, "lower")
-        assert p.discriminant == 9
+        assert discriminant(p) == 9
         assert p.radicand == 1
         assert p.kappa == Fraction(1, 4)
         assert p.speed == Fraction(-3, 2)
@@ -34,11 +39,11 @@ class TestPresets:
     def test_case3(self):
         p = case_preset(3)
         assert (p.alpha, p.beta, p.gamma, p.branch) == (-2, 1, 3, "lower")
-        assert p.discriminant == 12
+        assert discriminant(p) == 12
         assert p.radicand == 3
         assert p.kappa == quad(Fraction(-3, 4), Fraction(3, 4), 3)     # (3*sqrt(3)-3)/4
         assert p.speed == quad(Fraction(-5, 2), Fraction(1, 2), 3)     # (sqrt(3)-5)/2
-        assert p.amplitude == Fraction(3, 2)
+        assert p.gamma * Fraction(1, 2) == Fraction(3, 2)  # the amplitude
 
     def test_unknown_preset(self):
         with pytest.raises(ProblemDomainError):
@@ -48,14 +53,14 @@ class TestPresets:
 class TestDiscriminantRoot:
     """kappa and the speed take rho = sqrt(p/q) = s*sqrt(d)/q, where p*q = s^2*d."""
 
-    @pytest.mark.parametrize("problem,discriminant,radicand,kappa,speed", [
+    @pytest.mark.parametrize("problem,disc,radicand,kappa,speed", [
         (BHProblem(0, Fraction(1, 16), 1), Fraction(1, 2), 2,
          quad(0, Fraction(1, 16), 2), quad(0, Fraction(1, 8), 2)),     # rho = sqrt(2)/2
         (BHProblem(Fraction(3, 2), 0, 1, branch="lower"), Fraction(9, 4), 1,
          Fraction(3, 8), Fraction(3, 4)),                               # rho = 3/2
     ], ids=["surd", "square"])
-    def test_root_over_the_denominator(self, problem, discriminant, radicand, kappa, speed):
-        assert (problem.discriminant, problem.radicand) == (discriminant, radicand)
+    def test_root_over_the_denominator(self, problem, disc, radicand, kappa, speed):
+        assert (discriminant(problem), problem.radicand) == (disc, radicand)
         assert problem.kappa == kappa
         assert problem.speed == speed
 
@@ -77,11 +82,16 @@ class TestValidation:
     def test_coercion_from_plain_numbers(self):
         p = BHProblem(alpha=0, beta=1, gamma=Fraction(1, 2), n=2)
         assert p.gamma == Fraction(1, 2)
-        assert p.discriminant == 12
+        assert discriminant(p) == 12
 
     def test_n_positive(self):
         with pytest.raises(ProblemDomainError):
             BHProblem(alpha=0, beta=1, gamma=1, n=0)
+
+    @pytest.mark.parametrize("n", [1.5, "1"])
+    def test_n_integer(self, n):
+        with pytest.raises(ProblemDomainError, match=f"got {n!r}"):
+            BHProblem(alpha=0, beta=1, gamma=1, n=n)
 
     def test_beta_nonnegative(self):
         with pytest.raises(ProblemDomainError):

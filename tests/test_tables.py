@@ -316,7 +316,7 @@ class TestEmission:
     def test_emit_rejects_unknown_format(self, tables):
         # the config resolves the md alias; emit_table takes the canonical name
         for fmt in ("md", "xml"):
-            with pytest.raises(ValueError, match="unknown table format"):
+            with pytest.raises(ContractViolation, match="unknown table format"):
                 emit_table(tables[1], fmt, io.StringIO())
 
     def test_plot_data(self, tables):

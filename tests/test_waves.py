@@ -6,7 +6,7 @@ import pytest
 from mpmath import mpf
 
 from bhhpm import BHProblem, HPMExpansion, case_preset, deng_wave, working_dps
-from bhhpm.errors import EvaluationError, UnsupportedProblemError
+from bhhpm.errors import ContractViolation, EvaluationError, UnsupportedProblemError
 from bhhpm.hpm import MAX_SHIFT
 from bhhpm.scalars import to_mpf
 from conftest import FRONTS, pde_residual, plain_wave_base, quad
@@ -27,7 +27,7 @@ class TestWaveParameters:
     def test_case1_closed_form(self):
         p = deng_wave(case_preset(1)).problem
         assert p.sign == 1
-        assert p.amplitude == Fraction(1, 2)
+        assert p.gamma * Fraction(1, 2) == Fraction(1, 2)  # the amplitude
         assert p.kappa == quad(0, Fraction(1, 4), 2)   # 1/(2*sqrt(2))
         assert p.speed == quad(0, Fraction(1, 2), 2)   # 1/sqrt(2)
         assert p.x0 == 0 and p.n == 1
@@ -35,14 +35,14 @@ class TestWaveParameters:
     def test_case2_closed_form(self):
         p = deng_wave(case_preset(2)).problem
         assert p.sign == -1
-        assert p.amplitude == Fraction(1, 2)
+        assert p.gamma * Fraction(1, 2) == Fraction(1, 2)  # the amplitude
         assert p.kappa == Fraction(1, 4)
         assert p.speed == Fraction(-3, 2)
 
     def test_case3_closed_form(self):
         p = deng_wave(case_preset(3)).problem
         assert p.sign == -1
-        assert p.amplitude == Fraction(3, 2)
+        assert p.gamma * Fraction(1, 2) == Fraction(3, 2)  # the amplitude
         assert p.kappa == quad(Fraction(-3, 4), Fraction(3, 4), 3)
         assert p.speed == quad(Fraction(-5, 2), Fraction(1, 2), 3)
 
@@ -146,7 +146,7 @@ class TestEvaluation:
             value = deng_wave(p).eval_at(x, t, 30)
             with working_dps(1200):
                 phase = to_mpf(p.kappa) * (x - to_mpf(p.speed) * to_mpf(t))
-                exact = to_mpf(p.amplitude) * (1 + p.sign * mpmath.tanh(phase))
+                exact = to_mpf(p.gamma * Fraction(1, 2)) * (1 + p.sign * mpmath.tanh(phase))
                 assert abs(value - exact) <= mpf("1e-35") * exact
 
 
@@ -208,7 +208,7 @@ class TestTaylorOracle:
                 assert mpmath.almosteq(total, w.eval_at(x, t, 40), rel_eps=mpf("1e-22"))
 
     def test_negative_order_rejected(self):
-        with pytest.raises(ValueError, match="order must be nonnegative"):
+        with pytest.raises(ContractViolation, match="order must be nonnegative"):
             deng_wave(case_preset(1)).time_taylor_coefficients(0, -1, 30)
 
     def test_root_index_above_one_rejected(self):
